@@ -57,6 +57,18 @@ class FiniteActionSet:
         arr.flags.writeable = False
         object.__setattr__(self, "actions", arr)
 
+    @classmethod
+    def unchecked(cls, actions: Array) -> "FiniteActionSet":
+        """Wrap a (k, d) float64 array, k >= 1, whose rows have norm <= 1.
+
+        Skips the validation for generators that guarantee it by
+        construction; the array is taken over and frozen, not copied.
+        """
+        obj = cls.__new__(cls)
+        actions.flags.writeable = False
+        object.__setattr__(obj, "actions", actions)
+        return obj
+
     @property
     def dim(self) -> int:
         return self.actions.shape[1]
@@ -132,7 +144,7 @@ class KArmedGaussianGenerator:
             z = np.abs(z)
         norms = np.linalg.norm(z, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
-        return FiniteActionSet(z / norms)
+        return FiniteActionSet.unchecked(z / norms)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .config import (
     build_potential_run,
     load_yaml,
 )
+from .distributions import MeanOutOfRange
 from .harness import ExcessiveFailures, run_experiment
 from .posterior import DegenerateWeights, counterexample_report
 from .potential import verify_expected_potential
@@ -232,7 +233,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ExcessiveFailures, DegenerateWeights) as exc:
+    except (ExcessiveFailures, DegenerateWeights, MeanOutOfRange) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -43,10 +43,15 @@ class ConfigError(ValueError):
         self.path = path
 
 
+# libyaml's parser when PyYAML was built with it; the constructors and
+# resolvers are the same Python code, so the parsed documents are too
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_yaml(path: str) -> Dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -97,7 +97,7 @@ class RunSummary:
     checks: Dict[str, Optional[bool]]
     wall_time_seconds: float = field(default=0.0, compare=False)
 
-    FORMAT = "ellipsim-summary-v1"
+    FORMAT = "ellipsim-summary-v2"
 
     def to_dict(self) -> Dict:
         return {

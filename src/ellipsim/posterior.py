@@ -29,7 +29,14 @@ from .distributions import (
     Noise,
     Prior,
 )
-from .linalg import Array, PsdMatrix, chol_solve, jittered_cholesky, symmetrize
+from .linalg import (
+    Array,
+    PsdMatrix,
+    chol_solve,
+    jittered_cholesky,
+    solve_lower,
+    symmetrize,
+)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -60,8 +67,9 @@ class GaussianConjugateState:
 
     Maintains P = cov^{-1} and the shift vector P @ mean. An update along
     action a with observed reward y adds a a.T / sd^2 to P and a y / sd^2
-    to the shift, so the per-step cost is one outer product; mean and
-    covariance are recovered through a cached Cholesky factor of P.
+    to the shift. The first query after an update refactorizes P = L L.T
+    (one O(d^3) Cholesky); ``mean``, ``quad_form`` and ``sample`` then
+    cost O(d^2) triangular solves against the cached L.
     """
 
     def __init__(self, prior: GaussianPrior, noise: GaussianNoise):
@@ -87,7 +95,8 @@ class GaussianConjugateState:
         return self._chol
 
     def mean(self) -> Array:
-        return chol_solve(self._factor(), self.shift)
+        chol = self._factor()
+        return solve_lower(chol, solve_lower(chol, self.shift), transpose=True)
 
     def covariance(self) -> PsdMatrix:
         cov = chol_solve(self._factor(), np.eye(self.dim))
@@ -95,14 +104,16 @@ class GaussianConjugateState:
 
     def quad_form(self, v: ArrayLike) -> float:
         """v.T @ covariance @ v without forming the covariance."""
-        w = np.linalg.solve(self._factor(), np.asarray(v, dtype=np.float64))
+        w = solve_lower(self._factor(), np.asarray(v, dtype=np.float64))
         return float(w @ w)
 
     def sample(self, rng: np.random.Generator) -> Array:
-        # if P = L L.T then solving L.T x = z gives cov(x) = P^{-1}
+        # if P = L L.T then solving L.T x = z gives cov(x) = P^{-1}; this
+        # square root fixes which draw each z maps to, so changing it
+        # would change every chosen action
         chol = self._factor()
         z = rng.standard_normal(self.dim)
-        return self.mean() + np.linalg.solve(chol.T, z)
+        return self.mean() + solve_lower(chol, z, transpose=True)
 
     def update(self, action: ArrayLike, y: float) -> None:
         a = np.asarray(action, dtype=np.float64)

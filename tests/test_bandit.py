@@ -75,6 +75,7 @@ def test_karmed_generator_shapes_and_folding():
     assert aset.actions.shape == (7, 4)
     assert np.all(aset.actions >= 0)
     assert np.allclose(np.linalg.norm(aset.actions, axis=1), 1.0)
+    assert not aset.actions.flags.writeable
 
 
 def test_unit_sphere_generator():

@@ -154,6 +154,33 @@ def test_potential_trace_seed_flag_changes_estimate(tmp_path, capsys):
     assert first != second
 
 
+# Exact path: the adversarial rule probes a covariance eigendirection with
+# negative entries, so a Bernoulli reward mean leaves [0, 1] by round 4.
+MEAN_OUT_OF_RANGE_YAML = """\
+potential:
+  horizon: 4
+  replications: 1
+  master_seed: 0
+  action_rule: adversarial
+prior:
+  kind: finite_support
+  atoms: [[0.2, 0.1, 0.3], [0.5, 0.2, 0.1], [0.1, 0.4, 0.2], [0.3, 0.3, 0.3]]
+  weights: [0.25, 0.25, 0.25, 0.25]
+noise:
+  kind: bernoulli_mean
+engine:
+  kind: finite_support
+"""
+
+
+def test_potential_trace_mean_out_of_range_is_a_failed_run(tmp_path, capsys):
+    cfg = write(tmp_path, "pot.yaml", MEAN_OUT_OF_RANGE_YAML)
+    code = main(["potential-trace", "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CHECK_FAILED
+    assert err.startswith("run failed: Bernoulli mean must lie in [0, 1]")
+
+
 def test_potential_trace_missing_config(capsys):
     code = main(["potential-trace", "--config", "/nonexistent.yaml"])
     assert code == EXIT_CONFIG
@@ -175,7 +202,7 @@ def test_run_bandit_writes_all_outputs(tmp_path, capsys):
     assert "pass_eq1: true" in printed
 
     summary = json.loads((out_dir / "summary.json").read_text())
-    assert summary["format"] == "ellipsim-summary-v1"
+    assert summary["format"] == "ellipsim-summary-v2"
     assert summary["checks"]["pass_eq4"] is True
     assert "wall_time_seconds" not in summary
 
@@ -230,6 +257,17 @@ def test_run_bandit_bad_workers_env_var(tmp_path, capsys, monkeypatch):
     code = main(["run-bandit", "--config", cfg, "--out", str(tmp_path / "env")])
     assert code == EXIT_CONFIG
     assert "ELLIPSIM_WORKERS" in capsys.readouterr().err
+
+
+def test_run_bandit_uncertifiable_mean_range_is_a_failed_run(tmp_path, capsys):
+    text = BANDIT_YAML.replace(
+        "noise:\n  kind: gaussian\n  sd: 0.5\nengine:\n  kind: gaussian_conjugate",
+        "noise:\n  kind: bernoulli_mean\nengine:\n  kind: particle\n  particles: 100",
+    )
+    cfg = write(tmp_path, "run.yaml", text)
+    code = main(["run-bandit", "--config", cfg, "--out", str(tmp_path)])
+    assert code == EXIT_CHECK_FAILED
+    assert "run failed: mean-restricted noise" in capsys.readouterr().err
 
 
 def test_run_bandit_unknown_config_key(tmp_path, capsys):

@@ -1,9 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.linalg import cho_solve, solve_triangular
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellipsim import bandit
+from ellipsim.bandit import KArmedGaussianGenerator, run_episode
 from ellipsim.distributions import (
     BernoulliMeanNoise,
     FiniteSupportPrior,
@@ -94,6 +99,87 @@ def test_conjugate_clone_is_independent():
     copy.update(np.array([1.0, 0.0, 0.0]), 5.0)
     assert np.allclose(state.mean(), prior.mean)
     assert not np.allclose(copy.mean(), prior.mean)
+
+
+def rel_err(got, ref):
+    return float(np.linalg.norm(np.asarray(got) - ref) / np.linalg.norm(ref))
+
+
+def test_conjugate_agrees_with_dense_inverse_after_many_updates():
+    """600 unit-norm updates at d=50 against dense-inverse normal equations."""
+    dim = 50
+    rng = np.random.default_rng(SEED)
+    prior, noise = gaussian_pair(dim=dim, sd=0.8)
+    state = GaussianConjugateState(prior, noise)
+    prec = np.eye(dim)
+    shift = prec @ prior.mean
+    for _ in range(600):
+        a = rng.standard_normal(dim)
+        a /= np.linalg.norm(a)
+        y = float(rng.standard_normal())
+        state.update(a, y)
+        prec = prec + np.outer(a, a) / noise.sd**2
+        shift = shift + a * y / noise.sd**2
+    cov_ref = np.linalg.inv(prec)
+    assert rel_err(state.mean(), cov_ref @ shift) < 1e-12
+    for v in rng.standard_normal((5, dim)):
+        assert rel_err(state.quad_form(v), v @ cov_ref @ v) < 1e-12
+
+
+def test_conjugate_sample_is_mean_plus_inverse_transpose_factor_draw():
+    """Pins the covariance square root: the same z must give the same draw."""
+    rng = np.random.default_rng(SEED)
+    prior, noise = gaussian_pair(dim=6)
+    state = GaussianConjugateState(prior, noise)
+    for a in rng.standard_normal((9, 6)) * 0.4:
+        state.update(a, float(rng.standard_normal()))
+    gen = np.random.default_rng(SEED + 1)
+    twin = copy.deepcopy(gen)
+    draw = state.sample(gen)
+    chol = np.linalg.cholesky(state.precision)
+    z = twin.standard_normal(6)
+    expected = state.mean() + solve_triangular(chol.T, z, lower=False)
+    assert np.array_equal(draw, expected)
+
+
+class LuSolveConjugateState(GaussianConjugateState):
+    """Reference engine: general LU solves and ``cho_solve`` on the same factor."""
+
+    def mean(self):
+        return cho_solve((self._factor(), True), self.shift)
+
+    def quad_form(self, v):
+        w = np.linalg.solve(self._factor(), np.asarray(v, dtype=np.float64))
+        return float(w @ w)
+
+    def sample(self, rng):
+        z = rng.standard_normal(self.dim)
+        return self.mean() + np.linalg.solve(self._factor().T, z)
+
+
+def test_conjugate_episode_matches_lu_solve_reference(monkeypatch):
+    dim, horizon = 20, 150
+    prior, noise = gaussian_pair(dim=dim, sd=1.0)
+    gen = KArmedGaussianGenerator(k=10, dim=dim)
+    engine = EngineConfig(kind="gaussian_conjugate")
+
+    def episode():
+        return run_episode(
+            prior, noise, gen, engine, horizon, np.random.default_rng(SEED)
+        )
+
+    fast = episode()
+    monkeypatch.setattr(
+        bandit,
+        "make_posterior",
+        lambda prior, noise, engine, rng=None: LuSolveConjugateState(prior, noise),
+    )
+    ref = episode()
+    assert isinstance(ref.final_state, LuSolveConjugateState)
+    assert np.array_equal(fast.actions, ref.actions)
+    assert np.array_equal(fast.cumulative_regret, ref.cumulative_regret)
+    fast_q, ref_q = np.asarray(fast.trace.gamma_quads), np.asarray(ref.trace.gamma_quads)
+    assert np.all(np.abs(fast_q - ref_q) <= 1e-12 * np.abs(ref_q))
 
 
 # ---------------------------------------------------------------------------
