@@ -17,7 +17,7 @@ from ellipsim.distributions import GaussianNoise, GaussianPrior
 from ellipsim.harness import ExperimentConfig, run_experiment
 from ellipsim.linalg import PsdMatrix
 from ellipsim.posterior import EngineConfig
-from ellipsim.reporting import regret_bound, regret_bound_identity_cap
+from ellipsim.potential import regret_bound, regret_bound_identity_cap
 
 cfg = ExperimentConfig(
     prior=GaussianPrior(mean=np.zeros(4), cov=PsdMatrix.identity(4)),

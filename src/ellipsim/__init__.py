@@ -28,9 +28,6 @@ from .distributions import (
     StudentTNoise,
     UniformBallPrior,
     UniformCenteredNoise,
-    likelihood,
-    prior_moments,
-    sample_prior,
     sample_reward,
 )
 from .harness import ExperimentConfig, RunSummary, run_experiment
@@ -60,10 +57,8 @@ from .potential import (
     PotentialTrace,
     VerificationReport,
     adversarial_action,
-    classical_step,
     verify_expected_potential,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __version__ = "0.1.0"
 
@@ -71,7 +66,6 @@ __all__ = [
     "BernoulliMeanNoise",
     "CholeskyFailure",
     "ClassicalPotential",
-    "DEFAULT_TOLERANCES",
     "DegenerateWeights",
     "EngineConfig",
     "EpisodeResult",
@@ -92,30 +86,25 @@ __all__ = [
     "RunSummary",
     "SphereActionSet",
     "StudentTNoise",
-    "Tolerances",
     "UniformBallPrior",
     "UniformCenteredNoise",
     "UnitSphereGenerator",
     "VerificationReport",
     "adversarial_action",
-    "classical_step",
     "counterexample_prior",
     "counterexample_report",
     "enumerate_posterior_outcomes",
     "greedy_step",
     "jittered_cholesky",
-    "likelihood",
     "lints_step",
     "logdet_potential",
     "make_posterior",
     "optimal_action",
-    "prior_moments",
     "psd_order_holds",
     "random_psd",
     "rank_one_shrink",
     "run_episode",
     "run_experiment",
-    "sample_prior",
     "sample_reward",
     "trace_cauchy_schwarz_check",
     "verify_expected_potential",

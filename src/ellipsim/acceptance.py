@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from .bandit import KArmedGaussianGenerator
+from .config import env_workers
 from .distributions import (
     BernoulliMeanNoise,
     FiniteSupportPrior,
@@ -28,11 +29,17 @@ from .harness import ExperimentConfig, run_experiment
 from .linalg import PsdMatrix, random_psd
 from .posterior import (
     EngineConfig,
+    InflationReport,
     ParticleState,
     counterexample_prior,
     counterexample_report,
 )
-from .potential import verify_expected_potential
+from .potential import (
+    gamma1_eigs,
+    logdet_growth,
+    logdet_identity_cap,
+    verify_expected_potential,
+)
 from .reporting import (
     write_potential_csv_from_summary,
     write_regret_curve_csv,
@@ -80,14 +87,6 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _workers() -> int:
-    raw = os.environ.get("ELLIPSIM_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _eight_atom_prior(seed_key: int, nonnegative: bool) -> FiniteSupportPrior:
     """Seeded 8-atom prior in the unit ball of R^3."""
     rng = np.random.default_rng(np.random.SeedSequence([77, seed_key]))
@@ -110,7 +109,7 @@ def config_gaussian_d5(seed: int = 0) -> ExperimentConfig:
         horizon=1000,
         replications=200,
         master_seed=seed + 81001,
-        workers=_workers(),
+        workers=env_workers(default=1),
     )
 
 
@@ -124,7 +123,7 @@ def config_bernoulli_d3(seed: int = 0) -> ExperimentConfig:
         horizon=500,
         replications=500,
         master_seed=seed + 81002,
-        workers=_workers(),
+        workers=env_workers(default=1),
     )
 
 
@@ -138,7 +137,7 @@ def config_student_t_d3(seed: int = 0) -> ExperimentConfig:
         horizon=500,
         replications=500,
         master_seed=seed + 81003,
-        workers=_workers(),
+        workers=env_workers(default=1),
     )
 
 
@@ -184,13 +183,41 @@ def criterion_3_variance_reduction(seed: int = 0) -> CriterionResult:
     return _fuzz_result(3, "variance-reduction", [report], start)
 
 
+def counterexample_reference_problems(report: InflationReport) -> List[str]:
+    """The reference checks on the inflation example after outcome 1.
+
+    Both hold for every p: the posterior must be uniform on {1/4, 3/4}, and
+    its variance must equal the pinned reference value 0.25 exactly.
+    Returns one message per failed check.
+    """
+    problems: List[str] = []
+    uniform_ok = bool(
+        np.allclose(report.posterior_weights, [0.0, 0.5, 0.5], atol=1e-12)
+    )
+    if not uniform_ok:
+        problems.append(
+            f"posterior weights {report.posterior_weights.tolist()} are not "
+            "uniform on the surviving points"
+        )
+    pinned_ok = report.posterior_variance == 0.25
+    if not pinned_ok:
+        problems.append(
+            f"posterior variance measured {report.posterior_variance:.12g} "
+            "(exact Bayes gives 1/16); the pinned reference value 0.25 is not "
+            "attained. Note 0.25 is the square root of the measured value, "
+            "i.e. the posterior standard deviation rather than the variance."
+        )
+    return problems
+
+
 def criterion_4_counterexample(seed: int = 0) -> CriterionResult:
     """One exact Bayes update of the scalar inflation example at p=0.05.
 
-    Sub-claims, in order: posterior uniform on {1/4, 3/4} after outcome 1;
-    prior variance 0.031875 against an independent arithmetic oracle;
-    variance inflation flagged; posterior variance equal to the pinned
-    reference value 0.25 exactly.
+    Sub-claims, in order: the reference checks of
+    :func:`counterexample_reference_problems` (posterior uniform on
+    {1/4, 3/4} after outcome 1, posterior variance equal to the pinned
+    reference value 0.25 exactly); prior variance 0.031875 against an
+    independent arithmetic oracle; variance inflation flagged.
     """
     start = time.perf_counter()
     p = 0.05
@@ -202,15 +229,7 @@ def criterion_4_counterexample(seed: int = 0) -> CriterionResult:
     oracle_mean = float(weights @ atoms)
     oracle_prior_var = float(weights @ (atoms - oracle_mean) ** 2)
 
-    problems: List[str] = []
-    uniform_ok = bool(
-        np.allclose(report.posterior_weights, [0.0, 0.5, 0.5], atol=1e-12)
-    )
-    if not uniform_ok:
-        problems.append(
-            f"posterior weights {report.posterior_weights.tolist()} are not "
-            "uniform on the surviving points"
-        )
+    problems = counterexample_reference_problems(report)
     prior_var_ok = (
         abs(report.prior_variance - 0.031875) <= 1e-12
         and abs(report.prior_variance - oracle_prior_var) <= 1e-15
@@ -221,14 +240,6 @@ def criterion_4_counterexample(seed: int = 0) -> CriterionResult:
         )
     if not report.variance_inflated:
         problems.append("variance inflation flag is not set")
-    pinned_ok = report.posterior_variance == 0.25
-    if not pinned_ok:
-        problems.append(
-            f"posterior variance measured {report.posterior_variance:.12g} "
-            "(exact Bayes gives 1/16); the pinned reference value 0.25 is not "
-            "attained. Note 0.25 is the square root of the measured value, "
-            "i.e. the posterior standard deviation rather than the variance."
-        )
     return CriterionResult(
         number=4,
         name="counterexample-exact",
@@ -369,12 +380,11 @@ def criterion_9_identity_cap(seed: int = 0) -> CriterionResult:
         horizon = int(rng.integers(1, 10_001))
         cases.append((gamma, horizon))
     for gamma, horizon in cases:
-        eigs = np.clip(np.linalg.eigvalsh(gamma.mat), 0.0, None)
+        eigs = gamma1_eigs(gamma)
         if eigs.max() > 1.0:
             continue
-        growth = float(np.sum(np.log1p(horizon * eigs)))
-        cap = gamma.dim * float(np.log1p(horizon))
-        worst = max(worst, growth - cap)
+        growth = logdet_growth(horizon, eigs)
+        worst = max(worst, growth - logdet_identity_cap(horizon, gamma.dim))
     passed = worst <= 1e-9
     return CriterionResult(
         number=9,

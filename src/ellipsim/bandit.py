@@ -10,10 +10,10 @@ recorded in a :class:`~ellipsim.potential.PotentialTrace`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
-from numpy.typing import ArrayLike, NDArray
+from numpy.typing import ArrayLike
 
 from .distributions import (
     FiniteSupportPrior,
@@ -30,7 +30,7 @@ from .posterior import (
     make_posterior,
 )
 from .potential import PotentialTrace
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import INEQUALITY_SLACK, NORM_SLACK, REGRET_SLACK
 
 
 class EmptyActionSet(ValueError):
@@ -51,7 +51,7 @@ class FiniteActionSet:
             raise EmptyActionSet("action set has no actions")
         norms = np.linalg.norm(arr, axis=1)
         worst = float(norms.max())
-        if worst > 1.0 + DEFAULT_TOLERANCES.norm_slack:
+        if worst > 1.0 + NORM_SLACK:
             raise ValueError(f"action norms must be <= 1, max is {worst}")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -113,7 +113,7 @@ class FixedActionsGenerator:
 
     @property
     def nonnegative(self) -> bool:
-        return bool(np.all(self._set.actions >= -DEFAULT_TOLERANCES.norm_slack))
+        return bool(np.all(self._set.actions >= -NORM_SLACK))
 
     def sample_round(self, rng: np.random.Generator) -> FiniteActionSet:
         return self._set
@@ -230,15 +230,14 @@ def _validate_mean_range(
             "mean-restricted noise needs a finite-support prior so the "
             "reward means can be bounded in advance"
         )
-    slack = DEFAULT_TOLERANCES.norm_slack
     if isinstance(generator, FixedActionsGenerator):
         products = prior.atoms @ generator._set.actions.T
-        if np.any(products < -slack) or np.any(products > 1.0 + slack):
+        if np.any(products < -NORM_SLACK) or np.any(products > 1.0 + NORM_SLACK):
             raise MeanOutOfRange(
                 "fixed action set produces reward means outside [0, 1]"
             )
         return
-    atoms_nonneg = bool(np.all(prior.atoms >= -slack))
+    atoms_nonneg = bool(np.all(prior.atoms >= -NORM_SLACK))
     if atoms_nonneg and getattr(generator, "nonnegative", False):
         return
     raise MeanOutOfRange(
@@ -255,7 +254,6 @@ def run_episode(
     rng: np.random.Generator,
     policy: str = "lints",
     lam: float = 1.0,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> EpisodeResult:
     """Simulate one full episode and return its record.
 
@@ -272,10 +270,8 @@ def run_episode(
 
     theta_star = prior.sample(rng)
     state = make_posterior(prior, noise, engine, rng=rng)
-    _, gamma1 = prior.moments()
-    trace = PotentialTrace(gamma1=gamma1, sigma_sq=noise.sigma_sq_bound, lam=lam)
-
     dim = theta_star.shape[0]
+    trace = PotentialTrace(dim, lam=lam)
     actions = np.zeros((horizon, dim))
     optimal = np.zeros((horizon, dim))
     rewards = np.zeros(horizon)
@@ -296,7 +292,7 @@ def run_episode(
         except (DegenerateWeights, MeanOutOfRange, CholeskyFailure) as exc:
             raise EpisodeFailure(t, exc) from exc
         gap = float(theta_star @ (best - chosen))
-        if gap < -tols.regret_slack:
+        if gap < -REGRET_SLACK:
             raise EpisodeFailure(
                 t, RuntimeError(f"negative regret {gap} against the optimal action")
             )
@@ -328,7 +324,7 @@ class TraceCauchySchwarzReport:
 
 
 def trace_cauchy_schwarz_check(
-    xs: ArrayLike, zs: ArrayLike, tol: float = DEFAULT_TOLERANCES.inequality_slack
+    xs: ArrayLike, zs: ArrayLike, tol: float = INEQUALITY_SLACK
 ) -> TraceCauchySchwarzReport:
     """Check E[X.T Z]^2 <= d * Tr(E[X X.T] E[Z Z.T]) on paired samples.
 

@@ -19,6 +19,7 @@ from .config import (
     build_experiment,
     build_lemma_run,
     build_potential_run,
+    env_workers,
     load_yaml,
 )
 from .distributions import MeanOutOfRange
@@ -31,30 +32,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
-WORKERS_ENV = "ELLIPSIM_WORKERS"
-
-
-def _env_workers() -> Optional[int]:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(WORKERS_ENV, f"expected an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(WORKERS_ENV, f"worker count must be >= 1, got {value}")
-    return value
-
-
 def _resolve_workers(flag: Optional[int], config_value: int) -> int:
     # precedence: flag, then environment, then config
     if flag is not None:
         return flag
-    env = _env_workers()
-    if env is not None:
-        return env
-    return config_value
+    return env_workers(default=config_value)
 
 
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:
@@ -93,16 +75,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     print(f"non-monotone          : {str(report.variance_inflated).lower()}")
     if args.y1 != 1:
         return EXIT_OK
-    failures: List[str] = []
-    import numpy as np
-
-    if not np.allclose(report.posterior_weights, [0.0, 0.5, 0.5], atol=1e-12):
-        failures.append("posterior is not uniform on {1/4, 3/4}")
-    if report.posterior_variance != 0.25:
-        failures.append(
-            f"posterior variance {f(report.posterior_variance)} != pinned "
-            "reference 0.25 (exact Bayes gives 1/16; 0.25 is its square root)"
-        )
+    failures = acceptance_mod.counterexample_reference_problems(report)
     if failures:
         for msg in failures:
             print(f"reference check FAILED: {msg}")

@@ -6,8 +6,9 @@ fast with a usable message instead of silently running defaults.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -41,6 +42,26 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+WORKERS_ENV = "ELLIPSIM_WORKERS"
+
+
+def env_workers(default: Optional[int] = None) -> Optional[int]:
+    """Worker count from ``ELLIPSIM_WORKERS``, or ``default`` when unset.
+
+    Anything but an integer >= 1 raises :class:`ConfigError`.
+    """
+    raw = os.environ.get(WORKERS_ENV)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigError(WORKERS_ENV, f"expected an integer, got {raw!r}")
+    if value < 1:
+        raise ConfigError(WORKERS_ENV, f"worker count must be >= 1, got {value}")
+    return value
 
 
 # libyaml's parser when PyYAML was built with it; the constructors and

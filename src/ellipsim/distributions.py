@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .linalg import PsdMatrix, psd_sqrt
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import NORM_SLACK, PRIOR_WEIGHT_SUM_ABS
 
 Array = NDArray[np.float64]
 
@@ -84,7 +84,7 @@ class FiniteSupportPrior:
     atoms: Array
     weights: Array
 
-    def __post_init__(self, tols: Tolerances = DEFAULT_TOLERANCES):
+    def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=np.float64)
         weights = np.asarray(self.weights, dtype=np.float64)
         if atoms.ndim != 2:
@@ -98,11 +98,11 @@ class FiniteSupportPrior:
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
         total = float(weights.sum())
-        if abs(total - 1.0) > tols.prior_weight_sum_abs:
+        if abs(total - 1.0) > PRIOR_WEIGHT_SUM_ABS:
             raise ValueError(f"weights must sum to 1, got {total!r}")
         norms = np.linalg.norm(atoms, axis=1)
         worst = float(norms.max())
-        if worst > 1.0 + tols.norm_slack:
+        if worst > 1.0 + NORM_SLACK:
             raise ValueError(f"support points must lie in the unit ball, max norm {worst}")
         atoms = atoms.copy()
         weights = weights.copy()
@@ -174,16 +174,6 @@ class UniformBallPrior:
 Prior = GaussianPrior | FiniteSupportPrior | UniformBallPrior
 
 
-def prior_moments(prior: Prior) -> Tuple[Array, PsdMatrix]:
-    """Exact mean vector and covariance matrix of a prior."""
-    return prior.moments()
-
-
-def sample_prior(prior: Prior, rng: np.random.Generator) -> Array:
-    """One parameter draw from a prior."""
-    return prior.sample(rng)
-
-
 # ---------------------------------------------------------------------------
 # noises
 # ---------------------------------------------------------------------------
@@ -243,9 +233,9 @@ class BernoulliMeanNoise:
 
     def _check_mean(self, mean: ArrayLike) -> Array:
         arr = np.asarray(mean, dtype=np.float64)
-        slack = DEFAULT_TOLERANCES.norm_slack
-        if np.any(arr < -slack) or np.any(arr > 1.0 + slack):
-            bad = arr if arr.ndim == 0 else arr[(arr < -slack) | (arr > 1.0 + slack)]
+        if np.any(arr < -NORM_SLACK) or np.any(arr > 1.0 + NORM_SLACK):
+            outside = (arr < -NORM_SLACK) | (arr > 1.0 + NORM_SLACK)
+            bad = arr if arr.ndim == 0 else arr[outside]
             raise MeanOutOfRange(
                 f"Bernoulli mean must lie in [0, 1], got {np.atleast_1d(bad)[0]!r}"
             )
@@ -351,8 +341,3 @@ Noise = GaussianNoise | BernoulliMeanNoise | UniformCenteredNoise | StudentTNois
 def sample_reward(noise: Noise, mean: float, rng: np.random.Generator) -> float:
     """One reward draw with the given conditional mean."""
     return noise.sample_reward(mean, rng)
-
-
-def likelihood(noise: Noise, y: float, mean: ArrayLike) -> Array:
-    """Density (or pmf) of outcome y at the given mean(s), vectorized."""
-    return noise.likelihood(y, mean)

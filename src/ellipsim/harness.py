@@ -15,11 +15,26 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bandit import ActionSetGenerator, EpisodeFailure, run_episode
+from .bandit import (
+    ActionSetGenerator,
+    EpisodeFailure,
+    _validate_mean_range,
+    run_episode,
+)
 from .distributions import Noise, Prior
 from .linalg import PsdMatrix, psd_order_holds
 from .posterior import EngineConfig
-from .tolerances import DEFAULT_TOLERANCES
+from .potential import (
+    gamma1_eigs,
+    logdet_growth,
+    logdet_identity_cap,
+    potential_bound,
+    regret_bound,
+    regret_bound_identity_cap,
+    ridge_potential_bound,
+    sigma_factor,
+)
+from .tolerances import INEQUALITY_SLACK
 
 CURVE_POINT_LIMIT = 10_000
 CURVE_POINTS_WHEN_SUBSAMPLED = 1000
@@ -61,6 +76,7 @@ class ExperimentConfig:
         unknown = set(self.bound_checks) - set(KNOWN_CHECKS)
         if unknown:
             raise ValueError(f"unknown bound checks: {sorted(unknown)}")
+        _validate_mean_range(self.prior, self.noise, self.actions)
 
 
 @dataclass
@@ -167,7 +183,6 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> Dict:
         "gamma_quads": np.asarray(trace.gamma_quads),
         "sigma_sum": trace.sigma_sum,
         "sigma_logdet_rhs": trace.classical.logdet_bound(),
-        "sigma_dim_rhs": trace.classical.dimension_bound(),
     }
 
 
@@ -236,31 +251,30 @@ def run_experiment(
     potential_mean = float(totals.mean())
     potential_stderr = float(totals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
-    eq1_violation = max(
-        max(r["sigma_sum"] - r["sigma_logdet_rhs"] for r in successes),
-        max(r["sigma_logdet_rhs"] - r["sigma_dim_rhs"] for r in successes),
-    )
-
     _, gamma1 = cfg.prior.moments()
-    eigs = np.clip(np.linalg.eigvalsh(gamma1.mat), 0.0, None)
-    sigma_factor = max(cfg.noise.sigma_sq_bound, 1.0)
+    eigs = gamma1_eigs(gamma1)
+    factor = sigma_factor(cfg.noise.sigma_sq_bound)
     dim = gamma1.dim
     horizon = cfg.horizon
-    logdet_growth = float(np.sum(np.log1p(horizon * eigs)))
     within_identity = psd_order_holds(gamma1, PsdMatrix.identity(dim))
 
     bounds: Dict[str, Optional[float]] = {
-        "eq1_rhs": 2.0 * dim * float(np.log1p(horizon / (cfg.lam * dim))),
-        "thm23_rhs": 2.0 * sigma_factor * logdet_growth,
-        "eq4_rhs": float(
-            np.sqrt(2.0 * sigma_factor * dim * horizon * logdet_growth)
-        ),
+        "eq1_rhs": ridge_potential_bound(horizon, dim, cfg.lam),
+        "thm23_rhs": potential_bound(horizon, factor, eigs),
+        "eq4_rhs": regret_bound(horizon, dim, factor, eigs),
         "remark33_rhs": (
-            dim * float(np.sqrt(2.0 * sigma_factor * horizon * np.log1p(horizon)))
+            regret_bound_identity_cap(horizon, dim, factor)
             if within_identity
             else None
         ),
     }
+
+    # every completed episode ran the full horizon, so the ridge log-det
+    # bound of each is compared with the one eq1 right-hand side
+    eq1_violation = max(
+        max(r["sigma_sum"] - r["sigma_logdet_rhs"] for r in successes),
+        max(r["sigma_logdet_rhs"] for r in successes) - bounds["eq1_rhs"],
+    )
 
     final_mean = float(mean_regret[-1])
     final_stderr = float(stderr_regret[-1])
@@ -280,8 +294,8 @@ def run_experiment(
         else:
             checks[key] = (
                 bool(
-                    logdet_growth
-                    <= dim * np.log1p(horizon) + DEFAULT_TOLERANCES.inequality_slack
+                    logdet_growth(horizon, eigs)
+                    <= logdet_identity_cap(horizon, dim) + INEQUALITY_SLACK
                 )
                 if within_identity
                 else None
@@ -296,7 +310,7 @@ def run_experiment(
         failed=len(failures),
         failures=failures,
         master_seed=cfg.master_seed,
-        sigma_factor=sigma_factor,
+        sigma_factor=factor,
         gamma1_eigs=[float(v) for v in eigs],
         gamma1_within_identity=bool(within_identity),
         ts=[int(t) for t in ts],

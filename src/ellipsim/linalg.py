@@ -13,7 +13,7 @@ from typing import Optional, Union
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import PSD_SLACK, SYMMETRY_REL
 
 Array = NDArray[np.float64]
 
@@ -28,7 +28,7 @@ def symmetrize(mat: ArrayLike) -> Array:
     return (arr + arr.T) / 2.0
 
 
-def is_symmetric(mat: Array, rel_tol: float = DEFAULT_TOLERANCES.symmetry_rel) -> bool:
+def is_symmetric(mat: Array, rel_tol: float = SYMMETRY_REL) -> bool:
     """Check entrywise symmetry up to relative tolerance.
 
     The comparison is |M_ij - M_ji| <= rel_tol * max(1, |M_ij|, |M_ji|),
@@ -65,15 +65,15 @@ class PsdMatrix:
 
     __slots__ = ("mat",)
 
-    def __init__(self, mat: ArrayLike, tols: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, mat: ArrayLike):
         arr = np.asarray(mat, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if not is_symmetric(arr, rel_tol=tols.symmetry_rel):
+        if not is_symmetric(arr):
             raise ValueError("matrix is not symmetric within tolerance")
         sym = symmetrize(arr)
         lo = float(np.linalg.eigvalsh(sym)[0])
-        if lo < -tols.psd_slack:
+        if lo < -PSD_SLACK:
             raise ValueError(
                 f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}"
             )
@@ -168,9 +168,7 @@ def logdet_potential(sigma: MatrixLike, x: float) -> float:
     return logdet_psd(np.eye(arr.shape[0]) + x * arr)
 
 
-def rank_one_shrink(
-    sigma: MatrixLike, v: ArrayLike, tols: Tolerances = DEFAULT_TOLERANCES
-) -> PsdMatrix:
+def rank_one_shrink(sigma: MatrixLike, v: ArrayLike) -> PsdMatrix:
     """Posterior-style covariance shrink by one observation direction.
 
     Returns Sigma - (Sigma v)(Sigma v).T / (1 + v.T Sigma v), the result of
@@ -183,11 +181,11 @@ def rank_one_shrink(
     sv = arr @ vec
     denom = 1.0 + float(vec @ sv)
     out = arr - np.outer(sv, sv) / denom
-    return PsdMatrix(symmetrize(out), tols=tols)
+    return PsdMatrix(symmetrize(out))
 
 
 def psd_order_holds(
-    a: MatrixLike, b: MatrixLike, tol: float = DEFAULT_TOLERANCES.psd_slack
+    a: MatrixLike, b: MatrixLike, tol: float = PSD_SLACK
 ) -> bool:
     """Loewner-order test: does A <= B hold, i.e. is B - A PSD up to tol?"""
     diff = symmetrize(as_array(b) - as_array(a))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from numpy.typing import ArrayLike, NDArray
+from numpy.typing import ArrayLike
 
 from .distributions import (
     BernoulliMeanNoise,
@@ -37,7 +37,6 @@ from .linalg import (
     solve_lower,
     symmetrize,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 class DegenerateWeights(RuntimeError):
@@ -140,14 +139,8 @@ class FiniteSupportState:
     :class:`DegenerateWeights` rather than fabricating a posterior.
     """
 
-    def __init__(
-        self,
-        prior: FiniteSupportPrior,
-        noise: Noise,
-        tols: Tolerances = DEFAULT_TOLERANCES,
-    ):
+    def __init__(self, prior: FiniteSupportPrior, noise: Noise):
         self.noise = noise
-        self.tols = tols
         self.atoms = prior.atoms
         self.weights = prior.weights.copy()
 
@@ -191,7 +184,6 @@ class FiniteSupportState:
     def clone(self) -> "FiniteSupportState":
         other = self.__class__.__new__(self.__class__)
         other.noise = self.noise
-        other.tols = self.tols
         other.atoms = self.atoms
         other.weights = self.weights.copy()
         return other

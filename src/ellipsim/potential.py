@@ -1,4 +1,7 @@
-"""Potential trackers and the expected-potential verifier.
+"""Bound formulas, potential trackers and the expected-potential verifier.
+
+Every right-hand side that a check compares against (eqs. 1 and 4,
+theorem 2.3, remark 3.3) is written once here, as a module-level function.
 
 Two related quantities are tracked along an action sequence:
 
@@ -17,13 +20,13 @@ otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .distributions import FiniteSupportPrior, Noise, Prior, sample_reward
-from .linalg import Array, PsdMatrix, as_array, symmetrize
+from .linalg import Array, PsdMatrix
 from .posterior import (
     DegenerateWeights,
     EngineConfig,
@@ -31,7 +34,54 @@ from .posterior import (
     enumerate_posterior_outcomes,
     make_posterior,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import EIGEN_TIE_REL, INEQUALITY_SLACK, NORM_SLACK, PSD_SLACK
+
+# ---------------------------------------------------------------------------
+# bound formulas: the one home of every right-hand side the checks compare to
+# ---------------------------------------------------------------------------
+
+
+def sigma_factor(sigma_sq: float) -> float:
+    """max(sigma^2, 1), the noise factor in every posterior bound."""
+    return max(sigma_sq, 1.0)
+
+
+def gamma1_eigs(gamma1: PsdMatrix) -> Array:
+    """Eigenvalues of the prior covariance Gamma_1, rounding negatives to 0."""
+    return np.clip(np.linalg.eigvalsh(gamma1.mat), 0.0, None)
+
+
+def logdet_growth(t: int, eigs: Sequence[float]) -> float:
+    """log det(I + t * Gamma_1) from the eigenvalues of Gamma_1."""
+    return float(np.sum(np.log1p(t * np.asarray(eigs))))
+
+
+def potential_bound(t: int, factor: float, eigs: Sequence[float]) -> float:
+    """Theorem 2.3: 2 * max(sigma^2, 1) * log det(I + t * Gamma_1)."""
+    return 2.0 * factor * logdet_growth(t, eigs)
+
+
+def regret_bound(t: int, dim: int, factor: float, eigs: Sequence[float]) -> float:
+    """Eq. 4: sqrt(2 * max(sigma^2, 1) * d * t * log det(I + t * Gamma_1))."""
+    return float(np.sqrt(2.0 * factor * dim * t * logdet_growth(t, eigs)))
+
+
+def regret_bound_identity_cap(t: int, dim: int, factor: float) -> float:
+    """Remark 3.3: d * sqrt(2 * max(sigma^2, 1) * t * log(1 + t)).
+
+    Bounds the regret only when Gamma_1 <= I.
+    """
+    return float(dim * np.sqrt(2.0 * factor * t * np.log1p(t)))
+
+
+def logdet_identity_cap(t: int, dim: int) -> float:
+    """d * log(1 + t), which bounds log det(I + t * Gamma_1) when Gamma_1 <= I."""
+    return dim * float(np.log1p(t))
+
+
+def ridge_potential_bound(t: int, dim: int, lam: float) -> float:
+    """Eq. 1: 2 * d * log(1 + t / (lam * d)), the ridge potential after t steps."""
+    return 2.0 * dim * float(np.log1p(t / (lam * dim)))
 
 
 class ClassicalPotential:
@@ -43,16 +93,13 @@ class ClassicalPotential:
     divides the determinant by exactly that factor.
     """
 
-    def __init__(
-        self, dim: int, lam: float = 1.0, tols: Tolerances = DEFAULT_TOLERANCES
-    ):
+    def __init__(self, dim: int, lam: float = 1.0):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         if lam < 1.0:
             raise ValueError(f"lam must be >= 1 for the dimension bound, got {lam}")
         self.dim = dim
         self.lam = lam
-        self.tols = tols
         self.cov = np.eye(dim) / lam
         self.logdet_cov0 = -dim * np.log(lam)
         self.logdet_cov = self.logdet_cov0
@@ -63,11 +110,12 @@ class ClassicalPotential:
         """Absorb one action; returns the quadratic form a.T Sigma_t a."""
         a = np.asarray(action, dtype=np.float64)
         norm = float(np.linalg.norm(a))
-        if norm > 1.0 + self.tols.norm_slack:
+        if norm > 1.0 + NORM_SLACK:
             raise ValueError(f"action norm must be <= 1, got {norm}")
         sv = self.cov @ a
         quad = float(a @ sv)
-        self.cov = symmetrize(self.cov - np.outer(sv, sv) / (1.0 + quad))
+        # stays exactly symmetric: outer(sv, sv) is, entry for entry
+        self.cov = self.cov - np.outer(sv, sv) / (1.0 + quad)
         self.logdet_cov -= np.log1p(quad)
         self.quad_sum += quad
         self.steps += 1
@@ -76,16 +124,6 @@ class ClassicalPotential:
     def logdet_bound(self) -> float:
         """2 * log(det Sigma_1 / det Sigma_{t+1}), the telescoped bound."""
         return 2.0 * (self.logdet_cov0 - self.logdet_cov)
-
-    def dimension_bound(self, horizon: Optional[int] = None) -> float:
-        """2 * d * log(1 + T / (lam * d)) for T steps (default: steps so far)."""
-        t = self.steps if horizon is None else horizon
-        return 2.0 * self.dim * np.log1p(t / (self.lam * self.dim))
-
-
-def classical_step(state: ClassicalPotential, action: ArrayLike) -> float:
-    """One ridge-potential step; see :meth:`ClassicalPotential.step`."""
-    return state.step(action)
 
 
 @dataclass
@@ -98,43 +136,25 @@ class PotentialTrace:
     comparable round by round.
     """
 
-    gamma1: PsdMatrix
-    sigma_sq: float
+    dim: int
     lam: float = 1.0
     actions: List[Array] = field(default_factory=list)
     gamma_quads: List[float] = field(default_factory=list)
     sigma_quads: List[float] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.sigma_sq <= 0:
-            raise ValueError(f"sigma_sq must be positive, got {self.sigma_sq}")
-        self.classical = ClassicalPotential(self.gamma1.dim, lam=self.lam)
-        self._gamma1_eigs = np.clip(np.linalg.eigvalsh(self.gamma1.mat), 0.0, None)
-
-    @property
-    def dim(self) -> int:
-        return self.gamma1.dim
-
-    @property
-    def sigma_factor(self) -> float:
-        return max(self.sigma_sq, 1.0)
+        self.classical = ClassicalPotential(self.dim, lam=self.lam)
 
     def append_quads(self, action: ArrayLike, gamma_quad: float) -> float:
         """Record a round from a precomputed posterior quadratic form."""
         a = np.asarray(action, dtype=np.float64).copy()
-        if gamma_quad < -DEFAULT_TOLERANCES.psd_slack:
+        if gamma_quad < -PSD_SLACK:
             raise ValueError(f"posterior quadratic form is negative: {gamma_quad}")
         sigma_quad = self.classical.step(a)
         self.actions.append(a)
         self.gamma_quads.append(max(float(gamma_quad), 0.0))
         self.sigma_quads.append(sigma_quad)
         return sigma_quad
-
-    def general_step(self, gamma: PsdMatrix, action: ArrayLike) -> float:
-        """Record a round; returns the posterior quadratic form a.T Gamma a."""
-        quad = gamma.quad_form(action)
-        self.append_quads(action, quad)
-        return quad
 
     @property
     def gamma_sum(self) -> float:
@@ -144,19 +164,8 @@ class PotentialTrace:
     def sigma_sum(self) -> float:
         return float(np.sum(self.sigma_quads))
 
-    def logdet_growth(self, horizon: Optional[int] = None) -> float:
-        """log det(I + t * Gamma_1) for t rounds (default: rounds so far)."""
-        t = len(self.actions) if horizon is None else horizon
-        return float(np.sum(np.log1p(t * self._gamma1_eigs)))
 
-    def potential_bound(self, horizon: Optional[int] = None) -> float:
-        """2 * max(sigma^2, 1) * log det(I + t * Gamma_1)."""
-        return 2.0 * self.sigma_factor * self.logdet_growth(horizon)
-
-
-def adversarial_action(
-    gamma: PsdMatrix, tols: Tolerances = DEFAULT_TOLERANCES
-) -> Array:
+def adversarial_action(gamma: PsdMatrix) -> Array:
     """Unit action along the top eigendirection of a posterior covariance.
 
     Deterministic by construction: when the leading eigenvalue is
@@ -169,7 +178,7 @@ def adversarial_action(
     dim = arr.shape[0]
     eigvals, eigvecs = np.linalg.eigh(arr)
     lead = eigvals[-1]
-    tol = 1e-10 * max(1.0, abs(lead))
+    tol = EIGEN_TIE_REL * max(1.0, abs(lead))
     mask = eigvals >= lead - tol
     basis = eigvecs[:, mask]
     if basis.shape[1] == 1:
@@ -259,7 +268,6 @@ def verify_expected_potential(
     engine: Optional[EngineConfig] = None,
     action_rule: str = "adversarial",
     action_generator=None,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationReport:
     """Estimate E[sum of a.T Gamma_t a] and compare it to the log-det bound.
 
@@ -284,10 +292,10 @@ def verify_expected_potential(
         raise ValueError("the lints action rule needs an action generator")
 
     _, gamma1 = prior.moments()
-    trace_proto = PotentialTrace(gamma1=gamma1, sigma_sq=noise.sigma_sq_bound)
-    bound = trace_proto.potential_bound(horizon)
-    sigma_factor = trace_proto.sigma_factor
-    gamma1_eigs = tuple(float(v) for v in trace_proto._gamma1_eigs)
+    factor = sigma_factor(noise.sigma_sq_bound)
+    eigs = gamma1_eigs(gamma1)
+    bound = potential_bound(horizon, factor, eigs)
+    eig_record = tuple(float(v) for v in eigs)
 
     can_enumerate = (
         action_rule == "adversarial"
@@ -296,22 +304,20 @@ def verify_expected_potential(
         and horizon <= EXACT_ENUMERATION_LIMIT
     )
     if can_enumerate:
-        per_round, total = _exact_potential(
-            prior, noise, horizon, lambda g: adversarial_action(g, tols)
-        )
+        per_round, total = _exact_potential(prior, noise, horizon, adversarial_action)
         return VerificationReport(
             dim=gamma1.dim,
             horizon=horizon,
             replications=0,
             exact=True,
             sigma_sq=noise.sigma_sq_bound,
-            sigma_factor=sigma_factor,
+            sigma_factor=factor,
             mean_total=total,
             stderr_total=0.0,
             bound=bound,
-            holds=bool(total <= bound + tols.inequality_slack),
+            holds=bool(total <= bound + INEQUALITY_SLACK),
             per_round_mean=tuple(per_round),
-            gamma1_eigs=gamma1_eigs,
+            gamma1_eigs=eig_record,
             failed_replications=0,
         )
 
@@ -329,7 +335,7 @@ def verify_expected_potential(
             quads = np.zeros(horizon)
             for t in range(horizon):
                 if action_rule == "adversarial":
-                    action = adversarial_action(state.covariance(), tols)
+                    action = adversarial_action(state.covariance())
                 else:
                     aset = action_generator.sample_round(rng)
                     action = aset.argmax(state.sample(rng))
@@ -355,12 +361,12 @@ def verify_expected_potential(
         replications=n,
         exact=False,
         sigma_sq=noise.sigma_sq_bound,
-        sigma_factor=sigma_factor,
+        sigma_factor=factor,
         mean_total=mean_total,
         stderr_total=stderr_total,
         bound=bound,
         holds=bool(mean_total <= bound + 3.0 * stderr_total),
         per_round_mean=tuple(per_round_sum / n),
-        gamma1_eigs=gamma1_eigs,
+        gamma1_eigs=eig_record,
         failed_replications=failures,
     )

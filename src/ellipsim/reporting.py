@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Iterable, List, Sequence
 
 from .harness import RunSummary
-from .potential import VerificationReport
+from .potential import (
+    VerificationReport,
+    potential_bound,
+    regret_bound,
+    regret_bound_identity_cap,
+)
 from .verify import FuzzReport
 
 
@@ -29,27 +32,6 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in lines:
             fh.write(line + "\n")
-
-
-def _logdet_growth(t: int, eigs: Sequence[float]) -> float:
-    return float(np.sum(np.log1p(t * np.asarray(eigs))))
-
-
-def regret_bound(
-    t: int, dim: int, sigma_factor: float, eigs: Sequence[float]
-) -> float:
-    """sqrt(2 * max(sigma^2, 1) * d * t * log det(I + t * Gamma_1))."""
-    return float(np.sqrt(2.0 * sigma_factor * dim * t * _logdet_growth(t, eigs)))
-
-
-def regret_bound_identity_cap(t: int, dim: int, sigma_factor: float) -> float:
-    """d * sqrt(2 * max(sigma^2, 1) * t * log(1 + t)); needs Gamma_1 <= I."""
-    return float(dim * np.sqrt(2.0 * sigma_factor * t * np.log1p(t)))
-
-
-def potential_bound(t: int, sigma_factor: float, eigs: Sequence[float]) -> float:
-    """2 * max(sigma^2, 1) * log det(I + t * Gamma_1)."""
-    return 2.0 * sigma_factor * _logdet_growth(t, eigs)
 
 
 def write_regret_curve_csv(path: str, summary: RunSummary) -> None:

@@ -1,50 +1,23 @@
-"""Numerical tolerance table shared across the package.
+"""Numerical slack constants shared across the package.
 
-Every slack constant used by validation code lives here so that a single
-override (programmatic or from a config file) changes behaviour everywhere.
+Each threshold that validation code compares against is named once here.
+The values are fixed: no config file or argument changes them.
 """
-from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Centralized tolerance constants.
-
-    Attributes
-    ----------
-    symmetry_rel:
-        Relative entrywise tolerance when deciding a matrix is symmetric.
-    psd_slack:
-        Allowed negative slack on the smallest eigenvalue of a matrix that
-        is accepted as positive semidefinite, and the default slack for
-        Loewner-order comparisons.
-    weight_sum_abs:
-        Absolute tolerance on probability weights summing to one after a
-        posterior update.
-    prior_weight_sum_abs:
-        Absolute tolerance on prior weights summing to one at construction.
-    norm_slack:
-        Allowed excess over 1 for action and support-point Euclidean norms.
-    inequality_slack:
-        Default slack when checking analytic inequalities numerically.
-    regret_slack:
-        Allowed negative slack on per-round instantaneous regret.
-    """
-
-    symmetry_rel: float = 1e-12
-    psd_slack: float = 1e-9
-    weight_sum_abs: float = 1e-10
-    prior_weight_sum_abs: float = 1e-12
-    norm_slack: float = 1e-12
-    inequality_slack: float = 1e-9
-    regret_slack: float = 1e-12
-
-    def replace(self, **overrides: float) -> "Tolerances":
-        """Return a copy with the given fields overridden."""
-        return dataclasses.replace(self, **overrides)
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# relative entrywise tolerance when deciding a matrix is symmetric
+SYMMETRY_REL = 1e-12
+# allowed negative slack on the smallest eigenvalue of a matrix accepted as
+# positive semidefinite, and the default slack for Loewner-order comparisons
+PSD_SLACK = 1e-9
+# absolute tolerance on prior weights summing to one at construction
+PRIOR_WEIGHT_SUM_ABS = 1e-12
+# allowed excess over 1 for action and support-point Euclidean norms, and
+# over [0, 1] for Bernoulli reward means
+NORM_SLACK = 1e-12
+# default slack when checking analytic inequalities numerically
+INEQUALITY_SLACK = 1e-9
+# allowed negative slack on per-round instantaneous regret
+REGRET_SLACK = 1e-12
+# relative gap below the leading eigenvalue within which the adversarial
+# action rule treats eigenvalues as tied
+EIGEN_TIE_REL = 1e-10

@@ -26,7 +26,7 @@ from .linalg import (
     symmetrize,
 )
 from .posterior import FiniteSupportState, enumerate_posterior_outcomes
-from .potential import ClassicalPotential
+from .potential import ClassicalPotential, ridge_potential_bound
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def check_classical_potential(
         worst = max(
             worst,
             tracker.quad_sum - tracker.logdet_bound(),
-            tracker.logdet_bound() - tracker.dimension_bound(),
+            tracker.logdet_bound() - ridge_potential_bound(horizon, dim, lam),
         )
     return FuzzReport("classical-potential", instances, worst, tol)
 

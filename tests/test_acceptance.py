@@ -7,7 +7,8 @@ assertion message.
 """
 import pytest
 
-from ellipsim.acceptance import CRITERIA, run_criterion
+from ellipsim.acceptance import CRITERIA, config_gaussian_d5, run_criterion
+from ellipsim.config import ConfigError
 
 SUITE_SEED = 0
 
@@ -32,3 +33,17 @@ def test_registry_is_complete():
 def test_unknown_criterion_number():
     with pytest.raises(ValueError, match="no criterion numbered"):
         run_criterion(99)
+
+
+def test_workers_env_var_sets_criterion_worker_count(monkeypatch):
+    monkeypatch.delenv("ELLIPSIM_WORKERS", raising=False)
+    assert config_gaussian_d5().workers == 1
+    monkeypatch.setenv("ELLIPSIM_WORKERS", "3")
+    assert config_gaussian_d5().workers == 3
+
+
+@pytest.mark.parametrize("raw", ["many", "0"])
+def test_bad_workers_env_var_is_a_config_error(monkeypatch, raw):
+    monkeypatch.setenv("ELLIPSIM_WORKERS", raw)
+    with pytest.raises(ConfigError, match="ELLIPSIM_WORKERS"):
+        config_gaussian_d5()

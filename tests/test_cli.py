@@ -259,15 +259,16 @@ def test_run_bandit_bad_workers_env_var(tmp_path, capsys, monkeypatch):
     assert "ELLIPSIM_WORKERS" in capsys.readouterr().err
 
 
-def test_run_bandit_uncertifiable_mean_range_is_a_failed_run(tmp_path, capsys):
+def test_run_bandit_uncertifiable_mean_range_is_a_config_error(tmp_path, capsys):
     text = BANDIT_YAML.replace(
         "noise:\n  kind: gaussian\n  sd: 0.5\nengine:\n  kind: gaussian_conjugate",
         "noise:\n  kind: bernoulli_mean\nengine:\n  kind: particle\n  particles: 100",
     )
     cfg = write(tmp_path, "run.yaml", text)
     code = main(["run-bandit", "--config", cfg, "--out", str(tmp_path)])
-    assert code == EXIT_CHECK_FAILED
-    assert "run failed: mean-restricted noise" in capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "config error: experiment: mean-restricted noise" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_run_bandit_unknown_config_key(tmp_path, capsys):

@@ -13,9 +13,6 @@ from ellipsim.distributions import (
     StudentTNoise,
     UniformBallPrior,
     UniformCenteredNoise,
-    likelihood,
-    prior_moments,
-    sample_prior,
     sample_reward,
 )
 from ellipsim.linalg import PsdMatrix
@@ -124,11 +121,11 @@ def test_uniform_ball_validation():
 
 def test_prior_dispatch_helpers():
     prior = UniformBallPrior(dim=2)
-    mean, cov = prior_moments(prior)
+    mean, cov = prior.moments()
     assert mean.shape == (2,)
     assert cov.dim == 2
     rng = np.random.default_rng(SEED)
-    theta = sample_prior(prior, rng)
+    theta = prior.sample(rng)
     assert theta.shape == (2,)
 
 
@@ -241,5 +238,5 @@ def test_reward_sampling_dispatch_and_moments():
     draws = np.array([sample_reward(noise, 1.0, rng) for _ in range(4000)])
     assert abs(draws.mean() - 1.0) < 0.03
     assert abs(draws.std() - 0.5) < 0.03
-    vals = likelihood(noise, 1.0, np.array([1.0]))
+    vals = noise.likelihood(1.0, np.array([1.0]))
     assert vals[0] == pytest.approx(scipy.stats.norm.pdf(0.0, scale=0.5))

@@ -22,6 +22,11 @@ from ellipsim.potential import (
     ClassicalPotential,
     PotentialTrace,
     adversarial_action,
+    gamma1_eigs,
+    logdet_growth,
+    potential_bound,
+    ridge_potential_bound,
+    sigma_factor,
     verify_expected_potential,
 )
 
@@ -53,6 +58,8 @@ def test_classical_updates_match_dense_inverse():
     assert tracker.logdet_bound() == pytest.approx(
         2.0 * (logdet_first - logdet_final), abs=1e-9
     )
+    # the rank-one shrink keeps the covariance exactly symmetric unaided
+    assert np.array_equal(tracker.cov, tracker.cov.T)
 
 
 def test_classical_rejects_long_actions_and_small_lambda():
@@ -77,7 +84,8 @@ def test_classical_bound_chain_on_arbitrary_sequences(actions, lam):
     tracker = ClassicalPotential(dim=3, lam=lam)
     total = sum(tracker.step(a) for a in actions)
     assert total <= tracker.logdet_bound() + 1e-9
-    assert tracker.logdet_bound() <= tracker.dimension_bound(len(actions)) + 1e-9
+    assert tracker.logdet_bound() <= ridge_potential_bound(len(actions), 3, lam) + 1e-9
+    assert np.array_equal(tracker.cov, tracker.cov.T)
 
 
 # ---------------------------------------------------------------------------
@@ -119,35 +127,36 @@ def test_adversarial_action_sign_convention():
 def test_trace_bound_matches_dense_logdet():
     rng = np.random.default_rng(SEED)
     gamma1 = random_psd(3, 0.8, rng)
-    trace = PotentialTrace(gamma1=gamma1, sigma_sq=0.5)
+    eigs = gamma1_eigs(gamma1)
     horizon = 40
     _, ref = np.linalg.slogdet(np.eye(3) + horizon * gamma1.mat)
-    assert trace.logdet_growth(horizon) == pytest.approx(ref, abs=1e-10)
+    assert logdet_growth(horizon, eigs) == pytest.approx(ref, abs=1e-10)
     # sigma factor saturates at 1 for sub-unit noise
-    assert trace.sigma_factor == 1.0
-    assert trace.potential_bound(horizon) == pytest.approx(2.0 * ref, abs=1e-9)
+    assert sigma_factor(0.5) == 1.0
+    assert potential_bound(horizon, sigma_factor(0.5), eigs) == pytest.approx(
+        2.0 * ref, abs=1e-9
+    )
 
 
 def test_trace_sigma_factor_above_one():
-    trace = PotentialTrace(gamma1=PsdMatrix.identity(2), sigma_sq=4.0)
-    assert trace.sigma_factor == 4.0
+    assert sigma_factor(4.0) == 4.0
 
 
 def test_trace_rejects_negative_quads():
-    trace = PotentialTrace(gamma1=PsdMatrix.identity(2), sigma_sq=1.0)
+    trace = PotentialTrace(dim=2)
     with pytest.raises(ValueError):
         trace.append_quads(np.array([1.0, 0.0]), -1e-3)
 
 
 def test_trace_runs_classical_tracker_in_lockstep():
     rng = np.random.default_rng(SEED)
-    trace = PotentialTrace(gamma1=PsdMatrix.identity(3), sigma_sq=1.0, lam=2.0)
+    trace = PotentialTrace(dim=3, lam=2.0)
     standalone = ClassicalPotential(dim=3, lam=2.0)
     quads = []
     for _ in range(10):
         a = rng.standard_normal(3)
         a /= np.linalg.norm(a)
-        trace.general_step(PsdMatrix.identity(3), a)
+        trace.append_quads(a, PsdMatrix.identity(3).quad_form(a))
         quads.append(standalone.step(a))
     assert trace.sigma_quads == pytest.approx(quads, abs=1e-12)
     assert trace.sigma_sum == pytest.approx(sum(quads), abs=1e-12)

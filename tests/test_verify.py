@@ -67,7 +67,7 @@ def test_summary_line_formats_state():
 
 
 def test_shift_check_catches_a_missing_shrink(monkeypatch):
-    monkeypatch.setattr(verify, "rank_one_shrink", lambda sigma, v, tols=None: sigma)
+    monkeypatch.setattr(verify, "rank_one_shrink", lambda sigma, v: sigma)
     report = check_logdet_shift(instances=100, seed=0)
     assert not report.passed
     assert report.max_violation > 0.01
