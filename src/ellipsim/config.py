@@ -33,6 +33,7 @@ from .distributions import (
 from .harness import KNOWN_CHECKS, ExperimentConfig
 from .linalg import PsdMatrix
 from .posterior import EngineConfig
+from .potential import MONTE_CARLO_MIN_REPLICATIONS, exact_path_applies
 from .verify import DEFAULT_SIZES
 
 
@@ -260,7 +261,7 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
     prior = build_prior(_section(doc, "prior"))
     noise = build_noise(_section(doc, "noise"))
     engine = build_engine(_section(doc, "engine", required=False))
-    actions = build_actions(_section(doc, "actions"), prior_dim(prior))
+    actions = build_actions(_section(doc, "actions"), prior.dim)
 
     checks = exp.get("bound_checks", list(KNOWN_CHECKS))
     if not isinstance(checks, Sequence) or isinstance(checks, str):
@@ -287,10 +288,6 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
         raise
     except ValueError as exc:
         raise ConfigError("experiment", str(exc)) from exc
-
-
-def prior_dim(prior: Prior) -> int:
-    return prior.dim
 
 
 @dataclass(frozen=True)
@@ -347,7 +344,7 @@ def build_potential_run(doc: Mapping) -> PotentialRunConfig:
         raise ConfigError("potential.action_rule", f"unknown action rule {rule!r}")
     actions = None
     if "actions" in doc:
-        actions = build_actions(_section(doc, "actions"), prior_dim(prior))
+        actions = build_actions(_section(doc, "actions"), prior.dim)
     if rule == "lints" and actions is None:
         raise ConfigError("actions", "the lints action rule needs an actions section")
     horizon = _as_int(_require(sec, "horizon", "potential"), "potential.horizon")
@@ -356,6 +353,14 @@ def build_potential_run(doc: Mapping) -> PotentialRunConfig:
     )
     if horizon < 1:
         raise ConfigError("potential.horizon", f"must be >= 1, got {horizon}")
+    if replications < MONTE_CARLO_MIN_REPLICATIONS and not exact_path_applies(
+        prior, noise, horizon, rule
+    ):
+        raise ConfigError(
+            "potential.replications",
+            f"the Monte Carlo path needs >= {MONTE_CARLO_MIN_REPLICATIONS}, "
+            f"got {replications}",
+        )
     return PotentialRunConfig(
         prior=prior,
         noise=noise,

@@ -9,7 +9,7 @@ finite outcome set, mean-range restriction) rather than on types.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -34,14 +34,12 @@ class MeanOutOfRange(ValueError):
 class GaussianPrior:
     """Multivariate Gaussian prior N(mean, cov).
 
-    The support is unbounded, so ``norm_bound_violated`` is True: regret
-    bounds that assume a unit-ball parameter do not formally apply, and
-    callers surface that as a warning rather than an error.
+    The support is unbounded, so regret bounds that assume a unit-ball
+    parameter do not formally apply.
     """
 
     mean: Array
     cov: PsdMatrix
-    norm_bound_violated: bool = field(default=True, init=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -115,10 +113,6 @@ class FiniteSupportPrior:
     def dim(self) -> int:
         return self.atoms.shape[1]
 
-    @property
-    def norm_bound_violated(self) -> bool:
-        return False
-
     def moments(self) -> Tuple[Array, PsdMatrix]:
         mean = self.weights @ self.atoms
         centered = self.atoms - mean
@@ -149,10 +143,6 @@ class UniformBallPrior:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if not 0 < self.radius <= 1.0:
             raise ValueError(f"radius must be in (0, 1], got {self.radius}")
-
-    @property
-    def norm_bound_violated(self) -> bool:
-        return False
 
     def moments(self) -> Tuple[Array, PsdMatrix]:
         mean = np.zeros(self.dim)

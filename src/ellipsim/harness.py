@@ -34,7 +34,7 @@ from .potential import (
     ridge_potential_bound,
     sigma_factor,
 )
-from .tolerances import INEQUALITY_SLACK
+from .tolerances import INEQUALITY_SLACK, REPLICATION_FAILURE_SHARE
 
 CURVE_POINT_LIMIT = 10_000
 CURVE_POINTS_WHEN_SUBSAMPLED = 1000
@@ -43,7 +43,7 @@ KNOWN_CHECKS = ("eq1", "thm23", "eq4", "remark33")
 
 
 class ExcessiveFailures(RuntimeError):
-    """More than one percent of replications failed."""
+    """More than the budgeted share of replications failed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not self.lam >= 1.0:
+            raise ValueError(f"lam must be >= 1, got {self.lam}")
         unknown = set(self.bound_checks) - set(KNOWN_CHECKS)
         if unknown:
             raise ValueError(f"unknown bound checks: {sorted(unknown)}")
@@ -203,9 +205,10 @@ def run_experiment(
     """Run all replications of an experiment and reduce them.
 
     Replications failing with engine or noise errors are recorded and
-    tolerated up to one percent of the total; beyond that the experiment
-    raises :class:`ExcessiveFailures`. The reduction always walks
-    replications in index order, so worker count never changes results.
+    tolerated up to ``REPLICATION_FAILURE_SHARE`` of the total; beyond
+    that the experiment raises :class:`ExcessiveFailures`. The reduction
+    always walks replications in index order, so worker count never
+    changes results.
     """
     start = time.perf_counter()
     if config_echo is None:
@@ -224,7 +227,7 @@ def run_experiment(
 
     failures = [r for r in raw if "error_type" in r]
     successes = [r for r in raw if "error_type" not in r]
-    if len(failures) > 0.01 * cfg.replications:
+    if len(failures) > REPLICATION_FAILURE_SHARE * cfg.replications:
         raise ExcessiveFailures(
             f"{len(failures)} of {cfg.replications} replications failed; "
             f"first: {failures[0]['error_type']}: {failures[0]['message']}"

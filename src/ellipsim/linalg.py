@@ -47,11 +47,6 @@ def min_eigenvalue(mat: ArrayLike) -> float:
     return float(np.linalg.eigvalsh(symmetrize(mat))[0])
 
 
-def max_eigenvalue(mat: ArrayLike) -> float:
-    """Largest eigenvalue of a symmetric matrix (via eigvalsh)."""
-    return float(np.linalg.eigvalsh(symmetrize(mat))[-1])
-
-
 class PsdMatrix:
     """A validated positive semidefinite matrix.
 
@@ -254,8 +249,3 @@ def solve_lower(chol_lower: Array, b: Array, transpose: bool = False) -> Array:
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
     return x
-
-
-def inverse_from_cholesky(chol_lower: Array) -> Array:
-    """Dense inverse of L L.T from its lower Cholesky factor."""
-    return chol_solve(chol_lower, np.eye(chol_lower.shape[0]))

@@ -6,7 +6,8 @@ parameter given the observed (action, reward) pairs:
 * ``gaussian_conjugate``: closed form for Gaussian prior + Gaussian noise,
   kept in precision form so each update is a rank-one add.
 * ``finite_support``: exact Bayes reweighting over fixed support points.
-* ``particle``: sequential importance resampling for everything else.
+* ``particle``: sequential importance resampling for everything else: the
+  finite-support engine run on prior draws, which it resamples.
 
 All engines share the same surface: ``mean``, ``covariance``, ``sample``,
 ``update``, ``clone``. Updates mutate in place; ``clone`` exists so
@@ -139,6 +140,9 @@ class FiniteSupportState:
     :class:`DegenerateWeights` rather than fabricating a posterior.
     """
 
+    # names the engine in the DegenerateWeights message
+    _label = "posterior"
+
     def __init__(self, prior: FiniteSupportPrior, noise: Noise):
         self.noise = noise
         self.atoms = prior.atoms
@@ -164,16 +168,19 @@ class FiniteSupportState:
     def sample(self, rng: np.random.Generator) -> Array:
         return self.atoms[rng.choice(self.atoms.shape[0], p=self.weights)]
 
-    def update(self, action: ArrayLike, y: float) -> None:
+    def _reweight(self, action: ArrayLike, y: float) -> None:
         a = np.asarray(action, dtype=np.float64)
         lik = self.noise.likelihood(y, self.atoms @ a)
         raw = self.weights * lik
         total = float(raw.sum())
         if total <= 0.0 or not np.isfinite(total):
             raise DegenerateWeights(
-                f"posterior weights vanished for outcome y={y!r}"
+                f"{self._label} weights vanished for outcome y={y!r}"
             )
         self.weights = raw / total
+
+    def update(self, action: ArrayLike, y: float) -> None:
+        self._reweight(action, y)
 
     def outcome_probability(self, action: ArrayLike, y: float) -> float:
         """Predictive mass of outcome y under the current state."""
@@ -182,6 +189,7 @@ class FiniteSupportState:
         return float(self.weights @ lik)
 
     def clone(self) -> "FiniteSupportState":
+        # atoms are shared: nothing writes into them in place
         other = self.__class__.__new__(self.__class__)
         other.noise = self.noise
         other.atoms = self.atoms
@@ -189,16 +197,19 @@ class FiniteSupportState:
         return other
 
 
-class ParticleState:
-    """Sequential importance resampling approximation of the posterior.
+class ParticleState(FiniteSupportState):
+    """Sequential importance resampling: finite support with resampled points.
 
-    Particles are drawn from the prior once and only ever reweighted or
-    resampled; the parameter is static, so there is no rejuvenation move
-    and long runs can deplete distinct support. Systematic resampling
-    triggers when the effective sample size drops below half the particle
-    count. The generator passed at construction drives initialization and
-    all resampling, keeping replays deterministic.
+    The particles are prior draws kept in ``atoms``, reweighted as the
+    finite-support engine does and only ever resampled; the parameter is
+    static, so there is no rejuvenation move and long runs can deplete
+    distinct support. Systematic resampling triggers when the effective
+    sample size drops below half the particle count. The generator passed
+    at construction drives initialization and all resampling, keeping
+    replays deterministic.
     """
+
+    _label = "particle"
 
     def __init__(
         self,
@@ -209,48 +220,25 @@ class ParticleState:
     ):
         self.noise = noise
         self.rng = rng
-        self.particles = prior.sample_many(rng, n_particles)
+        self.atoms = prior.sample_many(rng, n_particles)
         self.weights = np.full(n_particles, 1.0 / n_particles)
         self.resample_count = 0
 
     @property
-    def dim(self) -> int:
-        return self.particles.shape[1]
+    def particles(self) -> Array:
+        return self.atoms
 
     @property
     def n_particles(self) -> int:
-        return self.particles.shape[0]
+        return self.atoms.shape[0]
 
     def effective_sample_size(self) -> float:
         return 1.0 / float(self.weights @ self.weights)
 
-    def mean(self) -> Array:
-        return self.weights @ self.particles
-
-    def covariance(self) -> PsdMatrix:
-        centered = self.particles - self.mean()
-        cov = (self.weights[:, None] * centered).T @ centered
-        return PsdMatrix.unchecked(cov)
-
-    def quad_form(self, v: ArrayLike) -> float:
-        proj = self.particles @ np.asarray(v, dtype=np.float64)
-        m = float(self.weights @ proj)
-        return float(self.weights @ (proj - m) ** 2)
-
-    def sample(self, rng: np.random.Generator) -> Array:
-        idx = rng.choice(self.n_particles, p=self.weights)
-        return self.particles[idx]
-
+    # reweights through the shared helper rather than super().update(), so
+    # one call opens one span when the class methods are wrapped for tracing
     def update(self, action: ArrayLike, y: float) -> None:
-        a = np.asarray(action, dtype=np.float64)
-        lik = self.noise.likelihood(y, self.particles @ a)
-        raw = self.weights * lik
-        total = float(raw.sum())
-        if total <= 0.0 or not np.isfinite(total):
-            raise DegenerateWeights(
-                f"particle weights vanished for outcome y={y!r}"
-            )
-        self.weights = raw / total
+        self._reweight(action, y)
         if self.effective_sample_size() < self.n_particles / 2.0:
             self._systematic_resample()
 
@@ -260,7 +248,7 @@ class ParticleState:
         cumulative = np.cumsum(self.weights)
         cumulative[-1] = 1.0
         idx = np.searchsorted(cumulative, positions)
-        self.particles = self.particles[idx].copy()
+        self.atoms = self.atoms[idx]
         self.weights = np.full(n, 1.0 / n)
         self.resample_count += 1
 
@@ -268,7 +256,7 @@ class ParticleState:
         other = self.__class__.__new__(self.__class__)
         other.noise = self.noise
         other.rng = copy.deepcopy(self.rng)
-        other.particles = self.particles.copy()
+        other.atoms = self.atoms
         other.weights = self.weights.copy()
         other.resample_count = self.resample_count
         return other
@@ -321,7 +309,9 @@ def enumerate_posterior_outcomes(
         raise IncompatibleEngine(
             "outcome enumeration needs a noise family with finitely many outcomes"
         )
-    if not isinstance(state, FiniteSupportState):
+    # a particle state is a finite-support state too, but resampling makes
+    # its branch probabilities approximate
+    if not isinstance(state, FiniteSupportState) or isinstance(state, ParticleState):
         raise IncompatibleEngine(
             "outcome enumeration needs a finite_support posterior state"
         )

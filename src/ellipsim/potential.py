@@ -34,7 +34,13 @@ from .posterior import (
     enumerate_posterior_outcomes,
     make_posterior,
 )
-from .tolerances import EIGEN_TIE_REL, INEQUALITY_SLACK, NORM_SLACK, PSD_SLACK
+from .tolerances import (
+    EIGEN_TIE_REL,
+    INEQUALITY_SLACK,
+    NORM_SLACK,
+    PSD_SLACK,
+    REPLICATION_FAILURE_SHARE,
+)
 
 # ---------------------------------------------------------------------------
 # bound formulas: the one home of every right-hand side the checks compare to
@@ -130,15 +136,14 @@ class ClassicalPotential:
 class PotentialTrace:
     """Aligned record of general and classical potentials along one run.
 
-    Each recorded round stores the action, the posterior quadratic form
-    a.T Gamma_t a and the classical quadratic form a.T Sigma_t a, with the
-    classical state advanced in lockstep so the two sequences stay
-    comparable round by round.
+    Each recorded round stores the posterior quadratic form a.T Gamma_t a
+    and the classical quadratic form a.T Sigma_t a, with the classical
+    state advanced in lockstep so the two sequences stay comparable round
+    by round.
     """
 
     dim: int
     lam: float = 1.0
-    actions: List[Array] = field(default_factory=list)
     gamma_quads: List[float] = field(default_factory=list)
     sigma_quads: List[float] = field(default_factory=list)
 
@@ -147,18 +152,12 @@ class PotentialTrace:
 
     def append_quads(self, action: ArrayLike, gamma_quad: float) -> float:
         """Record a round from a precomputed posterior quadratic form."""
-        a = np.asarray(action, dtype=np.float64).copy()
         if gamma_quad < -PSD_SLACK:
             raise ValueError(f"posterior quadratic form is negative: {gamma_quad}")
-        sigma_quad = self.classical.step(a)
-        self.actions.append(a)
+        sigma_quad = self.classical.step(action)
         self.gamma_quads.append(max(float(gamma_quad), 0.0))
         self.sigma_quads.append(sigma_quad)
         return sigma_quad
-
-    @property
-    def gamma_sum(self) -> float:
-        return float(np.sum(self.gamma_quads))
 
     @property
     def sigma_sum(self) -> float:
@@ -239,6 +238,24 @@ class VerificationReport:
 ActionRule = Callable[[PsdMatrix], Array]
 
 EXACT_ENUMERATION_LIMIT = 12
+# the Monte Carlo standard error needs at least two replications
+MONTE_CARLO_MIN_REPLICATIONS = 2
+
+
+def exact_path_applies(
+    prior: Prior, noise: Noise, horizon: int, action_rule: str
+) -> bool:
+    """Whether outcome enumeration applies: finite-support prior, finitely
+    many noise outcomes, the adversarial rule (deterministic in the state)
+    and a horizon of at most ``EXACT_ENUMERATION_LIMIT``. Otherwise the
+    verifier takes the Monte Carlo path.
+    """
+    return (
+        action_rule == "adversarial"
+        and noise.finite_outcomes is not None
+        and isinstance(prior, FiniteSupportPrior)
+        and horizon <= EXACT_ENUMERATION_LIMIT
+    )
 
 
 def _exact_potential(
@@ -271,9 +288,7 @@ def verify_expected_potential(
 ) -> VerificationReport:
     """Estimate E[sum of a.T Gamma_t a] and compare it to the log-det bound.
 
-    Uses exact outcome enumeration when the prior has finite support, the
-    noise has finitely many outcomes, the action rule is deterministic in
-    the state and the horizon is at most ``EXACT_ENUMERATION_LIMIT``;
+    Uses exact outcome enumeration when :func:`exact_path_applies`;
     otherwise falls back to Monte Carlo over independent replications
     seeded from (master_seed, replication index).
 
@@ -297,13 +312,7 @@ def verify_expected_potential(
     bound = potential_bound(horizon, factor, eigs)
     eig_record = tuple(float(v) for v in eigs)
 
-    can_enumerate = (
-        action_rule == "adversarial"
-        and noise.finite_outcomes is not None
-        and isinstance(prior, FiniteSupportPrior)
-        and horizon <= EXACT_ENUMERATION_LIMIT
-    )
-    if can_enumerate:
+    if exact_path_applies(prior, noise, horizon, action_rule):
         per_round, total = _exact_potential(prior, noise, horizon, adversarial_action)
         return VerificationReport(
             dim=gamma1.dim,
@@ -321,8 +330,11 @@ def verify_expected_potential(
             failed_replications=0,
         )
 
-    if replications < 2:
-        raise ValueError(f"Monte Carlo needs >= 2 replications, got {replications}")
+    if replications < MONTE_CARLO_MIN_REPLICATIONS:
+        raise ValueError(
+            f"Monte Carlo needs >= {MONTE_CARLO_MIN_REPLICATIONS} replications, "
+            f"got {replications}"
+        )
     engine = engine or EngineConfig(kind="particle")
     per_round_sum = np.zeros(horizon)
     totals: List[float] = []
@@ -347,9 +359,10 @@ def verify_expected_potential(
             continue
         per_round_sum += quads
         totals.append(float(quads.sum()))
-    if failures > max(1, replications) * 0.01:
+    if failures > REPLICATION_FAILURE_SHARE * replications:
         raise DegenerateWeights(
-            f"{failures} of {replications} replications failed, over the 1% budget"
+            f"{failures} of {replications} replications failed, "
+            f"over the {REPLICATION_FAILURE_SHARE:.0%} budget"
         )
     n = len(totals)
     arr = np.asarray(totals)

@@ -1,4 +1,4 @@
-"""Numerical slack constants shared across the package.
+"""Numerical slack constants and budgets shared across the package.
 
 Each threshold that validation code compares against is named once here.
 The values are fixed: no config file or argument changes them.
@@ -21,3 +21,5 @@ REGRET_SLACK = 1e-12
 # relative gap below the leading eigenvalue within which the adversarial
 # action rule treats eigenvalues as tied
 EIGEN_TIE_REL = 1e-10
+# share of Monte Carlo replications allowed to fail before a run is refused
+REPLICATION_FAILURE_SHARE = 0.01

@@ -181,6 +181,17 @@ def test_potential_trace_mean_out_of_range_is_a_failed_run(tmp_path, capsys):
     assert err.startswith("run failed: Bernoulli mean must lie in [0, 1]")
 
 
+def test_potential_trace_monte_carlo_single_replication_is_a_config_error(
+    tmp_path, capsys
+):
+    text = POTENTIAL_YAML.replace("replications: 30", "replications: 1")
+    cfg = write(tmp_path, "pot.yaml", text)
+    code = main(["potential-trace", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: potential.replications")
+    assert not (tmp_path / "out").exists()
+
+
 def test_potential_trace_missing_config(capsys):
     code = main(["potential-trace", "--config", "/nonexistent.yaml"])
     assert code == EXIT_CONFIG
@@ -268,6 +279,15 @@ def test_run_bandit_uncertifiable_mean_range_is_a_config_error(tmp_path, capsys)
     code = main(["run-bandit", "--config", cfg, "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "config error: experiment: mean-restricted noise" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_run_bandit_lam_below_one_is_a_config_error(tmp_path, capsys):
+    text = BANDIT_YAML.replace("master_seed: 3\n", "master_seed: 3\n  lam: 0.5\n")
+    cfg = write(tmp_path, "run.yaml", text)
+    code = main(["run-bandit", "--config", cfg, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "config error: experiment: lam must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
 
 

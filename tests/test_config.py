@@ -413,6 +413,30 @@ def test_potential_run_horizon_required():
         build_potential_run(doc)
 
 
+def test_potential_run_monte_carlo_needs_two_replications():
+    doc = potential_doc()
+    doc["potential"]["replications"] = 1
+    with pytest.raises(ConfigError, match="potential.replications: the Monte Carlo"):
+        build_potential_run(doc)
+
+
+def test_potential_run_exact_path_takes_any_replication_count():
+    doc = {
+        "potential": {"horizon": 4, "replications": 1},
+        "prior": {
+            "kind": "finite_support",
+            "atoms": [[0.2], [0.8]],
+            "weights": [0.5, 0.5],
+        },
+        "noise": {"kind": "bernoulli_mean"},
+    }
+    assert build_potential_run(doc).replications == 1
+    # past the enumeration horizon the same model takes the Monte Carlo path
+    doc["potential"]["horizon"] = 13
+    with pytest.raises(ConfigError, match="potential.replications"):
+        build_potential_run(doc)
+
+
 def test_potential_run_horizon_positive():
     doc = potential_doc()
     doc["potential"]["horizon"] = 0

@@ -39,6 +39,8 @@ def test_config_validation():
         small_config(workers=0)
     with pytest.raises(ValueError):
         small_config(bound_checks=("eq1", "eq99"))
+    with pytest.raises(ValueError, match="lam must be >= 1"):
+        small_config(lam=0.5)
 
 
 def test_run_experiment_basic_shape():

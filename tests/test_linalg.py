@@ -9,12 +9,10 @@ from ellipsim.linalg import (
     CholeskyFailure,
     PsdMatrix,
     chol_solve,
-    inverse_from_cholesky,
     is_symmetric,
     jittered_cholesky,
     logdet_potential,
     logdet_psd,
-    max_eigenvalue,
     min_eigenvalue,
     psd_order_holds,
     psd_sqrt,
@@ -51,7 +49,6 @@ def test_eigenvalue_helpers_match_numpy():
     m = make_spd(5, rng)
     eigs = np.linalg.eigvalsh(m)
     assert min_eigenvalue(m) == pytest.approx(eigs[0])
-    assert max_eigenvalue(m) == pytest.approx(eigs[-1])
 
 
 class TestPsdMatrix:
@@ -219,9 +216,3 @@ def test_solve_lower_rejects_zero_diagonal():
     with pytest.raises(np.linalg.LinAlgError):
         solve_lower(low, np.ones(2))
 
-
-def test_inverse_from_cholesky():
-    rng = np.random.default_rng(RNG_SEED)
-    m = make_spd(4, rng)
-    inv = inverse_from_cholesky(jittered_cholesky(m))
-    assert np.allclose(m @ inv, np.eye(4), atol=1e-9)

@@ -14,6 +14,7 @@ from ellipsim.distributions import (
     FiniteSupportPrior,
     GaussianNoise,
     GaussianPrior,
+    StudentTNoise,
     UniformCenteredNoise,
 )
 from ellipsim.linalg import PsdMatrix
@@ -213,11 +214,19 @@ def test_finite_support_outcome_probability():
 
 
 def test_finite_support_degenerate_update_raises():
+    prior = FiniteSupportPrior(
+        atoms=np.array([[0.2], [0.8]]), weights=np.array([0.5, 0.5])
+    )
     noise = UniformCenteredNoise(half_width=0.05)
-    state = two_atom_state(noise)
-    # 0.5 is farther than the half width from both predicted means
-    with pytest.raises(DegenerateWeights):
-        state.update(np.array([1.0]), 0.5)
+    exact = FiniteSupportState(prior, noise)
+    particle = ParticleState(prior, noise, np.random.default_rng(SEED), n_particles=10)
+    # each engine names itself: the message reaches summary.json as a
+    # failure record, so its wording is part of the output
+    for state, word in ((exact, "posterior"), (particle, "particle")):
+        # 0.5 is farther than the half width from both predicted means
+        with pytest.raises(DegenerateWeights) as info:
+            state.update(np.array([1.0]), 0.5)
+        assert str(info.value) == f"{word} weights vanished for outcome y=0.5"
 
 
 def test_finite_support_quad_form_matches_covariance():
@@ -244,6 +253,17 @@ def test_enumerate_outcomes_is_a_martingale():
 def test_enumerate_outcomes_rejects_continuous_noise():
     state = two_atom_state(GaussianNoise(sd=1.0))
     with pytest.raises(IncompatibleEngine):
+        enumerate_posterior_outcomes(state, np.array([1.0]))
+
+
+def test_enumerate_outcomes_rejects_particle_state():
+    # a particle state is a finite-support state, but not an exact one
+    prior = counterexample_prior(0.05)
+    state = ParticleState(
+        prior, BernoulliMeanNoise(), np.random.default_rng(SEED), n_particles=50
+    )
+    assert isinstance(state, FiniteSupportState)
+    with pytest.raises(IncompatibleEngine, match="finite_support posterior state"):
         enumerate_posterior_outcomes(state, np.array([1.0]))
 
 
@@ -318,6 +338,124 @@ def test_particle_clone_owns_its_rng():
     twin.update(a, y)
     assert np.allclose(state.weights, twin.weights)
     assert np.allclose(state.particles, twin.particles)
+
+
+class ReferenceFiniteSupportState:
+    """Standalone finite-support engine: the reads and the reweight that a
+    bandit episode uses, written out as the reference to reproduce."""
+
+    def __init__(self, prior, noise):
+        self.noise = noise
+        self.atoms = prior.atoms
+        self.weights = prior.weights.copy()
+
+    def quad_form(self, v):
+        proj = self.atoms @ np.asarray(v, dtype=np.float64)
+        m = float(self.weights @ proj)
+        return float(self.weights @ (proj - m) ** 2)
+
+    def sample(self, rng):
+        return self.atoms[rng.choice(self.atoms.shape[0], p=self.weights)]
+
+    def update(self, action, y):
+        a = np.asarray(action, dtype=np.float64)
+        raw = self.weights * self.noise.likelihood(y, self.atoms @ a)
+        self.weights = raw / float(raw.sum())
+
+
+class ReferenceParticleState:
+    """Standalone sequential importance resampler, with its own copies of
+    the reads, the reweight and systematic resampling."""
+
+    def __init__(self, prior, noise, rng, n_particles):
+        self.noise = noise
+        self.rng = rng
+        self.particles = prior.sample_many(rng, n_particles)
+        self.weights = np.full(n_particles, 1.0 / n_particles)
+        self.resample_count = 0
+
+    def quad_form(self, v):
+        proj = self.particles @ np.asarray(v, dtype=np.float64)
+        m = float(self.weights @ proj)
+        return float(self.weights @ (proj - m) ** 2)
+
+    def sample(self, rng):
+        idx = rng.choice(self.particles.shape[0], p=self.weights)
+        return self.particles[idx]
+
+    def update(self, action, y):
+        a = np.asarray(action, dtype=np.float64)
+        raw = self.weights * self.noise.likelihood(y, self.particles @ a)
+        self.weights = raw / float(raw.sum())
+        n = self.particles.shape[0]
+        if 1.0 / float(self.weights @ self.weights) < n / 2.0:
+            positions = (np.arange(n) + self.rng.random()) / n
+            cumulative = np.cumsum(self.weights)
+            cumulative[-1] = 1.0
+            idx = np.searchsorted(cumulative, positions)
+            self.particles = self.particles[idx].copy()
+            self.weights = np.full(n, 1.0 / n)
+            self.resample_count += 1
+
+
+def _replay_against(monkeypatch, prior, noise, gen, engine, horizon, make_ref):
+    def episode():
+        return run_episode(
+            prior, noise, gen, engine, horizon, np.random.default_rng(SEED)
+        )
+
+    merged = episode()
+    monkeypatch.setattr(
+        bandit,
+        "make_posterior",
+        lambda prior, noise, engine, rng=None: make_ref(prior, noise, rng),
+    )
+    ref = episode()
+    assert np.array_equal(merged.actions, ref.actions)
+    assert np.array_equal(merged.cumulative_regret, ref.cumulative_regret)
+    assert merged.trace.gamma_quads == ref.trace.gamma_quads
+    assert np.array_equal(merged.final_state.weights, ref.final_state.weights)
+    return merged.final_state, ref.final_state
+
+
+def test_particle_episode_matches_standalone_reference(monkeypatch):
+    prior = GaussianPrior(mean=np.zeros(3), cov=PsdMatrix(0.5 * np.eye(3)))
+    noise = StudentTNoise(dof=4.0, scale=0.5)
+    engine = EngineConfig(kind="particle", particles=3000)
+    merged, ref = _replay_against(
+        monkeypatch,
+        prior,
+        noise,
+        KArmedGaussianGenerator(k=8, dim=3),
+        engine,
+        100,
+        lambda prior, noise, rng: ReferenceParticleState(
+            prior, noise, rng, engine.particles
+        ),
+    )
+    assert isinstance(merged, ParticleState)
+    assert ref.resample_count > 0
+    assert merged.resample_count == ref.resample_count
+    assert np.array_equal(merged.particles, ref.particles)
+
+
+def test_finite_support_episode_matches_standalone_reference(monkeypatch):
+    prior = FiniteSupportPrior(
+        atoms=np.array(
+            [[0.2, 0.1, 0.3], [0.5, 0.2, 0.1], [0.1, 0.4, 0.2], [0.3, 0.3, 0.3]]
+        ),
+        weights=np.array([0.4, 0.3, 0.2, 0.1]),
+    )
+    merged, ref = _replay_against(
+        monkeypatch,
+        prior,
+        BernoulliMeanNoise(),
+        KArmedGaussianGenerator(k=10, dim=3, nonnegative=True),
+        EngineConfig(kind="finite_support"),
+        200,
+        lambda prior, noise, rng: ReferenceFiniteSupportState(prior, noise),
+    )
+    assert type(merged) is FiniteSupportState
 
 
 # ---------------------------------------------------------------------------
