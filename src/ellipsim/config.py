@@ -32,7 +32,7 @@ from .distributions import (
 )
 from .harness import KNOWN_CHECKS, ExperimentConfig
 from .linalg import PsdMatrix
-from .posterior import EngineConfig
+from .posterior import EngineConfig, IncompatibleEngine, check_engine_compatible
 from .potential import MONTE_CARLO_MIN_REPLICATIONS, exact_path_applies
 from .verify import DEFAULT_SIZES
 
@@ -209,6 +209,13 @@ def build_engine(section: Optional[Mapping], path: str = "engine") -> EngineConf
         raise ConfigError(path, str(exc)) from exc
 
 
+def _check_engine(prior: Prior, noise: Noise, engine: EngineConfig) -> None:
+    try:
+        check_engine_compatible(prior, noise, engine)
+    except IncompatibleEngine as exc:
+        raise ConfigError("engine", str(exc)) from exc
+
+
 def build_actions(
     section: Mapping, dim: int, path: str = "actions"
 ) -> ActionSetGenerator:
@@ -261,6 +268,7 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
     prior = build_prior(_section(doc, "prior"))
     noise = build_noise(_section(doc, "noise"))
     engine = build_engine(_section(doc, "engine", required=False))
+    _check_engine(prior, noise, engine)
     actions = build_actions(_section(doc, "actions"), prior.dim)
 
     checks = exp.get("bound_checks", list(KNOWN_CHECKS))
@@ -353,14 +361,16 @@ def build_potential_run(doc: Mapping) -> PotentialRunConfig:
     )
     if horizon < 1:
         raise ConfigError("potential.horizon", f"must be >= 1, got {horizon}")
-    if replications < MONTE_CARLO_MIN_REPLICATIONS and not exact_path_applies(
-        prior, noise, horizon, rule
-    ):
-        raise ConfigError(
-            "potential.replications",
-            f"the Monte Carlo path needs >= {MONTE_CARLO_MIN_REPLICATIONS}, "
-            f"got {replications}",
-        )
+    # the exact path always enumerates with finite_support: only the Monte
+    # Carlo path runs the configured engine and replications
+    if not exact_path_applies(prior, noise, horizon, rule):
+        _check_engine(prior, noise, engine)
+        if replications < MONTE_CARLO_MIN_REPLICATIONS:
+            raise ConfigError(
+                "potential.replications",
+                f"the Monte Carlo path needs >= {MONTE_CARLO_MIN_REPLICATIONS}, "
+                f"got {replications}",
+            )
     return PotentialRunConfig(
         prior=prior,
         noise=noise,

@@ -265,6 +265,21 @@ class ParticleState(FiniteSupportState):
 PosteriorState = GaussianConjugateState | FiniteSupportState | ParticleState
 
 
+def check_engine_compatible(prior: Prior, noise: Noise, engine: EngineConfig) -> None:
+    """Raise :class:`IncompatibleEngine` when the engine cannot represent
+    the prior/noise pair: conjugate needs a Gaussian prior and Gaussian
+    noise, finite_support needs a discrete prior, particle takes any pair.
+    """
+    if engine.kind == "gaussian_conjugate" and not (
+        isinstance(prior, GaussianPrior) and isinstance(noise, GaussianNoise)
+    ):
+        raise IncompatibleEngine(
+            "gaussian_conjugate requires a Gaussian prior and Gaussian noise"
+        )
+    if engine.kind == "finite_support" and not isinstance(prior, FiniteSupportPrior):
+        raise IncompatibleEngine("finite_support requires a finite-support prior")
+
+
 def make_posterior(
     prior: Prior,
     noise: Noise,
@@ -273,21 +288,13 @@ def make_posterior(
 ) -> PosteriorState:
     """Build the posterior state for a prior/noise pair.
 
-    Raises :class:`IncompatibleEngine` when the engine cannot represent
-    the pair (conjugate needs Gaussian prior and noise, finite_support
-    needs a discrete prior, particle needs a generator for its draws).
+    Raises :class:`IncompatibleEngine` when :func:`check_engine_compatible`
+    does, or when the particle engine gets no generator for its draws.
     """
+    check_engine_compatible(prior, noise, engine)
     if engine.kind == "gaussian_conjugate":
-        if not isinstance(prior, GaussianPrior) or not isinstance(noise, GaussianNoise):
-            raise IncompatibleEngine(
-                "gaussian_conjugate requires a Gaussian prior and Gaussian noise"
-            )
         return GaussianConjugateState(prior, noise)
     if engine.kind == "finite_support":
-        if not isinstance(prior, FiniteSupportPrior):
-            raise IncompatibleEngine(
-                "finite_support requires a finite-support prior"
-            )
         return FiniteSupportState(prior, noise)
     if rng is None:
         raise IncompatibleEngine("particle engine needs a random generator")

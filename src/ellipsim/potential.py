@@ -13,14 +13,15 @@ Two related quantities are tracked along an action sequence:
   shrink on any single round.
 
 The verifier estimates the expected general potential sum and compares it
-against 2 * max(sigma^2, 1) * log det(I + T * Gamma_1), exactly by outcome
-enumeration when the model is small and discrete, by Monte Carlo
-otherwise.
+against 2 * max(sigma^2, 1) * log det(I + T * Gamma_1). When the model is
+small and discrete it is exact: it enumerates the outcome lattice, where
+paths that reach the same posterior are merged into one node carrying
+their summed probability. Otherwise it is a Monte Carlo estimate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -37,6 +38,7 @@ from .posterior import (
 from .tolerances import (
     EIGEN_TIE_REL,
     INEQUALITY_SLACK,
+    LATTICE_MERGE_LOG,
     NORM_SLACK,
     PSD_SLACK,
     REPLICATION_FAILURE_SHARE,
@@ -245,10 +247,14 @@ MONTE_CARLO_MIN_REPLICATIONS = 2
 def exact_path_applies(
     prior: Prior, noise: Noise, horizon: int, action_rule: str
 ) -> bool:
-    """Whether outcome enumeration applies: finite-support prior, finitely
-    many noise outcomes, the adversarial rule (deterministic in the state)
-    and a horizon of at most ``EXACT_ENUMERATION_LIMIT``. Otherwise the
-    verifier takes the Monte Carlo path.
+    """Whether the exact outcome lattice applies: finite-support prior,
+    finitely many noise outcomes, the adversarial rule (deterministic in
+    the state) and a horizon of at most ``EXACT_ENUMERATION_LIMIT``.
+    Otherwise the verifier takes the Monte Carlo path.
+
+    With Bernoulli noise in d >= 2 the adversarial directions may drive a
+    reward mean out of [0, 1]; nothing here checks that, and enumeration
+    then raises ``MeanOutOfRange``.
     """
     return (
         action_rule == "adversarial"
@@ -258,21 +264,69 @@ def exact_path_applies(
     )
 
 
+# children are hashed into buckets sqrt(LATTICE_MERGE_LOG) wide in every
+# log-weight and compared within a bucket. Two states within the tolerance
+# then straddle a bucket edge with odds of about 1e-6 per weight; keyed on
+# a grid as fine as the tolerance, paths taken in a different order split
+# often enough to break the t + 1 bound on random scalar priors by H = 11
+_LATTICE_BUCKET_LOG = LATTICE_MERGE_LOG**0.5
+
+
+def _merge_child(
+    level: List[list],
+    buckets: Dict[Tuple[float, ...], List[int]],
+    prob: float,
+    child: FiniteSupportState,
+) -> None:
+    """Add ``prob`` to the node of ``level`` that holds the same posterior
+    as ``child``, or append ``child`` as a new node.
+
+    Nodes are [path probability, state, log-weights]. Two posteriors over
+    the shared support are the same when every log-weight agrees within
+    ``LATTICE_MERGE_LOG``; a zero weight (log -inf) only matches a zero.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_weights = np.log(child.weights)
+        key = tuple(np.rint(log_weights / _LATTICE_BUCKET_LOG).tolist())
+        bucket = buckets.setdefault(key, [])
+        for slot in bucket:
+            node = level[slot]
+            # equal keys put the -inf entries in the same places; their
+            # difference is nan, which the comparison lets through
+            if not (np.abs(node[2] - log_weights) > LATTICE_MERGE_LOG).any():
+                node[0] += prob
+                return
+    bucket.append(len(level))
+    level.append([prob, child, log_weights])
+
+
 def _exact_potential(
     prior: Prior, noise: Noise, horizon: int, rule: ActionRule
 ) -> Tuple[np.ndarray, float]:
-    """Expected per-round potentials by exhaustive outcome enumeration."""
+    """Expected per-round potentials over the merged outcome lattice.
+
+    Paths that reach the same posterior (for a scalar prior: the same
+    success and failure counts, in any order) continue identically, so
+    each depth holds every distinct posterior once, carrying the summed
+    probability of the paths into it (see :func:`_merge_child`). The
+    first path to reach a posterior keeps its state as the representative,
+    so the order of the nodes is deterministic. A scalar prior has at most
+    t + 1 nodes at depth t instead of 2^t.
+    """
     root = make_posterior(prior, noise, EngineConfig(kind="finite_support"))
     per_round = np.zeros(horizon)
-    frontier: List[Tuple[float, FiniteSupportState]] = [(1.0, root)]
+    level: List[list] = [[1.0, root, None]]
     for t in range(horizon):
-        nxt: List[Tuple[float, FiniteSupportState]] = []
-        for prob, state in frontier:
+        nxt: List[list] = []
+        buckets: Dict[Tuple[float, ...], List[int]] = {}
+        for prob, state, _ in level:
             action = rule(state.covariance())
             per_round[t] += prob * state.quad_form(action)
+            if t + 1 == horizon:
+                continue
             for _, branch_prob, child in enumerate_posterior_outcomes(state, action):
-                nxt.append((prob * branch_prob, child))
-        frontier = nxt
+                _merge_child(nxt, buckets, prob * branch_prob, child)
+        level = nxt
     return per_round, float(per_round.sum())
 
 
@@ -288,7 +342,7 @@ def verify_expected_potential(
 ) -> VerificationReport:
     """Estimate E[sum of a.T Gamma_t a] and compare it to the log-det bound.
 
-    Uses exact outcome enumeration when :func:`exact_path_applies`;
+    Uses the exact outcome lattice when :func:`exact_path_applies`;
     otherwise falls back to Monte Carlo over independent replications
     seeded from (master_seed, replication index).
 

@@ -21,5 +21,8 @@ REGRET_SLACK = 1e-12
 # relative gap below the leading eigenvalue within which the adversarial
 # action rule treats eigenvalues as tied
 EIGEN_TIE_REL = 1e-10
+# absolute gap in every posterior log-weight within which the exact
+# outcome lattice treats two posterior states as one
+LATTICE_MERGE_LOG = 1e-12
 # share of Monte Carlo replications allowed to fail before a run is refused
 REPLICATION_FAILURE_SHARE = 0.01

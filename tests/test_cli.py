@@ -192,6 +192,17 @@ def test_potential_trace_monte_carlo_single_replication_is_a_config_error(
     assert not (tmp_path / "out").exists()
 
 
+def test_potential_trace_incompatible_engine_is_a_config_error(tmp_path, capsys):
+    text = POTENTIAL_YAML + "engine:\n  kind: finite_support\n"
+    cfg = write(tmp_path, "pot.yaml", text)
+    code = main(["potential-trace", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: engine: finite_support requires a finite-support prior"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_potential_trace_missing_config(capsys):
     code = main(["potential-trace", "--config", "/nonexistent.yaml"])
     assert code == EXIT_CONFIG
@@ -289,6 +300,17 @@ def test_run_bandit_lam_below_one_is_a_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "config error: experiment: lam must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_run_bandit_incompatible_engine_is_a_config_error(tmp_path, capsys):
+    text = BANDIT_YAML.replace("kind: gaussian_conjugate", "kind: finite_support")
+    cfg = write(tmp_path, "run.yaml", text)
+    code = main(["run-bandit", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: engine: finite_support requires a finite-support prior"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_bandit_unknown_config_key(tmp_path, capsys):

@@ -451,3 +451,28 @@ def test_config_error_carries_path_attribute():
         assert err.path == "prior.kind"
     else:
         assert False, "expected ConfigError"
+
+
+def test_potential_run_checks_the_engine_only_on_the_monte_carlo_path():
+    doc = {
+        "potential": {"horizon": 4, "replications": 2},
+        "prior": {
+            "kind": "finite_support",
+            "atoms": [[0.2], [0.8]],
+            "weights": [0.5, 0.5],
+        },
+        "noise": {"kind": "bernoulli_mean"},
+        "engine": {"kind": "gaussian_conjugate"},
+    }
+    # the exact path enumerates with finite_support whatever the section says
+    assert build_potential_run(doc).engine.kind == "gaussian_conjugate"
+    doc["potential"]["horizon"] = 13
+    with pytest.raises(ConfigError, match="engine: gaussian_conjugate requires"):
+        build_potential_run(doc)
+
+
+def test_build_experiment_rejects_an_incompatible_engine():
+    doc = full_doc()
+    doc["engine"] = {"kind": "finite_support"}
+    with pytest.raises(ConfigError, match="engine: finite_support requires"):
+        build_experiment(doc)

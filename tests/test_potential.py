@@ -1,14 +1,18 @@
 """Potential tracking and the expected-potential verifier.
 
-The exact-tree verifier is checked against a from-scratch enumeration
-written with plain dictionaries, so the two implementations share no code.
+The exact verifier merges outcome paths that reach the same posterior. It
+is checked against an unmerged enumeration of every path, written with
+plain lists, which shares only the adversarial action rule with it.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ellipsim import potential
 from ellipsim.distributions import (
     BernoulliMeanNoise,
     FiniteSupportPrior,
@@ -17,10 +21,11 @@ from ellipsim.distributions import (
     UniformCenteredNoise,
 )
 from ellipsim.linalg import PsdMatrix, random_psd
-from ellipsim.posterior import DegenerateWeights, EngineConfig
+from ellipsim.posterior import DegenerateWeights, EngineConfig, counterexample_prior
 from ellipsim.potential import (
     ClassicalPotential,
     PotentialTrace,
+    _merge_child,
     adversarial_action,
     gamma1_eigs,
     logdet_growth,
@@ -171,34 +176,32 @@ def test_trace_runs_classical_tracker_in_lockstep():
 
 
 def brute_force_expected_potential(atoms, weights, horizon):
-    """Scalar Bernoulli tree with explicit frontier dictionaries."""
-    atoms = np.asarray(atoms, dtype=float)
+    """Unmerged Bernoulli outcome tree under the adversarial rule.
 
-    def variance(w):
-        m1 = float(np.dot(w, atoms))
-        m2 = float(np.dot(w, atoms**2))
-        return m2 - m1 * m1
-
-    frontier = [(1.0, np.asarray(weights, dtype=float))]
-    total = 0.0
+    Every path is its own node, even where two paths reach the same
+    posterior, so this is the 2^H tree the verifier's lattice collapses.
+    """
+    weights = np.asarray(weights, dtype=float)
+    atoms = np.asarray(atoms, dtype=float).reshape(len(weights), -1)
+    frontier = [(1.0, weights)]
     per_round = []
     for _ in range(horizon):
         round_sum = 0.0
         grown = []
         for prob, w in frontier:
-            round_sum += prob * variance(w)
-            p_one = float(np.dot(w, atoms))
-            for y, p_y in ((1.0, p_one), (0.0, 1.0 - p_one)):
+            centered = atoms - w @ atoms
+            cov = (w[:, None] * centered).T @ centered
+            means = atoms @ adversarial_action(PsdMatrix.unchecked(cov))
+            p_one = float(w @ means)
+            round_sum += prob * float(w @ (means - p_one) ** 2)
+            for lik, p_y in ((means, p_one), (1.0 - means, 1.0 - p_one)):
                 if p_y <= 0:
                     continue
-                lik = atoms if y == 1.0 else 1.0 - atoms
                 child = w * lik
-                child /= child.sum()
-                grown.append((prob * p_y, child))
+                grown.append((prob * p_y, child / child.sum()))
         per_round.append(round_sum)
-        total += round_sum
         frontier = grown
-    return per_round, total
+    return per_round, sum(per_round)
 
 
 def test_exact_tree_matches_brute_force():
@@ -229,6 +232,80 @@ def test_exact_tree_three_atoms_longer_horizon():
     )
     _, ref_total = brute_force_expected_potential(atoms, weights, 8)
     assert report.mean_total == pytest.approx(ref_total, abs=1e-11)
+
+
+def _lattice_priors():
+    """Scalar and d=2 priors for the merged-lattice checks, with horizons."""
+    rng = np.random.default_rng(SEED)
+    cases = [(counterexample_prior(0.05), 12)]
+    for _ in range(12):
+        n = int(rng.integers(2, 5))
+        atoms = np.sort(rng.uniform(0.0, 1.0, size=n))[:, None]
+        cases.append(
+            (
+                FiniteSupportPrior(atoms=atoms, weights=rng.dirichlet(np.ones(n))),
+                int(rng.integers(1, 11)),
+            )
+        )
+    # the adversarial directions of this d=2 prior keep every mean in [0, 1]
+    square = np.array([[0.3, 0.3], [0.6, 0.6], [0.3, 0.6], [0.6, 0.3]])
+    cases.append((FiniteSupportPrior(atoms=square, weights=np.full(4, 0.25)), 8))
+    return cases
+
+
+LATTICE_CASES = _lattice_priors()
+LATTICE_IDS = ["counterexample"] + [f"scalar{i}" for i in range(12)] + ["square_d2"]
+
+
+@pytest.mark.parametrize("prior,horizon", LATTICE_CASES, ids=LATTICE_IDS)
+def test_merged_lattice_matches_unmerged_tree(prior, horizon):
+    report = verify_expected_potential(
+        prior, BernoulliMeanNoise(), horizon=horizon, replications=0
+    )
+    ref_rounds, ref_total = brute_force_expected_potential(
+        prior.atoms, prior.weights, horizon
+    )
+    assert report.exact
+    np.testing.assert_allclose(report.per_round_mean, ref_rounds, rtol=1e-12, atol=0)
+    assert report.mean_total == pytest.approx(ref_total, rel=1e-12, abs=0)
+
+
+def _count_nodes(monkeypatch, prior, horizon):
+    calls = []
+    monkeypatch.setattr(
+        potential,
+        "adversarial_action",
+        lambda gamma: calls.append(1) or adversarial_action(gamma),
+    )
+    verify_expected_potential(
+        prior, BernoulliMeanNoise(), horizon=horizon, replications=0
+    )
+    return len(calls)
+
+
+@pytest.mark.parametrize("prior,_", LATTICE_CASES[:-1], ids=LATTICE_IDS[:-1])
+def test_scalar_lattice_keeps_one_node_per_success_count(monkeypatch, prior, _):
+    # the lattice up to depth t - 1 does not depend on the horizon, so the
+    # difference of node counts between horizons t + 1 and t is depth t
+    totals = [0] + [_count_nodes(monkeypatch, prior, h) for h in range(1, 13)]
+    for t in range(12):
+        assert totals[t + 1] - totals[t] <= t + 1
+    assert totals[12] <= 78
+
+
+def test_merge_joins_rounding_noise_and_keeps_zeros_apart():
+    weights = np.array([0.2, 0.3, 0.5])
+    level, buckets = [], {}
+    for w, prob in (
+        (weights, 0.25),
+        (weights * (1.0 + 1e-14), 0.5),  # a re-ordered path's rounding
+        (np.array([0.2, 0.3001, 0.4999]), 0.125),
+        (np.array([0.0, 0.5, 0.5]), 0.0625),
+        (np.array([1e-300, 0.5, 0.5]), 0.03125),
+        (np.array([0.0, 0.5, 0.5]), 0.03125),
+    ):
+        _merge_child(level, buckets, prob, SimpleNamespace(weights=w))
+    assert [node[0] for node in level] == [0.75, 0.125, 0.09375, 0.03125]
 
 
 # ---------------------------------------------------------------------------
