@@ -17,7 +17,7 @@ from ellipsim.distributions import (
     GaussianNoise,
     UniformBallPrior,
 )
-from ellipsim.potential import verify_expected_potential
+from ellipsim.harness import verify_expected_potential
 
 # exact path: three scalar atoms, Bernoulli rewards, horizon 8. Scalar
 # atoms keep every probed mean inside [0, 1] whatever the adversary does

@@ -30,7 +30,13 @@ from .distributions import (
     UniformCenteredNoise,
     sample_reward,
 )
-from .harness import ExperimentConfig, RunSummary, run_experiment
+from .harness import (
+    ExperimentConfig,
+    RunSummary,
+    VerificationReport,
+    run_experiment,
+    verify_expected_potential,
+)
 from .linalg import (
     CholeskyFailure,
     PsdMatrix,
@@ -52,13 +58,7 @@ from .posterior import (
     enumerate_posterior_outcomes,
     make_posterior,
 )
-from .potential import (
-    ClassicalPotential,
-    PotentialTrace,
-    VerificationReport,
-    adversarial_action,
-    verify_expected_potential,
-)
+from .potential import ClassicalPotential, PotentialTrace, adversarial_action
 
 __version__ = "0.1.0"
 

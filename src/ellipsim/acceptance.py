@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from .bandit import KArmedGaussianGenerator
+from .bandit import KArmedGaussianGenerator, run_episode
 from .config import env_workers
 from .distributions import (
     BernoulliMeanNoise,
@@ -25,7 +25,7 @@ from .distributions import (
     GaussianPrior,
     StudentTNoise,
 )
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, run_experiment, verify_expected_potential
 from .linalg import PsdMatrix, random_psd
 from .posterior import (
     EngineConfig,
@@ -34,12 +34,7 @@ from .posterior import (
     counterexample_prior,
     counterexample_report,
 )
-from .potential import (
-    gamma1_eigs,
-    logdet_growth,
-    logdet_identity_cap,
-    verify_expected_potential,
-)
+from .potential import gamma1_eigs, logdet_growth, logdet_identity_cap
 from .reporting import (
     write_potential_csv_from_summary,
     write_regret_curve_csv,
@@ -405,8 +400,6 @@ def criterion_10_engine_cross_validation(seed: int = 0) -> CriterionResult:
     likelihood collapses the surviving atom count and the worst-of-20 mean
     error blows through the tolerance.
     """
-    from .bandit import run_episode
-
     start = time.perf_counter()
     prior = GaussianPrior(mean=np.zeros(3), cov=PsdMatrix.unchecked(0.25 * np.eye(3)))
     noise = GaussianNoise(sd=2.5)

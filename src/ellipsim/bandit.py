@@ -4,13 +4,16 @@ An episode draws the true parameter from the prior, then repeats: present
 an action set, let the policy pick, observe a noisy reward and update the
 posterior. The policy of interest samples a parameter from the posterior
 and plays its argmax; a greedy comparator plays the argmax of the
-posterior mean. Per-round posterior and ridge quadratic forms are
-recorded in a :class:`~ellipsim.potential.PotentialTrace`.
+posterior mean; the adversarial rule plays the top eigendirection of the
+posterior covariance over the unit sphere. Per-round posterior and ridge
+quadratic forms are recorded in a :class:`~ellipsim.potential.PotentialTrace`.
+:func:`run_episode` is the one episode loop, run by both the regret
+experiments and the Monte Carlo potential verifier in :mod:`ellipsim.harness`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -29,7 +32,7 @@ from .posterior import (
     PosteriorState,
     make_posterior,
 )
-from .potential import PotentialTrace
+from .potential import PotentialTrace, adversarial_action
 from .tolerances import INEQUALITY_SLACK, NORM_SLACK, REGRET_SLACK
 
 
@@ -153,12 +156,15 @@ class UnitSphereGenerator:
 
     dim: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "_set", SphereActionSet(self.dim))
+
     @property
     def nonnegative(self) -> bool:
         return False
 
     def sample_round(self, rng: np.random.Generator) -> SphereActionSet:
-        return SphereActionSet(self.dim)
+        return self._set
 
 
 ActionSetGenerator = Union[
@@ -253,9 +259,13 @@ def run_episode(
     horizon: int,
     rng: np.random.Generator,
     policy: str = "lints",
-    lam: float = 1.0,
+    lam: Optional[float] = 1.0,
 ) -> EpisodeResult:
     """Simulate one full episode and return its record.
+
+    ``policy`` is "lints", "greedy" or "adversarial"; the last plays over a
+    :class:`UnitSphereGenerator`, which never certifies a reward mean range,
+    so it skips that check. ``lam=None`` runs no ridge tracker.
 
     The draw order per round is fixed (action set, then policy sample,
     then reward), so a single generator yields reproducible episodes.
@@ -264,9 +274,13 @@ def run_episode(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if policy not in ("lints", "greedy"):
+    if policy == "adversarial":
+        if not isinstance(generator, UnitSphereGenerator):
+            raise ValueError("the adversarial policy plays over the unit sphere")
+    elif policy in ("lints", "greedy"):
+        _validate_mean_range(prior, noise, generator)
+    else:
         raise ValueError(f"unknown policy {policy!r}")
-    _validate_mean_range(prior, noise, generator)
 
     theta_star = prior.sample(rng)
     state = make_posterior(prior, noise, engine, rng=rng)
@@ -276,22 +290,29 @@ def run_episode(
     optimal = np.zeros((horizon, dim))
     rewards = np.zeros(horizon)
     instant = np.zeros(horizon)
+    # fixed and sphere generators present one set object every round
+    last_set = None
 
     for t in range(horizon):
         try:
             aset = generator.sample_round(rng)
-            best = optimal_action(theta_star, aset)
+            if aset is not last_set:
+                best = optimal_action(theta_star, aset)
+                last_set = aset
             if policy == "lints":
                 chosen, _ = lints_step(state, aset, rng)
-            else:
+            elif policy == "greedy":
                 chosen = greedy_step(state, aset)
+            else:
+                chosen = adversarial_action(state.covariance())
             quad = state.quad_form(chosen)
             trace.append_quads(chosen, quad)
-            y = sample_reward(noise, float(chosen @ theta_star), rng)
+            # the same BLAS dot as @, without the matmul dispatch's overhead
+            y = sample_reward(noise, float(chosen.dot(theta_star)), rng)
             state.update(chosen, y)
         except (DegenerateWeights, MeanOutOfRange, CholeskyFailure) as exc:
             raise EpisodeFailure(t, exc) from exc
-        gap = float(theta_star @ (best - chosen))
+        gap = float(theta_star.dot(best - chosen))
         if gap < -REGRET_SLACK:
             raise EpisodeFailure(
                 t, RuntimeError(f"negative regret {gap} against the optimal action")

@@ -23,9 +23,8 @@ from .config import (
     load_yaml,
 )
 from .distributions import MeanOutOfRange
-from .harness import ExcessiveFailures, run_experiment
+from .harness import ExcessiveFailures, run_experiment, verify_expected_potential
 from .posterior import DegenerateWeights, counterexample_report
-from .potential import verify_expected_potential
 from .verify import DEFAULT_SIZES, run_all_checks
 
 EXIT_OK = 0

@@ -18,22 +18,24 @@ from .bandit import (
     FixedActionsGenerator,
     KArmedGaussianGenerator,
     UnitSphereGenerator,
+    _validate_mean_range,
 )
 from .distributions import (
     BernoulliMeanNoise,
     FiniteSupportPrior,
     GaussianNoise,
     GaussianPrior,
+    MeanOutOfRange,
     Noise,
     Prior,
     StudentTNoise,
     UniformBallPrior,
     UniformCenteredNoise,
 )
-from .harness import KNOWN_CHECKS, ExperimentConfig
+from .harness import KNOWN_CHECKS, MONTE_CARLO_MIN_REPLICATIONS, ExperimentConfig
 from .linalg import PsdMatrix
 from .posterior import EngineConfig, IncompatibleEngine, check_engine_compatible
-from .potential import MONTE_CARLO_MIN_REPLICATIONS, exact_path_applies
+from .potential import exact_path_applies
 from .verify import DEFAULT_SIZES
 
 
@@ -355,6 +357,12 @@ def build_potential_run(doc: Mapping) -> PotentialRunConfig:
         actions = build_actions(_section(doc, "actions"), prior.dim)
     if rule == "lints" and actions is None:
         raise ConfigError("actions", "the lints action rule needs an actions section")
+    if rule == "lints":
+        # the adversarial rule's unit sphere never certifies: it is checked as it runs
+        try:
+            _validate_mean_range(prior, noise, actions)
+        except MeanOutOfRange as exc:
+            raise ConfigError("actions", str(exc)) from exc
     horizon = _as_int(_require(sec, "horizon", "potential"), "potential.horizon")
     replications = _as_int(
         sec.get("replications", 300), "potential.replications"

@@ -227,7 +227,7 @@ class BernoulliMeanNoise:
             outside = (arr < -NORM_SLACK) | (arr > 1.0 + NORM_SLACK)
             bad = arr if arr.ndim == 0 else arr[outside]
             raise MeanOutOfRange(
-                f"Bernoulli mean must lie in [0, 1], got {np.atleast_1d(bad)[0]!r}"
+                f"Bernoulli mean must lie in [0, 1], got {float(np.atleast_1d(bad)[0])}"
             )
         return np.clip(arr, 0.0, 1.0)
 

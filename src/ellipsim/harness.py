@@ -1,16 +1,21 @@
-"""Replicated experiments and their summarized results.
+"""Replicated experiments, the expected-potential verifier and their results.
 
 Runs many independent episodes, each seeded from (master_seed,
 replication index), and reduces them in canonical index order so results
 are byte-for-byte reproducible regardless of worker count. Summaries
 carry the regret and potential curves, the analytic bound values and
 one-sided pass flags with Monte Carlo slack of three standard errors.
+
+The expected-potential verifier compares E[sum of a.T Gamma_t a] with its
+log-det bound, exactly over the outcome lattice of :mod:`ellipsim.potential`
+or as a Monte Carlo mean over :func:`~ellipsim.bandit.run_episode` episodes.
 """
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -18,13 +23,16 @@ import numpy as np
 from .bandit import (
     ActionSetGenerator,
     EpisodeFailure,
+    UnitSphereGenerator,
     _validate_mean_range,
     run_episode,
 )
 from .distributions import Noise, Prior
 from .linalg import PsdMatrix, psd_order_holds
-from .posterior import EngineConfig
+from .posterior import DegenerateWeights, EngineConfig
 from .potential import (
+    _exact_potential,
+    exact_path_applies,
     gamma1_eigs,
     logdet_growth,
     logdet_identity_cap,
@@ -40,6 +48,8 @@ CURVE_POINT_LIMIT = 10_000
 CURVE_POINTS_WHEN_SUBSAMPLED = 1000
 
 KNOWN_CHECKS = ("eq1", "thm23", "eq4", "remark33")
+# the Monte Carlo standard error needs at least two replications
+MONTE_CARLO_MIN_REPLICATIONS = 2
 
 
 class ExcessiveFailures(RuntimeError):
@@ -73,6 +83,8 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.policy not in ("lints", "greedy"):
+            raise ValueError(f"unknown policy {self.policy!r}")
         if not self.lam >= 1.0:
             raise ValueError(f"lam must be >= 1, got {self.lam}")
         unknown = set(self.bound_checks) - set(KNOWN_CHECKS)
@@ -118,32 +130,9 @@ class RunSummary:
     FORMAT = "ellipsim-summary-v2"
 
     def to_dict(self) -> Dict:
-        return {
-            "format": self.FORMAT,
-            "config": self.config,
-            "dim": self.dim,
-            "horizon": self.horizon,
-            "replications": self.replications,
-            "completed": self.completed,
-            "failed": self.failed,
-            "failures": self.failures,
-            "master_seed": self.master_seed,
-            "sigma_factor": self.sigma_factor,
-            "gamma1_eigs": self.gamma1_eigs,
-            "gamma1_within_identity": self.gamma1_within_identity,
-            "ts": self.ts,
-            "mean_regret": self.mean_regret,
-            "stderr_regret": self.stderr_regret,
-            "mean_gamma_quad": self.mean_gamma_quad,
-            "running_gamma_sum": self.running_gamma_sum,
-            "final_mean_regret": self.final_mean_regret,
-            "final_stderr_regret": self.final_stderr_regret,
-            "potential_sum_mean": self.potential_sum_mean,
-            "potential_sum_stderr": self.potential_sum_stderr,
-            "eq1_max_violation": self.eq1_max_violation,
-            "bounds": self.bounds,
-            "checks": self.checks,
-        }
+        data = asdict(self)
+        del data["wall_time_seconds"]
+        return {"format": self.FORMAT, **data}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunSummary":
@@ -329,4 +318,144 @@ def run_experiment(
         bounds=bounds,
         checks=checks,
         wall_time_seconds=time.perf_counter() - start,
+    )
+
+
+# ---------------------------------------------------------------------------
+# expected-potential verifier
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """Outcome of one expected-potential verification."""
+
+    dim: int
+    horizon: int
+    replications: int
+    exact: bool
+    sigma_sq: float
+    sigma_factor: float
+    mean_total: float
+    stderr_total: float
+    bound: float
+    holds: bool
+    per_round_mean: Tuple[float, ...]
+    gamma1_eigs: Tuple[float, ...]
+    failed_replications: int = 0
+
+    def to_dict(self) -> dict:
+        # tuples as lists, as JSON reads them back
+        return {
+            k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()
+        }
+
+
+def verify_expected_potential(
+    prior: Prior,
+    noise: Noise,
+    horizon: int,
+    replications: int,
+    master_seed: int = 0,
+    engine: Optional[EngineConfig] = None,
+    action_rule: str = "adversarial",
+    action_generator: Optional[ActionSetGenerator] = None,
+) -> VerificationReport:
+    """Estimate E[sum of a.T Gamma_t a] and compare it to the log-det bound.
+
+    Uses the exact outcome lattice when
+    :func:`~ellipsim.potential.exact_path_applies`; otherwise averages the
+    posterior quadratic forms of :func:`~ellipsim.bandit.run_episode`
+    runs, with no ridge tracker, seeded from (master_seed, replication
+    index). ``action_rule`` is "adversarial" (top eigendirection of the
+    posterior covariance, over the unit sphere) or "lints" (posterior
+    sampling over sets drawn from ``action_generator``).
+
+    Replications whose posterior weights vanish count against
+    ``REPLICATION_FAILURE_SHARE``, beyond which :class:`DegenerateWeights`
+    is raised; any other episode error is raised as itself. The pass
+    criterion is mean <= bound + 3 * stderr, with stderr zero on the
+    exact path.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if action_rule not in ("adversarial", "lints"):
+        raise ValueError(f"unknown action rule {action_rule!r}")
+    if action_rule == "lints" and action_generator is None:
+        raise ValueError("the lints action rule needs an action generator")
+
+    _, gamma1 = prior.moments()
+    factor = sigma_factor(noise.sigma_sq_bound)
+    eigs = gamma1_eigs(gamma1)
+    bound = potential_bound(horizon, factor, eigs)
+    report = partial(
+        VerificationReport,
+        dim=gamma1.dim,
+        horizon=horizon,
+        sigma_sq=noise.sigma_sq_bound,
+        sigma_factor=factor,
+        bound=bound,
+        gamma1_eigs=tuple(float(v) for v in eigs),
+    )
+
+    if exact_path_applies(prior, noise, horizon, action_rule):
+        per_round, total = _exact_potential(prior, noise, horizon)
+        return report(
+            replications=0,
+            exact=True,
+            mean_total=total,
+            stderr_total=0.0,
+            holds=bool(total <= bound + INEQUALITY_SLACK),
+            per_round_mean=tuple(per_round),
+        )
+
+    if replications < MONTE_CARLO_MIN_REPLICATIONS:
+        raise ValueError(
+            f"Monte Carlo needs >= {MONTE_CARLO_MIN_REPLICATIONS} replications, "
+            f"got {replications}"
+        )
+    engine = engine or EngineConfig(kind="particle")
+    if action_rule == "adversarial":
+        action_generator = UnitSphereGenerator(gamma1.dim)
+    per_round_sum = np.zeros(horizon)
+    totals: List[float] = []
+    failures = 0
+    for rep in range(replications):
+        rng = np.random.default_rng(np.random.SeedSequence([master_seed, rep]))
+        try:
+            episode = run_episode(
+                prior,
+                noise,
+                action_generator,
+                engine,
+                horizon,
+                rng,
+                policy=action_rule,
+                lam=None,
+            )
+        except EpisodeFailure as exc:
+            if not isinstance(exc.cause, DegenerateWeights):
+                raise exc.cause from None
+            failures += 1
+            continue
+        quads = np.asarray(episode.trace.gamma_quads)
+        per_round_sum += quads
+        totals.append(float(quads.sum()))
+    if failures > REPLICATION_FAILURE_SHARE * replications:
+        raise DegenerateWeights(
+            f"{failures} of {replications} replications failed, "
+            f"over the {REPLICATION_FAILURE_SHARE:.0%} budget"
+        )
+    n = len(totals)
+    arr = np.asarray(totals)
+    mean_total = float(arr.mean())
+    stderr_total = float(arr.std(ddof=1) / np.sqrt(n))
+    return report(
+        replications=n,
+        exact=False,
+        mean_total=mean_total,
+        stderr_total=stderr_total,
+        holds=bool(mean_total <= bound + 3.0 * stderr_total),
+        per_round_mean=tuple(per_round_sum / n),
+        failed_replications=failures,
     )

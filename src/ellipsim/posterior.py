@@ -75,12 +75,8 @@ class GaussianConjugateState:
     def __init__(self, prior: GaussianPrior, noise: GaussianNoise):
         self.noise = noise
         mean0, cov0 = prior.moments()
-        try:
-            chol0 = np.linalg.cholesky(cov0.mat)
-        except np.linalg.LinAlgError as exc:
-            raise IncompatibleEngine(
-                "gaussian_conjugate needs an invertible prior covariance"
-            ) from exc
+        # check_engine_compatible has seen this factorization succeed
+        chol0 = np.linalg.cholesky(cov0.mat)
         self.precision = symmetrize(chol_solve(chol0, np.eye(cov0.dim)))
         self.shift = self.precision @ mean0
         self._chol: Optional[Array] = None
@@ -267,15 +263,21 @@ PosteriorState = GaussianConjugateState | FiniteSupportState | ParticleState
 
 def check_engine_compatible(prior: Prior, noise: Noise, engine: EngineConfig) -> None:
     """Raise :class:`IncompatibleEngine` when the engine cannot represent
-    the prior/noise pair: conjugate needs a Gaussian prior and Gaussian
-    noise, finite_support needs a discrete prior, particle takes any pair.
+    the prior/noise pair: conjugate needs a Gaussian prior with an
+    invertible covariance and Gaussian noise, finite_support needs a
+    discrete prior, particle takes any pair.
     """
-    if engine.kind == "gaussian_conjugate" and not (
-        isinstance(prior, GaussianPrior) and isinstance(noise, GaussianNoise)
-    ):
-        raise IncompatibleEngine(
-            "gaussian_conjugate requires a Gaussian prior and Gaussian noise"
-        )
+    if engine.kind == "gaussian_conjugate":
+        if not (isinstance(prior, GaussianPrior) and isinstance(noise, GaussianNoise)):
+            raise IncompatibleEngine(
+                "gaussian_conjugate requires a Gaussian prior and Gaussian noise"
+            )
+        try:
+            np.linalg.cholesky(prior.cov.mat)
+        except np.linalg.LinAlgError as exc:
+            raise IncompatibleEngine(
+                "gaussian_conjugate needs an invertible prior covariance"
+            ) from exc
     if engine.kind == "finite_support" and not isinstance(prior, FiniteSupportPrior):
         raise IncompatibleEngine("finite_support requires a finite-support prior")
 

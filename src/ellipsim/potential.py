@@ -1,4 +1,4 @@
-"""Bound formulas, potential trackers and the expected-potential verifier.
+"""Bound formulas, potential trackers and the exact expected potential.
 
 Every right-hand side that a check compares against (eqs. 1 and 4,
 theorem 2.3, remark 3.3) is written once here, as a module-level function.
@@ -12,37 +12,30 @@ Two related quantities are tracked along an action sequence:
   the posterior covariance of the parameter, which is random and need not
   shrink on any single round.
 
-The verifier estimates the expected general potential sum and compares it
-against 2 * max(sigma^2, 1) * log det(I + T * Gamma_1). When the model is
-small and discrete it is exact: it enumerates the outcome lattice, where
-paths that reach the same posterior are merged into one node carrying
-their summed probability. Otherwise it is a Monte Carlo estimate.
+The expected general potential sum under the adversarial action rule is
+computed here exactly for small discrete models, over the outcome lattice
+in which paths that reach the same posterior merge into one node carrying
+their summed probability. The verifier that chooses between this and a
+Monte Carlo estimate over episodes lives in :mod:`ellipsim.harness`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .distributions import FiniteSupportPrior, Noise, Prior, sample_reward
+from .distributions import FiniteSupportPrior, Noise, Prior
 from .linalg import Array, PsdMatrix
 from .posterior import (
-    DegenerateWeights,
     EngineConfig,
     FiniteSupportState,
     enumerate_posterior_outcomes,
     make_posterior,
 )
-from .tolerances import (
-    EIGEN_TIE_REL,
-    INEQUALITY_SLACK,
-    LATTICE_MERGE_LOG,
-    NORM_SLACK,
-    PSD_SLACK,
-    REPLICATION_FAILURE_SHARE,
-)
+from .tolerances import EIGEN_TIE_REL, LATTICE_MERGE_LOG, NORM_SLACK, PSD_SLACK
 
 # ---------------------------------------------------------------------------
 # bound formulas: the one home of every right-hand side the checks compare to
@@ -141,25 +134,26 @@ class PotentialTrace:
     Each recorded round stores the posterior quadratic form a.T Gamma_t a
     and the classical quadratic form a.T Sigma_t a, with the classical
     state advanced in lockstep so the two sequences stay comparable round
-    by round.
+    by round. With ``lam=None`` only the posterior forms are recorded.
     """
 
     dim: int
-    lam: float = 1.0
+    lam: Optional[float] = 1.0
     gamma_quads: List[float] = field(default_factory=list)
     sigma_quads: List[float] = field(default_factory=list)
 
     def __post_init__(self):
-        self.classical = ClassicalPotential(self.dim, lam=self.lam)
+        self.classical = (
+            None if self.lam is None else ClassicalPotential(self.dim, lam=self.lam)
+        )
 
-    def append_quads(self, action: ArrayLike, gamma_quad: float) -> float:
+    def append_quads(self, action: ArrayLike, gamma_quad: float) -> None:
         """Record a round from a precomputed posterior quadratic form."""
         if gamma_quad < -PSD_SLACK:
             raise ValueError(f"posterior quadratic form is negative: {gamma_quad}")
-        sigma_quad = self.classical.step(action)
+        if self.classical is not None:
+            self.sigma_quads.append(self.classical.step(action))
         self.gamma_quads.append(max(float(gamma_quad), 0.0))
-        self.sigma_quads.append(sigma_quad)
-        return sigma_quad
 
     @property
     def sigma_sum(self) -> float:
@@ -175,73 +169,34 @@ def adversarial_action(gamma: PsdMatrix) -> Array:
     and the sign is fixed so the first nonzero entry is positive. For a
     multiple of the identity this yields the first basis vector.
     """
+    # runs every adversarial round, so plain floats replace numpy calls where
+    # they give the same bits as a boolean mask and np.linalg.norm (tested)
     arr = gamma.mat
     dim = arr.shape[0]
     eigvals, eigvecs = np.linalg.eigh(arr)
     lead = eigvals[-1]
     tol = EIGEN_TIE_REL * max(1.0, abs(lead))
-    mask = eigvals >= lead - tol
-    basis = eigvecs[:, mask]
-    if basis.shape[1] == 1:
-        v = basis[:, 0]
+    # eigh sorts ascending, so the lead is simple unless its neighbour ties
+    if dim == 1 or eigvals[-2] < lead - tol:
+        # contiguous as in np.linalg.norm: a strided dot may sum in another order
+        v = np.ascontiguousarray(eigvecs[:, -1])
     else:
+        basis = eigvecs[:, eigvals >= lead - tol]
         # rows of `basis` are the basis-vector projections onto the eigenspace
         row_norms = np.linalg.norm(basis, axis=1)
         idx = int(np.argmax(row_norms > tol))
         v = basis @ basis[idx]
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v.dot(v))
     if norm == 0.0:
         v = np.zeros(dim)
         v[0] = 1.0
         return v
     v = v / norm
-    nz = np.nonzero(np.abs(v) > 1e-12)[0]
-    if nz.size and v[nz[0]] < 0:
-        v = -v
-    return v
+    first = next((x for x in v.tolist() if abs(x) > 1e-12), 0.0)
+    return -v if first < 0 else v
 
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one expected-potential verification."""
-
-    dim: int
-    horizon: int
-    replications: int
-    exact: bool
-    sigma_sq: float
-    sigma_factor: float
-    mean_total: float
-    stderr_total: float
-    bound: float
-    holds: bool
-    per_round_mean: Tuple[float, ...]
-    gamma1_eigs: Tuple[float, ...]
-    failed_replications: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "horizon": self.horizon,
-            "replications": self.replications,
-            "exact": self.exact,
-            "sigma_sq": self.sigma_sq,
-            "sigma_factor": self.sigma_factor,
-            "mean_total": self.mean_total,
-            "stderr_total": self.stderr_total,
-            "bound": self.bound,
-            "holds": self.holds,
-            "per_round_mean": list(self.per_round_mean),
-            "gamma1_eigs": list(self.gamma1_eigs),
-            "failed_replications": self.failed_replications,
-        }
-
-
-ActionRule = Callable[[PsdMatrix], Array]
 
 EXACT_ENUMERATION_LIMIT = 12
-# the Monte Carlo standard error needs at least two replications
-MONTE_CARLO_MIN_REPLICATIONS = 2
 
 
 def exact_path_applies(
@@ -250,7 +205,8 @@ def exact_path_applies(
     """Whether the exact outcome lattice applies: finite-support prior,
     finitely many noise outcomes, the adversarial rule (deterministic in
     the state) and a horizon of at most ``EXACT_ENUMERATION_LIMIT``.
-    Otherwise the verifier takes the Monte Carlo path.
+    Otherwise :func:`ellipsim.harness.verify_expected_potential` takes
+    the Monte Carlo path.
 
     With Bernoulli noise in d >= 2 the adversarial directions may drive a
     reward mean out of [0, 1]; nothing here checks that, and enumeration
@@ -301,9 +257,9 @@ def _merge_child(
 
 
 def _exact_potential(
-    prior: Prior, noise: Noise, horizon: int, rule: ActionRule
+    prior: Prior, noise: Noise, horizon: int
 ) -> Tuple[np.ndarray, float]:
-    """Expected per-round potentials over the merged outcome lattice.
+    """Expected per-round adversarial-rule potentials over the merged lattice.
 
     Paths that reach the same posterior (for a scalar prior: the same
     success and failure counts, in any order) continue identically, so
@@ -320,7 +276,7 @@ def _exact_potential(
         nxt: List[list] = []
         buckets: Dict[Tuple[float, ...], List[int]] = {}
         for prob, state, _ in level:
-            action = rule(state.covariance())
+            action = adversarial_action(state.covariance())
             per_round[t] += prob * state.quad_form(action)
             if t + 1 == horizon:
                 continue
@@ -328,112 +284,3 @@ def _exact_potential(
                 _merge_child(nxt, buckets, prob * branch_prob, child)
         level = nxt
     return per_round, float(per_round.sum())
-
-
-def verify_expected_potential(
-    prior: Prior,
-    noise: Noise,
-    horizon: int,
-    replications: int,
-    master_seed: int = 0,
-    engine: Optional[EngineConfig] = None,
-    action_rule: str = "adversarial",
-    action_generator=None,
-) -> VerificationReport:
-    """Estimate E[sum of a.T Gamma_t a] and compare it to the log-det bound.
-
-    Uses the exact outcome lattice when :func:`exact_path_applies`;
-    otherwise falls back to Monte Carlo over independent replications
-    seeded from (master_seed, replication index).
-
-    ``action_rule`` is "adversarial" (top eigendirection of the posterior
-    covariance) or "lints" (posterior sampling over sets drawn from
-    ``action_generator``).
-
-    The pass criterion is mean <= bound + 3 * stderr, with stderr zero on
-    the exact path.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if action_rule not in ("adversarial", "lints"):
-        raise ValueError(f"unknown action rule {action_rule!r}")
-    if action_rule == "lints" and action_generator is None:
-        raise ValueError("the lints action rule needs an action generator")
-
-    _, gamma1 = prior.moments()
-    factor = sigma_factor(noise.sigma_sq_bound)
-    eigs = gamma1_eigs(gamma1)
-    bound = potential_bound(horizon, factor, eigs)
-    eig_record = tuple(float(v) for v in eigs)
-
-    if exact_path_applies(prior, noise, horizon, action_rule):
-        per_round, total = _exact_potential(prior, noise, horizon, adversarial_action)
-        return VerificationReport(
-            dim=gamma1.dim,
-            horizon=horizon,
-            replications=0,
-            exact=True,
-            sigma_sq=noise.sigma_sq_bound,
-            sigma_factor=factor,
-            mean_total=total,
-            stderr_total=0.0,
-            bound=bound,
-            holds=bool(total <= bound + INEQUALITY_SLACK),
-            per_round_mean=tuple(per_round),
-            gamma1_eigs=eig_record,
-            failed_replications=0,
-        )
-
-    if replications < MONTE_CARLO_MIN_REPLICATIONS:
-        raise ValueError(
-            f"Monte Carlo needs >= {MONTE_CARLO_MIN_REPLICATIONS} replications, "
-            f"got {replications}"
-        )
-    engine = engine or EngineConfig(kind="particle")
-    per_round_sum = np.zeros(horizon)
-    totals: List[float] = []
-    failures = 0
-    for rep in range(replications):
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, rep]))
-        try:
-            theta = prior.sample(rng)
-            state = make_posterior(prior, noise, engine, rng=rng)
-            quads = np.zeros(horizon)
-            for t in range(horizon):
-                if action_rule == "adversarial":
-                    action = adversarial_action(state.covariance())
-                else:
-                    aset = action_generator.sample_round(rng)
-                    action = aset.argmax(state.sample(rng))
-                quads[t] = state.quad_form(action)
-                y = sample_reward(noise, float(action @ theta), rng)
-                state.update(action, y)
-        except DegenerateWeights:
-            failures += 1
-            continue
-        per_round_sum += quads
-        totals.append(float(quads.sum()))
-    if failures > REPLICATION_FAILURE_SHARE * replications:
-        raise DegenerateWeights(
-            f"{failures} of {replications} replications failed, "
-            f"over the {REPLICATION_FAILURE_SHARE:.0%} budget"
-        )
-    n = len(totals)
-    arr = np.asarray(totals)
-    mean_total = float(arr.mean())
-    stderr_total = float(arr.std(ddof=1) / np.sqrt(n))
-    return VerificationReport(
-        dim=gamma1.dim,
-        horizon=horizon,
-        replications=n,
-        exact=False,
-        sigma_sq=noise.sigma_sq_bound,
-        sigma_factor=factor,
-        mean_total=mean_total,
-        stderr_total=stderr_total,
-        bound=bound,
-        holds=bool(mean_total <= bound + 3.0 * stderr_total),
-        per_round_mean=tuple(per_round_sum / n),
-        gamma1_eigs=eig_record,
-        failed_replications=failures,
-    )

@@ -10,9 +10,8 @@ import json
 import os
 from typing import Dict, Iterable, List, Sequence
 
-from .harness import RunSummary
+from .harness import RunSummary, VerificationReport
 from .potential import (
-    VerificationReport,
     potential_bound,
     regret_bound,
     regret_bound_identity_cap,

@@ -233,6 +233,30 @@ def test_episode_rejects_bad_arguments():
                     policy="ucb")
 
 
+def test_adversarial_policy_plays_the_top_eigendirection_over_the_sphere():
+    # Bernoulli noise with a sphere generator never certifies; the
+    # adversarial policy skips that check and meets the means as it plays
+    prior = FiniteSupportPrior(
+        atoms=np.array([[0.2], [0.5], [0.9]]), weights=np.array([0.3, 0.4, 0.3])
+    )
+    engine = EngineConfig(kind="finite_support")
+    rng = np.random.default_rng(SEED)
+    result = run_episode(
+        prior, BernoulliMeanNoise(), UnitSphereGenerator(1), engine,
+        horizon=8, rng=rng, policy="adversarial", lam=None,
+    )
+    assert np.array_equal(result.actions, np.ones((8, 1)))
+    assert np.all(result.instant_regret == 0.0)
+    assert result.trace.classical is None
+    assert result.trace.sigma_quads == []
+    assert len(result.trace.gamma_quads) == 8
+    with pytest.raises(ValueError, match="unit sphere"):
+        run_episode(
+            prior, BernoulliMeanNoise(), FixedActionsGenerator(np.array([[1.0]])),
+            engine, horizon=8, rng=rng, policy="adversarial",
+        )
+
+
 def test_episode_failure_carries_round_index():
     failure = EpisodeFailure(7, RuntimeError("boom"))
     assert failure.round_index == 7

@@ -181,6 +181,37 @@ def test_potential_trace_mean_out_of_range_is_a_failed_run(tmp_path, capsys):
     assert err.startswith("run failed: Bernoulli mean must lie in [0, 1]")
 
 
+# Monte Carlo lints rule: signed atoms and signed arms leave the Bernoulli
+# mean range uncertified, as a regret experiment would be
+UNCERTIFIED_LINTS_YAML = """\
+potential:
+  horizon: 6
+  replications: 4
+  action_rule: lints
+prior:
+  kind: finite_support
+  atoms: [[0.5, -0.4], [0.2, 0.3]]
+  weights: [0.5, 0.5]
+noise:
+  kind: bernoulli_mean
+engine:
+  kind: finite_support
+actions:
+  kind: karmed_gaussian
+  k: 3
+"""
+
+
+def test_potential_trace_uncertified_lints_rule_is_a_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, "pot.yaml", UNCERTIFIED_LINTS_YAML)
+    code = main(["potential-trace", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: actions: cannot certify reward means in [0, 1]"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_potential_trace_monte_carlo_single_replication_is_a_config_error(
     tmp_path, capsys
 ):
@@ -309,6 +340,33 @@ def test_run_bandit_incompatible_engine_is_a_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(
         "config error: engine: finite_support requires a finite-support prior"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("policy", ["ucb", "adversarial"])
+def test_run_bandit_unknown_policy_is_a_config_error(tmp_path, capsys, policy):
+    # the episode loop plays the adversarial rule for the potential
+    # verifier, but a regret experiment takes only lints and greedy
+    text = BANDIT_YAML.replace(
+        "master_seed: 3\n", f"master_seed: 3\n  policy: {policy}\n"
+    )
+    cfg = write(tmp_path, "run.yaml", text)
+    code = main(["run-bandit", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: experiment: unknown policy '{policy}'"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_bandit_singular_conjugate_prior_is_a_config_error(tmp_path, capsys):
+    text = BANDIT_YAML.replace("[0.0, 1.0]]", "[0.0, 0.0]]")
+    cfg = write(tmp_path, "run.yaml", text)
+    code = main(["run-bandit", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: engine: gaussian_conjugate needs an invertible prior covariance"
     )
     assert not (tmp_path / "out").exists()
 

@@ -406,6 +406,24 @@ def test_potential_run_lints_with_actions():
     assert isinstance(run.actions, UnitSphereGenerator)
 
 
+def test_potential_run_lints_rule_certifies_the_mean_range():
+    doc = potential_doc()
+    doc["potential"]["action_rule"] = "lints"
+    doc["prior"] = {
+        "kind": "finite_support",
+        "atoms": [[0.5, -0.4], [0.2, 0.3]],
+        "weights": [0.5, 0.5],
+    }
+    doc["noise"] = {"kind": "bernoulli_mean"}
+    doc["engine"] = {"kind": "finite_support"}
+    doc["actions"] = {"kind": "karmed_gaussian", "k": 3}
+    with pytest.raises(ConfigError, match="actions: cannot certify"):
+        build_potential_run(doc)
+    # the adversarial rule keeps failing only if a mean leaves [0, 1]
+    doc["potential"]["action_rule"] = "adversarial"
+    assert build_potential_run(doc).action_rule == "adversarial"
+
+
 def test_potential_run_horizon_required():
     doc = potential_doc()
     del doc["potential"]["horizon"]

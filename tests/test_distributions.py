@@ -159,7 +159,7 @@ def test_bernoulli_noise_basics():
 
 def test_bernoulli_noise_mean_range():
     noise = BernoulliMeanNoise()
-    with pytest.raises(MeanOutOfRange):
+    with pytest.raises(MeanOutOfRange, match=r"\[0, 1\], got 1\.2$"):
         noise.likelihood(1.0, np.array([0.5, 1.2]))
     # rounding-level overshoot is clipped, not fatal
     got = noise.likelihood(1.0, np.array([1.0 + 1e-14]))

@@ -497,6 +497,18 @@ def test_make_posterior_compatibility():
 # ---------------------------------------------------------------------------
 
 
+def test_conjugate_engine_needs_an_invertible_prior_covariance():
+    prior = GaussianPrior(mean=np.zeros(2), cov=PsdMatrix(np.diag([1.0, 0.0])))
+    noise = GaussianNoise(sd=1.0)
+    with pytest.raises(IncompatibleEngine, match="invertible prior covariance"):
+        make_posterior(prior, noise, EngineConfig(kind="gaussian_conjugate"))
+    # the particle engine samples a singular Gaussian prior fine
+    rng = np.random.default_rng(SEED)
+    particle = EngineConfig(kind="particle", particles=8)
+    state = make_posterior(prior, noise, particle, rng=rng)
+    assert np.all(state.atoms[:, 1] == 0.0)
+
+
 def test_counterexample_prior_validation():
     with pytest.raises(ValueError):
         counterexample_prior(0.0)

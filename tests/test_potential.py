@@ -2,8 +2,11 @@
 
 The exact verifier merges outcome paths that reach the same posterior. It
 is checked against an unmerged enumeration of every path, written with
-plain lists, which shares only the adversarial action rule with it.
+plain lists, which shares only the adversarial action rule with it. The
+Monte Carlo verifier runs the package's episode loop; it is checked
+against a standalone per-round loop that shares only the engines with it.
 """
+import ast
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,15 +16,25 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ellipsim import potential
+from ellipsim.bandit import KArmedGaussianGenerator, UnitSphereGenerator, run_episode
 from ellipsim.distributions import (
     BernoulliMeanNoise,
     FiniteSupportPrior,
     GaussianNoise,
+    GaussianPrior,
+    MeanOutOfRange,
     UniformBallPrior,
     UniformCenteredNoise,
+    sample_reward,
 )
+from ellipsim.harness import verify_expected_potential
 from ellipsim.linalg import PsdMatrix, random_psd
-from ellipsim.posterior import DegenerateWeights, EngineConfig, counterexample_prior
+from ellipsim.posterior import (
+    DegenerateWeights,
+    EngineConfig,
+    counterexample_prior,
+    make_posterior,
+)
 from ellipsim.potential import (
     ClassicalPotential,
     PotentialTrace,
@@ -32,8 +45,8 @@ from ellipsim.potential import (
     potential_bound,
     ridge_potential_bound,
     sigma_factor,
-    verify_expected_potential,
 )
+from ellipsim.tolerances import EIGEN_TIE_REL
 
 SEED = 1789
 
@@ -122,6 +135,41 @@ def test_adversarial_action_sign_convention():
     gamma = PsdMatrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     a = adversarial_action(gamma)
     assert a[0] > 0
+
+
+def masked_adversarial_action(gamma):
+    """The adversarial rule written with a boolean mask and np.linalg.norm."""
+    eigvals, eigvecs = np.linalg.eigh(gamma.mat)
+    tol = EIGEN_TIE_REL * max(1.0, abs(eigvals[-1]))
+    basis = eigvecs[:, eigvals >= eigvals[-1] - tol]
+    if basis.shape[1] == 1:
+        v = basis[:, 0]
+    else:
+        idx = int(np.argmax(np.linalg.norm(basis, axis=1) > tol))
+        v = basis @ basis[idx]
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return np.eye(gamma.dim)[0]
+    v = v / norm
+    nz = np.nonzero(np.abs(v) > 1e-12)[0]
+    return -v if nz.size and v[nz[0]] < 0 else v
+
+
+def test_adversarial_action_matches_the_masked_form_bit_for_bit():
+    rng = np.random.default_rng(SEED)
+    gammas = []
+    for dim in (1, 2, 3, 5, 40):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        tied = rng.uniform(0.0, 1.0, dim)
+        tied[-2:] = 1.5
+        gammas += [random_psd(dim, 1.0, rng) for _ in range(20)]
+        gammas.append(PsdMatrix.unchecked(q @ np.diag(tied) @ q.T))
+        gammas.append(PsdMatrix.identity(dim))
+    for gamma in gammas:
+        got, want = adversarial_action(gamma), masked_adversarial_action(gamma)
+        assert np.array_equal(got, want) and np.array_equal(
+            np.signbit(got), np.signbit(want)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +385,130 @@ def test_monte_carlo_is_seed_deterministic():
     assert shifted.mean_total != first.mean_total
 
 
+def standalone_monte_carlo(
+    prior, noise, horizon, replications, master_seed, engine, rule, generator=None
+):
+    """Per-round quads of each replication, from a loop written out here.
+
+    Draws in the package's order: parameter, posterior state, then per
+    round the action set, the posterior sample (lints only) and the reward.
+    """
+    quads = np.zeros((replications, horizon))
+    for rep in range(replications):
+        rng = np.random.default_rng(np.random.SeedSequence([master_seed, rep]))
+        theta = prior.sample(rng)
+        state = make_posterior(prior, noise, engine, rng=rng)
+        for t in range(horizon):
+            if rule == "adversarial":
+                action = adversarial_action(state.covariance())
+            else:
+                action = generator.sample_round(rng).argmax(state.sample(rng))
+            quads[rep, t] = state.quad_form(action)
+            state.update(action, sample_reward(noise, float(action @ theta), rng))
+    return quads
+
+
+def _five_atom_prior(dim=3):
+    rng = np.random.default_rng(SEED)
+    atoms = rng.uniform(-1.0, 1.0, size=(5, dim))
+    atoms /= np.maximum(1.0, np.linalg.norm(atoms, axis=1))[:, None]
+    return FiniteSupportPrior(atoms=atoms, weights=rng.dirichlet(np.ones(5)))
+
+
+MONTE_CARLO_CASES = {
+    "adversarial_finite_support": dict(
+        prior=_five_atom_prior(),
+        noise=GaussianNoise(sd=0.5),
+        engine=EngineConfig(kind="finite_support"),
+        rule="adversarial",
+        generator=None,
+    ),
+    "lints_conjugate": dict(
+        prior=GaussianPrior(mean=np.zeros(3), cov=PsdMatrix.identity(3)),
+        noise=GaussianNoise(sd=0.7),
+        engine=EngineConfig(kind="gaussian_conjugate"),
+        rule="lints",
+        generator=KArmedGaussianGenerator(k=4, dim=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MONTE_CARLO_CASES.values(), ids=MONTE_CARLO_CASES)
+def test_monte_carlo_matches_a_standalone_loop(case):
+    horizon, replications, master_seed = 25, 12, 5
+    report = verify_expected_potential(
+        case["prior"],
+        case["noise"],
+        horizon=horizon,
+        replications=replications,
+        master_seed=master_seed,
+        engine=case["engine"],
+        action_rule=case["rule"],
+        action_generator=case["generator"],
+    )
+    quads = standalone_monte_carlo(
+        case["prior"],
+        case["noise"],
+        horizon,
+        replications,
+        master_seed,
+        case["engine"],
+        case["rule"],
+        case["generator"],
+    )
+    per_round_sum = np.zeros(horizon)
+    for row in quads:
+        per_round_sum += row
+    totals = quads.sum(axis=1)
+    assert not report.exact
+    assert report.replications == replications
+    assert np.array_equal(report.per_round_mean, per_round_sum / replications)
+    assert report.mean_total == float(totals.mean())
+    assert report.stderr_total == float(totals.std(ddof=1) / np.sqrt(replications))
+
+
+def test_monte_carlo_reads_the_quads_of_run_episode():
+    prior, noise = _five_atom_prior(), GaussianNoise(sd=0.5)
+    engine = EngineConfig(kind="finite_support")
+    report = verify_expected_potential(
+        prior, noise, horizon=10, replications=2, master_seed=3, engine=engine
+    )
+    episodes = [
+        run_episode(
+            prior,
+            noise,
+            UnitSphereGenerator(3),
+            engine,
+            10,
+            np.random.default_rng(np.random.SeedSequence([3, rep])),
+            policy="adversarial",
+            lam=None,
+        )
+        for rep in range(2)
+    ]
+    quads = [np.asarray(ep.trace.gamma_quads) for ep in episodes]
+    assert all(ep.trace.classical is None for ep in episodes)
+    assert np.array_equal(report.per_round_mean, (quads[0] + quads[1]) / 2)
+
+
+def test_monte_carlo_mean_out_of_range_surfaces_as_itself():
+    # past the exact limit the adversarial rule runs by Monte Carlo, and
+    # its signed eigendirections push a Bernoulli mean out of [0, 1]
+    atoms = np.array(
+        [[0.2, 0.1, 0.3], [0.5, 0.2, 0.1], [0.1, 0.4, 0.2], [0.3, 0.3, 0.3]]
+    )
+    prior = FiniteSupportPrior(atoms=atoms, weights=np.full(4, 0.25))
+    with pytest.raises(MeanOutOfRange) as info:
+        verify_expected_potential(
+            prior,
+            BernoulliMeanNoise(),
+            horizon=potential.EXACT_ENUMERATION_LIMIT + 1,
+            replications=2,
+            engine=EngineConfig(kind="finite_support"),
+        )
+    assert type(info.value) is MeanOutOfRange
+
+
 def test_monte_carlo_requires_two_replications():
     prior = UniformBallPrior(dim=2)
     with pytest.raises(ValueError, match="replications"):
@@ -370,3 +542,20 @@ def test_verification_report_serialization():
     assert payload["exact"] is True
     assert payload["mean_total"] == report.mean_total
     assert len(payload["per_round_mean"]) == 3
+
+
+def test_potential_imports_neither_bandit_nor_harness():
+    # both import potential; the Monte Carlo verifier lives in harness so
+    # that potential never needs them, not even inside a function
+    tree = ast.parse(open(potential.__file__, encoding="utf-8").read())
+    banned = {"bandit", "harness"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = (node.module or "").split(".")
+            names = [base] + [base + [alias.name] for alias in node.names]
+        else:
+            continue
+        for parts in names:
+            assert not banned & set(parts), ast.unparse(node)
