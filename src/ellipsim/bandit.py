@@ -225,10 +225,23 @@ class EpisodeResult:
         return float(self.cumulative_regret[-1])
 
 
-def _validate_mean_range(
-    prior: Prior, noise: Noise, generator: ActionSetGenerator
+def check_episode(
+    prior: Prior, noise: Noise, generator: ActionSetGenerator, policy: str
 ) -> None:
-    """Reject setups that cannot keep reward means inside the noise domain."""
+    """Reject an episode setup that :func:`run_episode` cannot play.
+
+    An unknown policy is a ``ValueError``, and so is the adversarial policy
+    over anything but a :class:`UnitSphereGenerator`. A sphere never
+    certifies a reward mean range, so only the other policies must keep
+    every reward mean inside the noise domain; otherwise
+    :class:`~ellipsim.distributions.MeanOutOfRange` is raised.
+    """
+    if policy == "adversarial":
+        if not isinstance(generator, UnitSphereGenerator):
+            raise ValueError("the adversarial policy plays over the unit sphere")
+        return
+    if policy not in ("lints", "greedy"):
+        raise ValueError(f"unknown policy {policy!r}")
     if not noise.requires_unit_interval_mean:
         return
     if not isinstance(prior, FiniteSupportPrior):
@@ -263,9 +276,8 @@ def run_episode(
 ) -> EpisodeResult:
     """Simulate one full episode and return its record.
 
-    ``policy`` is "lints", "greedy" or "adversarial"; the last plays over a
-    :class:`UnitSphereGenerator`, which never certifies a reward mean range,
-    so it skips that check. ``lam=None`` runs no ridge tracker.
+    ``policy`` is "lints", "greedy" or "adversarial"; :func:`check_episode`
+    says which setups each one plays. ``lam=None`` runs no ridge tracker.
 
     The draw order per round is fixed (action set, then policy sample,
     then reward), so a single generator yields reproducible episodes.
@@ -274,13 +286,7 @@ def run_episode(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if policy == "adversarial":
-        if not isinstance(generator, UnitSphereGenerator):
-            raise ValueError("the adversarial policy plays over the unit sphere")
-    elif policy in ("lints", "greedy"):
-        _validate_mean_range(prior, noise, generator)
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
+    check_episode(prior, noise, generator, policy)
 
     theta_star = prior.sample(rng)
     state = make_posterior(prior, noise, engine, rng=rng)

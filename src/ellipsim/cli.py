@@ -31,11 +31,22 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
+
+def _resolve_seed(flag: Optional[int], config_value: int) -> int:
+    if flag is None:
+        return config_value
+    if flag < 0:
+        raise ConfigError("--seed", f"must be >= 0, got {flag}")
+    return flag
+
+
 def _resolve_workers(flag: Optional[int], config_value: int) -> int:
     # precedence: flag, then environment, then config
-    if flag is not None:
-        return flag
-    return env_workers(default=config_value)
+    if flag is None:
+        return env_workers(default=config_value)
+    if flag < 1:
+        raise ConfigError("--workers", f"must be >= 1, got {flag}")
+    return flag
 
 
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:
@@ -46,8 +57,7 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
     else:
         sizes = {}
         seed = 0
-    if args.seed is not None:
-        seed = args.seed
+    seed = _resolve_seed(args.seed, seed)
     if args.instances is not None:
         if args.instances < 1:
             raise ConfigError("--instances", f"must be >= 1, got {args.instances}")
@@ -85,7 +95,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 
 def cmd_potential_trace(args: argparse.Namespace) -> int:
     cfg = build_potential_run(load_yaml(args.config))
-    seed = cfg.master_seed if args.seed is None else args.seed
+    seed = _resolve_seed(args.seed, cfg.master_seed)
     report = verify_expected_potential(
         cfg.prior,
         cfg.noise,
@@ -112,11 +122,11 @@ def cmd_potential_trace(args: argparse.Namespace) -> int:
 
 def cmd_run_bandit(args: argparse.Namespace) -> int:
     cfg = build_experiment(load_yaml(args.config))
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    overrides["workers"] = _resolve_workers(args.workers, cfg.workers)
-    cfg = dataclasses.replace(cfg, **overrides)
+    cfg = dataclasses.replace(
+        cfg,
+        master_seed=_resolve_seed(args.seed, cfg.master_seed),
+        workers=_resolve_workers(args.workers, cfg.workers),
+    )
     summary = run_experiment(cfg)
     out = args.out
     reporting.write_summary_json(os.path.join(out, "summary.json"), summary)
@@ -141,7 +151,7 @@ def cmd_run_bandit(args: argparse.Namespace) -> int:
 
 
 def cmd_acceptance(args: argparse.Namespace) -> int:
-    suite = acceptance_mod.run_acceptance_suite(seed=args.seed or 0)
+    suite = acceptance_mod.run_acceptance_suite(seed=_resolve_seed(args.seed, 0))
     print(suite.summary_text())
     return EXIT_OK if suite.all_passed else EXIT_CHECK_FAILED
 

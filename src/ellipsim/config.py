@@ -18,7 +18,7 @@ from .bandit import (
     FixedActionsGenerator,
     KArmedGaussianGenerator,
     UnitSphereGenerator,
-    _validate_mean_range,
+    check_episode,
 )
 from .distributions import (
     BernoulliMeanNoise,
@@ -277,6 +277,11 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
     if not isinstance(checks, Sequence) or isinstance(checks, str):
         raise ConfigError("experiment.bound_checks", "expected a list of check names")
     checks = tuple(_as_str(c, "experiment.bound_checks") for c in checks)
+    # the episode loop also plays the verifier's adversarial rule, but a
+    # regret experiment takes only these two
+    policy = _as_str(exp.get("policy", "lints"), "experiment.policy")
+    if policy not in ("lints", "greedy"):
+        raise ConfigError("experiment", f"unknown policy {policy!r}")
 
     try:
         return ExperimentConfig(
@@ -290,7 +295,7 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
             ),
             master_seed=_as_int(exp.get("master_seed", 0), "experiment.master_seed"),
             workers=_as_int(exp.get("workers", 1), "experiment.workers"),
-            policy=_as_str(exp.get("policy", "lints"), "experiment.policy"),
+            policy=policy,
             lam=_as_float(exp.get("lam", 1.0), "experiment.lam"),
             bound_checks=checks,
         )
@@ -322,6 +327,8 @@ def build_lemma_run(doc: Mapping) -> LemmaRunConfig:
                 )
             sizes[name] = count
     seed = _as_int(sec.get("seed", 0), "lemmas.seed")
+    if seed < 0:
+        raise ConfigError("lemmas.seed", f"must be >= 0, got {seed}")
     return LemmaRunConfig(sizes=sizes, seed=seed)
 
 
@@ -353,14 +360,19 @@ def build_potential_run(doc: Mapping) -> PotentialRunConfig:
     if rule not in ("adversarial", "lints"):
         raise ConfigError("potential.action_rule", f"unknown action rule {rule!r}")
     actions = None
-    if "actions" in doc:
-        actions = build_actions(_section(doc, "actions"), prior.dim)
-    if rule == "lints" and actions is None:
+    if rule == "adversarial":
+        # the rule plays over the unit sphere, which never certifies a mean
+        # range: it is checked as it runs
+        if "actions" in doc:
+            raise ConfigError(
+                "actions", "the adversarial action rule takes no actions section"
+            )
+    elif "actions" not in doc:
         raise ConfigError("actions", "the lints action rule needs an actions section")
-    if rule == "lints":
-        # the adversarial rule's unit sphere never certifies: it is checked as it runs
+    else:
+        actions = build_actions(_section(doc, "actions"), prior.dim)
         try:
-            _validate_mean_range(prior, noise, actions)
+            check_episode(prior, noise, actions, rule)
         except MeanOutOfRange as exc:
             raise ConfigError("actions", str(exc)) from exc
     horizon = _as_int(_require(sec, "horizon", "potential"), "potential.horizon")
@@ -369,6 +381,11 @@ def build_potential_run(doc: Mapping) -> PotentialRunConfig:
     )
     if horizon < 1:
         raise ConfigError("potential.horizon", f"must be >= 1, got {horizon}")
+    master_seed = _as_int(sec.get("master_seed", 0), "potential.master_seed")
+    if master_seed < 0:
+        raise ConfigError(
+            "potential.master_seed", f"must be >= 0, got {master_seed}"
+        )
     # the exact path always enumerates with finite_support: only the Monte
     # Carlo path runs the configured engine and replications
     if not exact_path_applies(prior, noise, horizon, rule):
@@ -385,7 +402,7 @@ def build_potential_run(doc: Mapping) -> PotentialRunConfig:
         engine=engine,
         horizon=horizon,
         replications=replications,
-        master_seed=_as_int(sec.get("master_seed", 0), "potential.master_seed"),
+        master_seed=master_seed,
         action_rule=rule,
         actions=actions,
     )

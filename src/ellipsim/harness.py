@@ -1,14 +1,14 @@
 """Replicated experiments, the expected-potential verifier and their results.
 
-Runs many independent episodes, each seeded from (master_seed,
-replication index), and reduces them in canonical index order so results
-are byte-for-byte reproducible regardless of worker count. Summaries
-carry the regret and potential curves, the analytic bound values and
-one-sided pass flags with Monte Carlo slack of three standard errors.
-
-The expected-potential verifier compares E[sum of a.T Gamma_t a] with its
-log-det bound, exactly over the outcome lattice of :mod:`ellipsim.potential`
-or as a Monte Carlo mean over :func:`~ellipsim.bandit.run_episode` episodes.
+Both jobs replicate :func:`~ellipsim.bandit.run_episode` through one
+driver, :func:`_run_replications`, which seeds each episode from
+(master_seed, replication index), applies one failure rule and returns
+episodes in index order, so results never depend on the worker count.
+Regret summaries carry the regret and potential curves, the analytic
+bound values and one-sided pass flags with Monte Carlo slack of three
+standard errors. The verifier compares E[sum of a.T Gamma_t a] with its
+log-det bound, exactly over the outcome lattice of
+:mod:`ellipsim.potential` or by Monte Carlo.
 """
 from __future__ import annotations
 
@@ -24,11 +24,11 @@ from .bandit import (
     ActionSetGenerator,
     EpisodeFailure,
     UnitSphereGenerator,
-    _validate_mean_range,
+    check_episode,
     run_episode,
 )
 from .distributions import Noise, Prior
-from .linalg import PsdMatrix, psd_order_holds
+from .linalg import CholeskyFailure, PsdMatrix, psd_order_holds
 from .posterior import DegenerateWeights, EngineConfig
 from .potential import (
     _exact_potential,
@@ -58,7 +58,10 @@ class ExcessiveFailures(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.
+
+    Any episode :func:`~ellipsim.bandit.run_episode` plays, ``lam=None`` too.
+    """
 
     prior: Prior
     noise: Noise
@@ -69,7 +72,7 @@ class ExperimentConfig:
     master_seed: int = 0
     workers: int = 1
     policy: str = "lints"
-    lam: float = 1.0
+    lam: Optional[float] = 1.0
     bound_checks: Tuple[str, ...] = KNOWN_CHECKS
 
     def __post_init__(self):
@@ -83,14 +86,12 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.policy not in ("lints", "greedy"):
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if not self.lam >= 1.0:
+        if self.lam is not None and not self.lam >= 1.0:
             raise ValueError(f"lam must be >= 1, got {self.lam}")
         unknown = set(self.bound_checks) - set(KNOWN_CHECKS)
         if unknown:
             raise ValueError(f"unknown bound checks: {sorted(unknown)}")
-        _validate_mean_range(self.prior, self.noise, self.actions)
+        check_episode(self.prior, self.noise, self.actions, self.policy)
 
 
 @dataclass
@@ -147,7 +148,10 @@ class RunSummary:
 
 
 def _replicate(cfg: ExperimentConfig, rep: int) -> Dict:
-    """Run one replication; returns reduced arrays or an error record."""
+    """Run one replication; returns reduced arrays or an error record.
+
+    Only a degraded engine gives a record; other episode errors are raised.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, rep]))
     try:
         episode = run_episode(
@@ -161,6 +165,8 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> Dict:
             lam=cfg.lam,
         )
     except EpisodeFailure as exc:
+        if not isinstance(exc.cause, (DegenerateWeights, CholeskyFailure)):
+            raise exc.cause from None
         return {
             "replication": rep,
             "round": exc.round_index,
@@ -169,16 +175,44 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> Dict:
         }
     trace = episode.trace
     return {
-        "replication": rep,
         "cumulative_regret": episode.cumulative_regret,
         "gamma_quads": np.asarray(trace.gamma_quads),
         "sigma_sum": trace.sigma_sum,
-        "sigma_logdet_rhs": trace.classical.logdet_bound(),
+        "sigma_logdet_rhs": (
+            None if trace.classical is None else trace.classical.logdet_bound()
+        ),
     }
 
 
-def _replicate_star(args: Tuple[ExperimentConfig, int]) -> Dict:
-    return _replicate(*args)
+def _run_replications(cfg: ExperimentConfig) -> Tuple[List[Dict], List[Dict]]:
+    """Run every replication in index order; returns (successes, failures).
+
+    Past ``REPLICATION_FAILURE_SHARE`` failures raise :class:`ExcessiveFailures`.
+    """
+    reps = range(cfg.replications)
+    if cfg.workers > 1:
+        chunk = max(1, cfg.replications // (cfg.workers * 4))
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            raw = list(pool.map(partial(_replicate, cfg), reps, chunksize=chunk))
+    else:
+        raw = [_replicate(cfg, rep) for rep in reps]
+    failures = [r for r in raw if "error_type" in r]
+    successes = [r for r in raw if "error_type" not in r]
+    if len(failures) > REPLICATION_FAILURE_SHARE * cfg.replications:
+        raise ExcessiveFailures(
+            f"{len(failures)} of {cfg.replications} replications failed; "
+            f"first: {failures[0]['error_type']}: {failures[0]['message']}"
+        )
+    return successes, failures
+
+
+def _potential_stats(successes: List[Dict]) -> Tuple[np.ndarray, float, float]:
+    """Per-round mean quad form, mean per-replication total and its stderr."""
+    gammas = np.stack([r["gamma_quads"] for r in successes])
+    totals = gammas.sum(axis=1)
+    n = len(successes)
+    stderr = float(totals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return gammas.mean(axis=0), float(totals.mean()), stderr
 
 
 def _curve_ts(horizon: int) -> np.ndarray:
@@ -193,39 +227,20 @@ def run_experiment(
 ) -> RunSummary:
     """Run all replications of an experiment and reduce them.
 
-    Replications failing with engine or noise errors are recorded and
-    tolerated up to ``REPLICATION_FAILURE_SHARE`` of the total; beyond
-    that the experiment raises :class:`ExcessiveFailures`. The reduction
-    always walks replications in index order, so worker count never
-    changes results.
+    Failures follow :func:`_run_replications`. The reduction walks
+    replications in index order, so worker count never changes results.
+    The eq1 check needs the ridge tracker, so ``cfg.lam`` must be set.
     """
+    if cfg.lam is None:
+        raise ValueError("run_experiment reports eq1 and needs a ridge lam")
     start = time.perf_counter()
     if config_echo is None:
         from .config import experiment_to_dict
 
         config_echo = experiment_to_dict(cfg)
 
-    jobs = [(cfg, rep) for rep in range(cfg.replications)]
-    if cfg.workers > 1:
-        chunk = max(1, cfg.replications // (cfg.workers * 4))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            raw = list(pool.map(_replicate_star, jobs, chunksize=chunk))
-    else:
-        raw = [_replicate(cfg, rep) for cfg, rep in jobs]
-    raw.sort(key=lambda r: r["replication"])
-
-    failures = [r for r in raw if "error_type" in r]
-    successes = [r for r in raw if "error_type" not in r]
-    if len(failures) > REPLICATION_FAILURE_SHARE * cfg.replications:
-        raise ExcessiveFailures(
-            f"{len(failures)} of {cfg.replications} replications failed; "
-            f"first: {failures[0]['error_type']}: {failures[0]['message']}"
-        )
-    if not successes:
-        raise ExcessiveFailures("no replications completed")
-
+    successes, failures = _run_replications(cfg)
     regret = np.stack([r["cumulative_regret"] for r in successes])
-    gammas = np.stack([r["gamma_quads"] for r in successes])
     n = regret.shape[0]
 
     ts = _curve_ts(cfg.horizon)
@@ -236,12 +251,8 @@ def run_experiment(
         stderr_regret = regret.std(axis=0, ddof=1) / np.sqrt(n)
     else:
         stderr_regret = np.zeros_like(mean_regret)
-    mean_gamma = gammas.mean(axis=0)
+    mean_gamma, potential_mean, potential_stderr = _potential_stats(successes)
     running_gamma = np.cumsum(mean_gamma)
-
-    totals = gammas.sum(axis=1)
-    potential_mean = float(totals.mean())
-    potential_stderr = float(totals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
     _, gamma1 = cfg.prior.moments()
     eigs = gamma1_eigs(gamma1)
@@ -365,17 +376,13 @@ def verify_expected_potential(
 
     Uses the exact outcome lattice when
     :func:`~ellipsim.potential.exact_path_applies`; otherwise averages the
-    posterior quadratic forms of :func:`~ellipsim.bandit.run_episode`
-    runs, with no ridge tracker, seeded from (master_seed, replication
-    index). ``action_rule`` is "adversarial" (top eigendirection of the
-    posterior covariance, over the unit sphere) or "lints" (posterior
-    sampling over sets drawn from ``action_generator``).
-
-    Replications whose posterior weights vanish count against
-    ``REPLICATION_FAILURE_SHARE``, beyond which :class:`DegenerateWeights`
-    is raised; any other episode error is raised as itself. The pass
-    criterion is mean <= bound + 3 * stderr, with stderr zero on the
-    exact path.
+    posterior quadratic forms of replicated episodes with no ridge tracker,
+    through the same driver and failure rule as :func:`run_experiment`
+    (degraded engines count in ``failed_replications``). ``action_rule`` is
+    "adversarial" (top eigendirection of the posterior covariance, over the
+    unit sphere, with no ``action_generator``) or "lints" (posterior
+    sampling over sets drawn from ``action_generator``). The pass criterion
+    is mean <= bound + 3 * stderr, with stderr zero on the exact path.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -383,6 +390,8 @@ def verify_expected_potential(
         raise ValueError(f"unknown action rule {action_rule!r}")
     if action_rule == "lints" and action_generator is None:
         raise ValueError("the lints action rule needs an action generator")
+    if action_rule == "adversarial" and action_generator is not None:
+        raise ValueError("the adversarial action rule takes no action generator")
 
     _, gamma1 = prior.moments()
     factor = sigma_factor(noise.sigma_sq_bound)
@@ -414,48 +423,28 @@ def verify_expected_potential(
             f"Monte Carlo needs >= {MONTE_CARLO_MIN_REPLICATIONS} replications, "
             f"got {replications}"
         )
-    engine = engine or EngineConfig(kind="particle")
     if action_rule == "adversarial":
         action_generator = UnitSphereGenerator(gamma1.dim)
-    per_round_sum = np.zeros(horizon)
-    totals: List[float] = []
-    failures = 0
-    for rep in range(replications):
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, rep]))
-        try:
-            episode = run_episode(
-                prior,
-                noise,
-                action_generator,
-                engine,
-                horizon,
-                rng,
-                policy=action_rule,
-                lam=None,
-            )
-        except EpisodeFailure as exc:
-            if not isinstance(exc.cause, DegenerateWeights):
-                raise exc.cause from None
-            failures += 1
-            continue
-        quads = np.asarray(episode.trace.gamma_quads)
-        per_round_sum += quads
-        totals.append(float(quads.sum()))
-    if failures > REPLICATION_FAILURE_SHARE * replications:
-        raise DegenerateWeights(
-            f"{failures} of {replications} replications failed, "
-            f"over the {REPLICATION_FAILURE_SHARE:.0%} budget"
+    successes, failures = _run_replications(
+        ExperimentConfig(
+            prior=prior,
+            noise=noise,
+            engine=engine or EngineConfig(kind="particle"),
+            actions=action_generator,
+            horizon=horizon,
+            replications=replications,
+            master_seed=master_seed,
+            policy=action_rule,
+            lam=None,
         )
-    n = len(totals)
-    arr = np.asarray(totals)
-    mean_total = float(arr.mean())
-    stderr_total = float(arr.std(ddof=1) / np.sqrt(n))
+    )
+    per_round, mean_total, stderr_total = _potential_stats(successes)
     return report(
-        replications=n,
+        replications=len(successes),
         exact=False,
         mean_total=mean_total,
         stderr_total=stderr_total,
         holds=bool(mean_total <= bound + 3.0 * stderr_total),
-        per_round_mean=tuple(per_round_sum / n),
-        failed_replications=failures,
+        per_round_mean=tuple(per_round),
+        failed_replications=len(failures),
     )

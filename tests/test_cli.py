@@ -234,6 +234,20 @@ def test_potential_trace_incompatible_engine_is_a_config_error(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+def test_potential_trace_adversarial_rule_with_actions_is_a_config_error(
+    tmp_path, capsys
+):
+    # the adversarial rule plays over the unit sphere and would ignore it
+    text = POTENTIAL_YAML + "actions:\n  kind: karmed_gaussian\n  k: 2\n"
+    cfg = write(tmp_path, "pot.yaml", text)
+    code = main(["potential-trace", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: actions: the adversarial action rule takes no actions section"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_potential_trace_missing_config(capsys):
     code = main(["potential-trace", "--config", "/nonexistent.yaml"])
     assert code == EXIT_CONFIG
@@ -383,6 +397,47 @@ def test_run_bandit_unknown_config_key(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # parser surface
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["run-bandit", "--config", "{run}", "--workers", "0"], "--workers"),
+        (["run-bandit", "--config", "{run}", "--seed", "-1"], "--seed"),
+        (["potential-trace", "--config", "{pot}", "--seed", "-1"], "--seed"),
+        (["verify-lemmas", "--seed", "-1"], "--seed"),
+        (["acceptance", "--seed", "-1"], "--seed"),
+        (["verify-lemmas", "--config", "{lemmas}"], "lemmas.seed"),
+        (["potential-trace", "--config", "{bad_pot}"], "potential.master_seed"),
+    ],
+    ids=[
+        "run-bandit-workers-flag",
+        "run-bandit-seed-flag",
+        "potential-trace-seed-flag",
+        "verify-lemmas-seed-flag",
+        "acceptance-seed-flag",
+        "lemmas-seed",
+        "potential-master-seed",
+    ],
+)
+def test_negative_seed_or_zero_workers_is_a_config_error(tmp_path, capsys, argv, field):
+    paths = {
+        "run": write(tmp_path, "run.yaml", BANDIT_YAML),
+        "pot": write(tmp_path, "pot.yaml", POTENTIAL_YAML),
+        "lemmas": write(tmp_path, "lemmas.yaml", "lemmas:\n  seed: -3\n"),
+        "bad_pot": write(
+            tmp_path,
+            "bad_pot.yaml",
+            POTENTIAL_YAML.replace("master_seed: 11", "master_seed: -2"),
+        ),
+    }
+    argv = [arg.format(**paths) for arg in argv]
+    if argv[0] in ("run-bandit", "potential-trace"):
+        argv += ["--out", str(tmp_path / "out")]
+    code = main(argv)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {field}: must be >= ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_subcommand_is_usage_error(capsys):

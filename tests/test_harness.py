@@ -1,9 +1,16 @@
+import ast
+
 import numpy as np
 import pytest
 
 import ellipsim.harness as harness_mod
-from ellipsim.bandit import KArmedGaussianGenerator
-from ellipsim.distributions import FiniteSupportPrior, GaussianNoise, GaussianPrior
+from ellipsim.bandit import EpisodeFailure, KArmedGaussianGenerator, UnitSphereGenerator
+from ellipsim.distributions import (
+    FiniteSupportPrior,
+    GaussianNoise,
+    GaussianPrior,
+    MeanOutOfRange,
+)
 from ellipsim.harness import (
     ExcessiveFailures,
     ExperimentConfig,
@@ -41,6 +48,19 @@ def test_config_validation():
         small_config(bound_checks=("eq1", "eq99"))
     with pytest.raises(ValueError, match="lam must be >= 1"):
         small_config(lam=0.5)
+
+
+def test_config_describes_the_verifier_episodes():
+    # the adversarial rule with no ridge tracker, as the potential verifier runs it
+    cfg = small_config(policy="adversarial", actions=UnitSphereGenerator(2), lam=None)
+    assert cfg.lam is None
+    with pytest.raises(ValueError, match="unit sphere"):
+        small_config(policy="adversarial")
+    with pytest.raises(ValueError, match="unknown policy"):
+        small_config(policy="ucb")
+    # a regret experiment reports eq1, which needs the ridge tracker
+    with pytest.raises(ValueError, match="ridge lam"):
+        run_experiment(cfg)
 
 
 def test_run_experiment_basic_shape():
@@ -157,6 +177,31 @@ def test_failure_budget_aborts_run(monkeypatch):
     monkeypatch.setattr(harness_mod, "_replicate", sometimes_broken)
     with pytest.raises(ExcessiveFailures, match="failed"):
         run_experiment(small_config())
+
+
+def test_episode_error_other_than_engine_degradation_is_raised_as_itself(
+    monkeypatch,
+):
+    def out_of_range(*args, **kwargs):
+        raise EpisodeFailure(3, MeanOutOfRange("Bernoulli mean must lie in [0, 1]"))
+
+    monkeypatch.setattr(harness_mod, "run_episode", out_of_range)
+    with pytest.raises(MeanOutOfRange) as info:
+        run_experiment(small_config())
+    assert type(info.value) is MeanOutOfRange
+
+
+def test_harness_has_one_replication_loop():
+    # both Monte Carlo jobs go through _run_replications: one episode call
+    # and one per-replication seed in the whole module
+    tree = ast.parse(open(harness_mod.__file__, encoding="utf-8").read())
+    called = [
+        ast.unparse(node.func).rsplit(".", 1)[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+    assert called.count("run_episode") == 1
+    assert called.count("SeedSequence") == 1
 
 
 def test_curve_subsampling_above_limit():

@@ -15,8 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ellipsim import potential
-from ellipsim.bandit import KArmedGaussianGenerator, UnitSphereGenerator, run_episode
+from ellipsim import harness, potential
+from ellipsim.bandit import (
+    EpisodeFailure,
+    KArmedGaussianGenerator,
+    UnitSphereGenerator,
+    run_episode,
+)
 from ellipsim.distributions import (
     BernoulliMeanNoise,
     FiniteSupportPrior,
@@ -27,10 +32,9 @@ from ellipsim.distributions import (
     UniformCenteredNoise,
     sample_reward,
 )
-from ellipsim.harness import verify_expected_potential
-from ellipsim.linalg import PsdMatrix, random_psd
+from ellipsim.harness import ExcessiveFailures, verify_expected_potential
+from ellipsim.linalg import CholeskyFailure, PsdMatrix, random_psd
 from ellipsim.posterior import (
-    DegenerateWeights,
     EngineConfig,
     counterexample_prior,
     make_posterior,
@@ -521,13 +525,46 @@ def test_monte_carlo_failure_budget_trips():
     # boxcar noise starves a sparse particle cloud of any surviving weight
     prior = UniformBallPrior(dim=1)
     noise = UniformCenteredNoise(half_width=0.005)
-    with pytest.raises(DegenerateWeights):
+    with pytest.raises(ExcessiveFailures, match="DegenerateWeights"):
         verify_expected_potential(
             prior,
             noise,
             horizon=2,
             replications=10,
             engine=EngineConfig(kind="particle", particles=20),
+        )
+
+
+def test_monte_carlo_counts_a_cholesky_failure_against_the_budget(monkeypatch):
+    episode = harness.run_episode
+    calls = []
+
+    def fifth_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:
+            raise EpisodeFailure(2, CholeskyFailure("synthetic failure"))
+        return episode(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_episode", fifth_fails)
+    report = verify_expected_potential(
+        _five_atom_prior(),
+        GaussianNoise(sd=0.5),
+        horizon=3,
+        replications=200,
+        engine=EngineConfig(kind="finite_support"),
+    )
+    assert report.failed_replications == 1
+    assert report.replications == 199
+
+
+def test_adversarial_rule_takes_no_action_generator():
+    with pytest.raises(ValueError, match="no action generator"):
+        verify_expected_potential(
+            UniformBallPrior(dim=2),
+            GaussianNoise(sd=1.0),
+            horizon=3,
+            replications=4,
+            action_generator=KArmedGaussianGenerator(k=2, dim=2),
         )
 
 
