@@ -11,13 +11,15 @@ Carlo error at all; everything else is averaged over seeded episodes.
 """
 import numpy as np
 
+from ellipsim.bandit import UnitSphereGenerator
 from ellipsim.distributions import (
     FiniteSupportPrior,
     BernoulliMeanNoise,
     GaussianNoise,
     UniformBallPrior,
 )
-from ellipsim.harness import verify_expected_potential
+from ellipsim.harness import ExperimentConfig, verify_expected_potential
+from ellipsim.posterior import EngineConfig
 
 # exact path: three scalar atoms, Bernoulli rewards, horizon 8. Scalar
 # atoms keep every probed mean inside [0, 1] whatever the adversary does
@@ -26,7 +28,15 @@ prior = FiniteSupportPrior(
     weights=np.array([0.5, 0.3, 0.2]),
 )
 report = verify_expected_potential(
-    prior, BernoulliMeanNoise(), horizon=8, replications=0
+    ExperimentConfig(
+        prior=prior,
+        noise=BernoulliMeanNoise(),
+        engine=EngineConfig(kind="finite_support"),
+        actions=UnitSphereGenerator(dim=1),
+        horizon=8,
+        replications=1,
+        policy="adversarial",
+    )
 )
 print("exact enumeration, finite prior + Bernoulli rewards")
 print(f"  outcome tree depth   : {report.horizon}")
@@ -38,11 +48,16 @@ print()
 
 # Monte Carlo path: continuous prior, no enumeration possible
 report = verify_expected_potential(
-    UniformBallPrior(dim=3),
-    GaussianNoise(sd=1.0),
-    horizon=40,
-    replications=400,
-    master_seed=0,
+    ExperimentConfig(
+        prior=UniformBallPrior(dim=3),
+        noise=GaussianNoise(sd=1.0),
+        engine=EngineConfig(kind="particle"),
+        actions=UnitSphereGenerator(dim=3),
+        horizon=40,
+        replications=400,
+        master_seed=0,
+        policy="adversarial",
+    )
 )
 print("Monte Carlo, uniform-ball prior + Gaussian noise, 400 episodes")
 print(f"  mean potential sum   : {report.mean_total:.4f}")

@@ -231,7 +231,8 @@ def check_episode(
     """Reject an episode setup that :func:`run_episode` cannot play.
 
     An unknown policy is a ``ValueError``, and so is the adversarial policy
-    over anything but a :class:`UnitSphereGenerator`. A sphere never
+    over anything but a :class:`UnitSphereGenerator`. Mean-restricted noise
+    needs a finite-support prior under every policy. A sphere never
     certifies a reward mean range, so only the other policies must keep
     every reward mean inside the noise domain; otherwise
     :class:`~ellipsim.distributions.MeanOutOfRange` is raised.
@@ -239,8 +240,7 @@ def check_episode(
     if policy == "adversarial":
         if not isinstance(generator, UnitSphereGenerator):
             raise ValueError("the adversarial policy plays over the unit sphere")
-        return
-    if policy not in ("lints", "greedy"):
+    elif policy not in ("lints", "greedy"):
         raise ValueError(f"unknown policy {policy!r}")
     if not noise.requires_unit_interval_mean:
         return
@@ -249,6 +249,8 @@ def check_episode(
             "mean-restricted noise needs a finite-support prior so the "
             "reward means can be bounded in advance"
         )
+    if policy == "adversarial":
+        return
     if isinstance(generator, FixedActionsGenerator):
         products = prior.atoms @ generator._set.actions.T
         if np.any(products < -NORM_SLACK) or np.any(products > 1.0 + NORM_SLACK):

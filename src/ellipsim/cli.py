@@ -95,17 +95,10 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 
 def cmd_potential_trace(args: argparse.Namespace) -> int:
     cfg = build_potential_run(load_yaml(args.config))
-    seed = _resolve_seed(args.seed, cfg.master_seed)
-    report = verify_expected_potential(
-        cfg.prior,
-        cfg.noise,
-        horizon=cfg.horizon,
-        replications=cfg.replications,
-        master_seed=seed,
-        engine=cfg.engine,
-        action_rule=cfg.action_rule,
-        action_generator=cfg.actions,
+    cfg = dataclasses.replace(
+        cfg, master_seed=_resolve_seed(args.seed, cfg.master_seed)
     )
+    report = verify_expected_potential(cfg)
     out = args.out
     reporting.write_potential_csv_from_report(
         os.path.join(out, "potential.csv"), report

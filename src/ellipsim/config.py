@@ -3,12 +3,15 @@
 The schema is strict: unknown keys are rejected and every error carries
 the dotted field path it refers to, so a typo in a nested section fails
 fast with a usable message instead of silently running defaults.
+The ``experiment`` section of ``run-bandit`` and the ``potential`` section
+of ``potential-trace`` share one section parser, and both build a
+:class:`~ellipsim.harness.ExperimentConfig`.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
@@ -18,7 +21,6 @@ from .bandit import (
     FixedActionsGenerator,
     KArmedGaussianGenerator,
     UnitSphereGenerator,
-    check_episode,
 )
 from .distributions import (
     BernoulliMeanNoise,
@@ -211,13 +213,6 @@ def build_engine(section: Optional[Mapping], path: str = "engine") -> EngineConf
         raise ConfigError(path, str(exc)) from exc
 
 
-def _check_engine(prior: Prior, noise: Noise, engine: EngineConfig) -> None:
-    try:
-        check_engine_compatible(prior, noise, engine)
-    except IncompatibleEngine as exc:
-        raise ConfigError("engine", str(exc)) from exc
-
-
 def build_actions(
     section: Mapping, dim: int, path: str = "actions"
 ) -> ActionSetGenerator:
@@ -262,15 +257,39 @@ _EXPERIMENT_KEYS = (
 )
 
 
-def build_experiment(doc: Mapping) -> ExperimentConfig:
-    """Assemble a full experiment from a parsed config document."""
-    _check_keys(doc, ("experiment", "prior", "noise", "engine", "actions"), "<root>")
-    exp = _section(doc, "experiment")
-    _check_keys(exp, _EXPERIMENT_KEYS, "experiment")
+def _parse_sections(
+    doc: Mapping, job: str, job_keys: Sequence[str]
+) -> Tuple[Mapping, Prior, Noise, EngineConfig]:
+    """The job section, prior, noise and an engine that can represent them."""
+    _check_keys(doc, (job, "prior", "noise", "engine", "actions"), "<root>")
+    sec = _section(doc, job)
+    _check_keys(sec, job_keys, job)
     prior = build_prior(_section(doc, "prior"))
     noise = build_noise(_section(doc, "noise"))
     engine = build_engine(_section(doc, "engine", required=False))
-    _check_engine(prior, noise, engine)
+    try:
+        check_engine_compatible(prior, noise, engine)
+    except IncompatibleEngine as exc:
+        raise ConfigError("engine", str(exc)) from exc
+    return sec, prior, noise, engine
+
+
+def _experiment_config(
+    path: str, mean_path: Optional[str] = None, **fields: Any
+) -> ExperimentConfig:
+    """``ExperimentConfig(**fields)``, refused as a :class:`ConfigError` on
+    ``path``, or on ``mean_path`` when a reward mean range is uncertified."""
+    try:
+        return ExperimentConfig(**fields)
+    except MeanOutOfRange as exc:
+        raise ConfigError(mean_path or path, str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def build_experiment(doc: Mapping) -> ExperimentConfig:
+    """Assemble a full experiment from a parsed config document."""
+    exp, prior, noise, engine = _parse_sections(doc, "experiment", _EXPERIMENT_KEYS)
     actions = build_actions(_section(doc, "actions"), prior.dim)
 
     checks = exp.get("bound_checks", list(KNOWN_CHECKS))
@@ -283,26 +302,22 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
     if policy not in ("lints", "greedy"):
         raise ConfigError("experiment", f"unknown policy {policy!r}")
 
-    try:
-        return ExperimentConfig(
-            prior=prior,
-            noise=noise,
-            engine=engine,
-            actions=actions,
-            horizon=_as_int(_require(exp, "horizon", "experiment"), "experiment.horizon"),
-            replications=_as_int(
-                _require(exp, "replications", "experiment"), "experiment.replications"
-            ),
-            master_seed=_as_int(exp.get("master_seed", 0), "experiment.master_seed"),
-            workers=_as_int(exp.get("workers", 1), "experiment.workers"),
-            policy=policy,
-            lam=_as_float(exp.get("lam", 1.0), "experiment.lam"),
-            bound_checks=checks,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("experiment", str(exc)) from exc
+    return _experiment_config(
+        "experiment",
+        prior=prior,
+        noise=noise,
+        engine=engine,
+        actions=actions,
+        horizon=_as_int(_require(exp, "horizon", "experiment"), "experiment.horizon"),
+        replications=_as_int(
+            _require(exp, "replications", "experiment"), "experiment.replications"
+        ),
+        master_seed=_as_int(exp.get("master_seed", 0), "experiment.master_seed"),
+        workers=_as_int(exp.get("workers", 1), "experiment.workers"),
+        policy=policy,
+        lam=_as_float(exp.get("lam", 1.0), "experiment.lam"),
+        bound_checks=checks,
+    )
 
 
 @dataclass(frozen=True)
@@ -332,80 +347,51 @@ def build_lemma_run(doc: Mapping) -> LemmaRunConfig:
     return LemmaRunConfig(sizes=sizes, seed=seed)
 
 
-@dataclass(frozen=True, eq=False)
-class PotentialRunConfig:
-    prior: Prior
-    noise: Noise
-    engine: EngineConfig
-    horizon: int
-    replications: int
-    master_seed: int
-    action_rule: str
-    actions: Optional[ActionSetGenerator]
-
-
-def build_potential_run(doc: Mapping) -> PotentialRunConfig:
-    """Configuration for the expected-potential verifier."""
-    _check_keys(doc, ("potential", "prior", "noise", "engine", "actions"), "<root>")
-    sec = _section(doc, "potential")
-    _check_keys(
-        sec,
-        ("horizon", "replications", "master_seed", "action_rule"),
-        "potential",
+def build_potential_run(doc: Mapping) -> ExperimentConfig:
+    """The expected-potential verifier's run: ``policy`` is the action rule,
+    ``lam=None``, and the adversarial rule plays over the unit sphere."""
+    sec, prior, noise, engine = _parse_sections(
+        doc, "potential", ("horizon", "replications", "master_seed", "action_rule")
     )
-    prior = build_prior(_section(doc, "prior"))
-    noise = build_noise(_section(doc, "noise"))
-    engine = build_engine(_section(doc, "engine", required=False))
     rule = _as_str(sec.get("action_rule", "adversarial"), "potential.action_rule")
     if rule not in ("adversarial", "lints"):
         raise ConfigError("potential.action_rule", f"unknown action rule {rule!r}")
-    actions = None
     if rule == "adversarial":
-        # the rule plays over the unit sphere, which never certifies a mean
-        # range: it is checked as it runs
         if "actions" in doc:
             raise ConfigError(
                 "actions", "the adversarial action rule takes no actions section"
             )
+        actions = UnitSphereGenerator(dim=prior.dim)
     elif "actions" not in doc:
         raise ConfigError("actions", "the lints action rule needs an actions section")
     else:
         actions = build_actions(_section(doc, "actions"), prior.dim)
-        try:
-            check_episode(prior, noise, actions, rule)
-        except MeanOutOfRange as exc:
-            raise ConfigError("actions", str(exc)) from exc
-    horizon = _as_int(_require(sec, "horizon", "potential"), "potential.horizon")
-    replications = _as_int(
-        sec.get("replications", 300), "potential.replications"
-    )
-    if horizon < 1:
-        raise ConfigError("potential.horizon", f"must be >= 1, got {horizon}")
     master_seed = _as_int(sec.get("master_seed", 0), "potential.master_seed")
     if master_seed < 0:
-        raise ConfigError(
-            "potential.master_seed", f"must be >= 0, got {master_seed}"
-        )
-    # the exact path always enumerates with finite_support: only the Monte
-    # Carlo path runs the configured engine and replications
-    if not exact_path_applies(prior, noise, horizon, rule):
-        _check_engine(prior, noise, engine)
-        if replications < MONTE_CARLO_MIN_REPLICATIONS:
-            raise ConfigError(
-                "potential.replications",
-                f"the Monte Carlo path needs >= {MONTE_CARLO_MIN_REPLICATIONS}, "
-                f"got {replications}",
-            )
-    return PotentialRunConfig(
+        raise ConfigError("potential.master_seed", f"must be >= 0, got {master_seed}")
+    cfg = _experiment_config(
+        "potential",
+        "actions" if rule == "lints" else None,
         prior=prior,
         noise=noise,
         engine=engine,
-        horizon=horizon,
-        replications=replications,
-        master_seed=master_seed,
-        action_rule=rule,
         actions=actions,
+        horizon=_as_int(_require(sec, "horizon", "potential"), "potential.horizon"),
+        replications=_as_int(sec.get("replications", 300), "potential.replications"),
+        master_seed=master_seed,
+        policy=rule,
+        lam=None,
     )
+    # the exact path runs no replications
+    if cfg.replications < MONTE_CARLO_MIN_REPLICATIONS and not exact_path_applies(
+        prior, noise, cfg.horizon, rule
+    ):
+        raise ConfigError(
+            "potential.replications",
+            f"the Monte Carlo path needs >= {MONTE_CARLO_MIN_REPLICATIONS}, "
+            f"got {cfg.replications}",
+        )
+    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,28 @@
 """Replicated experiments, the expected-potential verifier and their results.
 
-Both jobs replicate :func:`~ellipsim.bandit.run_episode` through one
-driver, :func:`_run_replications`, which seeds each episode from
+Both jobs take one :class:`ExperimentConfig`, as ``run_experiment(cfg)``
+and ``verify_expected_potential(cfg)``, and replicate
+:func:`~ellipsim.bandit.run_episode` through one driver,
+:func:`_run_replications`, which seeds each episode from
 (master_seed, replication index), applies one failure rule and returns
 episodes in index order, so results never depend on the worker count.
 Regret summaries carry the regret and potential curves, the analytic
-bound values and one-sided pass flags with Monte Carlo slack of three
-standard errors. The verifier compares E[sum of a.T Gamma_t a] with its
-log-det bound, exactly over the outcome lattice of
-:mod:`ellipsim.potential` or by Monte Carlo.
+bound values and one-sided pass flags with Monte Carlo slack of
+``tolerances.MONTE_CARLO_SLACK_SE`` standard errors. The verifier
+compares E[sum of a.T Gamma_t a] with its log-det bound, exactly over
+the outcome lattice of :mod:`ellipsim.potential` or by Monte Carlo.
 """
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bandit import (
-    ActionSetGenerator,
-    EpisodeFailure,
-    UnitSphereGenerator,
-    check_episode,
-    run_episode,
-)
+from .bandit import ActionSetGenerator, EpisodeFailure, check_episode, run_episode
 from .distributions import Noise, Prior
 from .linalg import CholeskyFailure, PsdMatrix, psd_order_holds
 from .posterior import DegenerateWeights, EngineConfig
@@ -42,7 +38,12 @@ from .potential import (
     ridge_potential_bound,
     sigma_factor,
 )
-from .tolerances import INEQUALITY_SLACK, REPLICATION_FAILURE_SHARE
+from .tolerances import (
+    INEQUALITY_SLACK,
+    MONTE_CARLO_SLACK_SE,
+    REPLICATION_FAILURE_SHARE,
+    RIDGE_POTENTIAL_SLACK,
+)
 
 CURVE_POINT_LIMIT = 10_000
 CURVE_POINTS_WHEN_SUBSAMPLED = 1000
@@ -61,6 +62,8 @@ class ExperimentConfig:
     """Everything needed to reproduce one experiment.
 
     Any episode :func:`~ellipsim.bandit.run_episode` plays, ``lam=None`` too.
+    :func:`run_experiment` and :func:`verify_expected_potential` both take
+    one; for the verifier ``policy`` is the action rule.
     """
 
     prior: Prior
@@ -287,13 +290,16 @@ def run_experiment(
         if name not in cfg.bound_checks:
             checks[key] = None
         elif name == "eq1":
-            checks[key] = bool(eq1_violation <= 1e-8)
+            checks[key] = bool(eq1_violation <= RIDGE_POTENTIAL_SLACK)
         elif name == "thm23":
             checks[key] = bool(
-                potential_mean <= bounds["thm23_rhs"] + 3.0 * potential_stderr
+                potential_mean
+                <= bounds["thm23_rhs"] + MONTE_CARLO_SLACK_SE * potential_stderr
             )
         elif name == "eq4":
-            checks[key] = bool(final_mean + 3.0 * final_stderr <= bounds["eq4_rhs"])
+            checks[key] = bool(
+                final_mean + MONTE_CARLO_SLACK_SE * final_stderr <= bounds["eq4_rhs"]
+            )
         else:
             checks[key] = (
                 bool(
@@ -362,37 +368,23 @@ class VerificationReport:
         }
 
 
-def verify_expected_potential(
-    prior: Prior,
-    noise: Noise,
-    horizon: int,
-    replications: int,
-    master_seed: int = 0,
-    engine: Optional[EngineConfig] = None,
-    action_rule: str = "adversarial",
-    action_generator: Optional[ActionSetGenerator] = None,
-) -> VerificationReport:
+def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
     """Estimate E[sum of a.T Gamma_t a] and compare it to the log-det bound.
 
-    Uses the exact outcome lattice when
-    :func:`~ellipsim.potential.exact_path_applies`; otherwise averages the
-    posterior quadratic forms of replicated episodes with no ridge tracker,
-    through the same driver and failure rule as :func:`run_experiment`
-    (degraded engines count in ``failed_replications``). ``action_rule`` is
-    "adversarial" (top eigendirection of the posterior covariance, over the
-    unit sphere, with no ``action_generator``) or "lints" (posterior
-    sampling over sets drawn from ``action_generator``). The pass criterion
-    is mean <= bound + 3 * stderr, with stderr zero on the exact path.
+    ``cfg.policy`` is the action rule: "adversarial" (top eigendirection of
+    the posterior covariance, over the unit sphere) or "lints" (posterior
+    sampling over the sets ``cfg.actions`` draws). Uses the exact outcome
+    lattice when :func:`~ellipsim.potential.exact_path_applies`; otherwise
+    averages the posterior quadratic forms of ``cfg.replications``
+    episodes, always with no ridge tracker, through the same driver and
+    failure rule as :func:`run_experiment` (degraded engines count in
+    ``failed_replications``). The pass criterion is
+    mean <= bound + ``MONTE_CARLO_SLACK_SE`` * stderr, with stderr zero on
+    the exact path.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if action_rule not in ("adversarial", "lints"):
-        raise ValueError(f"unknown action rule {action_rule!r}")
-    if action_rule == "lints" and action_generator is None:
-        raise ValueError("the lints action rule needs an action generator")
-    if action_rule == "adversarial" and action_generator is not None:
-        raise ValueError("the adversarial action rule takes no action generator")
-
+    if cfg.policy not in ("adversarial", "lints"):
+        raise ValueError(f"unknown action rule {cfg.policy!r}")
+    prior, noise, horizon = cfg.prior, cfg.noise, cfg.horizon
     _, gamma1 = prior.moments()
     factor = sigma_factor(noise.sigma_sq_bound)
     eigs = gamma1_eigs(gamma1)
@@ -407,7 +399,7 @@ def verify_expected_potential(
         gamma1_eigs=tuple(float(v) for v in eigs),
     )
 
-    if exact_path_applies(prior, noise, horizon, action_rule):
+    if exact_path_applies(prior, noise, horizon, cfg.policy):
         per_round, total = _exact_potential(prior, noise, horizon)
         return report(
             replications=0,
@@ -418,33 +410,19 @@ def verify_expected_potential(
             per_round_mean=tuple(per_round),
         )
 
-    if replications < MONTE_CARLO_MIN_REPLICATIONS:
+    if cfg.replications < MONTE_CARLO_MIN_REPLICATIONS:
         raise ValueError(
             f"Monte Carlo needs >= {MONTE_CARLO_MIN_REPLICATIONS} replications, "
-            f"got {replications}"
+            f"got {cfg.replications}"
         )
-    if action_rule == "adversarial":
-        action_generator = UnitSphereGenerator(gamma1.dim)
-    successes, failures = _run_replications(
-        ExperimentConfig(
-            prior=prior,
-            noise=noise,
-            engine=engine or EngineConfig(kind="particle"),
-            actions=action_generator,
-            horizon=horizon,
-            replications=replications,
-            master_seed=master_seed,
-            policy=action_rule,
-            lam=None,
-        )
-    )
+    successes, failures = _run_replications(replace(cfg, lam=None))
     per_round, mean_total, stderr_total = _potential_stats(successes)
     return report(
         replications=len(successes),
         exact=False,
         mean_total=mean_total,
         stderr_total=stderr_total,
-        holds=bool(mean_total <= bound + 3.0 * stderr_total),
+        holds=bool(mean_total <= bound + MONTE_CARLO_SLACK_SE * stderr_total),
         per_round_mean=tuple(per_round),
         failed_replications=len(failures),
     )

@@ -16,6 +16,10 @@ PRIOR_WEIGHT_SUM_ABS = 1e-12
 NORM_SLACK = 1e-12
 # default slack when checking analytic inequalities numerically
 INEQUALITY_SLACK = 1e-9
+# allowed excess of the ridge potential sum over its log-det bound (eq. 1)
+RIDGE_POTENTIAL_SLACK = 1e-8
+# standard errors a Monte Carlo mean may exceed a one-sided bound by
+MONTE_CARLO_SLACK_SE = 3.0
 # allowed negative slack on per-round instantaneous regret
 REGRET_SLACK = 1e-12
 # relative gap below the leading eigenvalue within which the adversarial

@@ -27,6 +27,7 @@ from .linalg import (
 )
 from .posterior import FiniteSupportState, enumerate_posterior_outcomes
 from .potential import ClassicalPotential, ridge_potential_bound
+from .tolerances import INEQUALITY_SLACK, RIDGE_POTENTIAL_SLACK
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ CLASSICAL_LAMBDAS = (1.0, 2.0, 10.0)
 
 
 def check_classical_potential(
-    instances: int = 1000, seed: int = 0, tol: float = 1e-8
+    instances: int = 1000, seed: int = 0, tol: float = RIDGE_POTENTIAL_SLACK
 ) -> FuzzReport:
     """Ridge potential telescope on random action sequences.
 
@@ -92,7 +93,10 @@ def check_classical_potential(
 
 
 def check_logdet_concavity(
-    instances: int = 2000, seed: int = 0, dim_max: int = 6, tol: float = 1e-9
+    instances: int = 2000,
+    seed: int = 0,
+    dim_max: int = 6,
+    tol: float = INEQUALITY_SLACK,
 ) -> FuzzReport:
     """Concavity of Sigma -> log det(I + x Sigma) along random chords."""
     rng = _check_rng(seed, 2)
@@ -120,7 +124,7 @@ def check_logdet_variational(
     seed: int = 0,
     dim_max: int = 6,
     lambdas_per_instance: int = 50,
-    tol: float = 1e-9,
+    tol: float = INEQUALITY_SLACK,
 ) -> FuzzReport:
     """Variational form: log det(I + x Sigma) dominates every Lambda <= x I.
 
@@ -153,7 +157,10 @@ def check_logdet_variational(
 
 
 def check_logdet_shift(
-    instances: int = 2000, seed: int = 0, dim_max: int = 6, tol: float = 1e-9
+    instances: int = 2000,
+    seed: int = 0,
+    dim_max: int = 6,
+    tol: float = INEQUALITY_SLACK,
 ) -> FuzzReport:
     """One-observation budget shift for the log-det potential.
 
@@ -196,7 +203,7 @@ def _random_mean_bounded_prior(
 
 
 def check_variance_reduction(
-    instances: int = 500, seed: int = 0, tol: float = 1e-9
+    instances: int = 500, seed: int = 0, tol: float = INEQUALITY_SLACK
 ) -> FuzzReport:
     """Expected one-step posterior-covariance contraction, enumerated.
 
@@ -258,7 +265,10 @@ def check_variance_reduction(
 
 
 def check_trace_cauchy_schwarz(
-    instances: int = 1000, seed: int = 0, dim_max: int = 6, tol: float = 1e-9
+    instances: int = 1000,
+    seed: int = 0,
+    dim_max: int = 6,
+    tol: float = INEQUALITY_SLACK,
 ) -> FuzzReport:
     """Paired-moment trace inequality on random correlated samples."""
     rng = _check_rng(seed, 6)

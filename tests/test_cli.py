@@ -9,6 +9,8 @@ import json
 import pytest
 
 from ellipsim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
+from ellipsim.config import build_experiment, build_potential_run, load_yaml
+from ellipsim.harness import ExperimentConfig
 
 BANDIT_YAML = """\
 experiment:
@@ -392,6 +394,67 @@ def test_run_bandit_unknown_config_key(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "config error" in err
     assert "extras" in err
+
+
+# ---------------------------------------------------------------------------
+# both Monte Carlo jobs
+# ---------------------------------------------------------------------------
+
+# a scalar model both jobs can run; potential-trace takes the exact path
+TWO_ATOM_MODEL = """\
+prior:
+  kind: finite_support
+  atoms: [[0.2], [0.8]]
+  weights: [0.5, 0.5]
+noise:
+  kind: bernoulli_mean
+engine:
+  kind: {engine}
+"""
+
+
+def job_yaml(command, model):
+    """The job section of ``command``'s test config over another model."""
+    if command == "run-bandit":
+        actions = "actions:\n  kind: karmed_gaussian\n  k: 4\n  nonnegative: true\n"
+        return BANDIT_YAML.split("prior:")[0] + model + actions
+    return POTENTIAL_YAML.split("prior:")[0] + model
+
+
+@pytest.mark.parametrize(
+    "command,builder",
+    [("run-bandit", build_experiment), ("potential-trace", build_potential_run)],
+)
+def test_both_jobs_build_one_config_and_refuse_the_same_engine(
+    tmp_path, capsys, command, builder
+):
+    model = TWO_ATOM_MODEL.format(engine="finite_support")
+    good = write(tmp_path, "good.yaml", job_yaml(command, model))
+    assert isinstance(builder(load_yaml(good)), ExperimentConfig)
+    model = TWO_ATOM_MODEL.format(engine="gaussian_conjugate")
+    bad = write(tmp_path, "bad.yaml", job_yaml(command, model))
+    code = main([command, "--config", bad, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: engine: gaussian_conjugate requires a Gaussian prior"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("command", ["run-bandit", "potential-trace"])
+def test_bernoulli_noise_needs_a_finite_support_prior(tmp_path, capsys, command, dim):
+    # a continuous prior bounds no reward mean in advance, under any rule
+    model = (
+        f"prior:\n  kind: uniform_ball\n  dim: {dim}\n"
+        "noise:\n  kind: bernoulli_mean\n"
+    )
+    cfg = write(tmp_path, "run.yaml", job_yaml(command, model))
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "mean-restricted noise needs a finite-support prior" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

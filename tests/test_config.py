@@ -1,4 +1,6 @@
 """Config parsing: strict schemas, dotted error paths, round trips."""
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -373,8 +375,10 @@ def test_potential_run_defaults():
     assert run.horizon == 12
     assert run.replications == 6
     assert run.master_seed == 0
-    assert run.action_rule == "adversarial"
-    assert run.actions is None
+    assert run.policy == "adversarial"
+    assert run.lam is None
+    assert isinstance(run.actions, UnitSphereGenerator)
+    assert run.actions.dim == 2
 
 
 def test_potential_run_replications_default():
@@ -402,7 +406,7 @@ def test_potential_run_lints_with_actions():
     doc["potential"]["action_rule"] = "lints"
     doc["actions"] = {"kind": "unit_sphere"}
     run = build_potential_run(doc)
-    assert run.action_rule == "lints"
+    assert run.policy == "lints"
     assert isinstance(run.actions, UnitSphereGenerator)
 
 
@@ -422,7 +426,7 @@ def test_potential_run_lints_rule_certifies_the_mean_range():
     # the adversarial rule keeps failing only if a mean leaves [0, 1]
     doc["potential"]["action_rule"] = "adversarial"
     del doc["actions"]
-    assert build_potential_run(doc).action_rule == "adversarial"
+    assert build_potential_run(doc).policy == "adversarial"
 
 
 def test_potential_run_horizon_required():
@@ -472,9 +476,12 @@ def test_config_error_carries_path_attribute():
         assert False, "expected ConfigError"
 
 
-def test_potential_run_checks_the_engine_only_on_the_monte_carlo_path():
+@pytest.mark.parametrize("horizon", [4, 13], ids=["exact", "monte_carlo"])
+def test_potential_run_checks_the_engine_on_both_paths(horizon):
+    # the exact path enumerates with finite_support, but an engine that
+    # cannot represent the model is refused there too
     doc = {
-        "potential": {"horizon": 4, "replications": 2},
+        "potential": {"horizon": horizon, "replications": 2},
         "prior": {
             "kind": "finite_support",
             "atoms": [[0.2], [0.8]],
@@ -483,10 +490,22 @@ def test_potential_run_checks_the_engine_only_on_the_monte_carlo_path():
         "noise": {"kind": "bernoulli_mean"},
         "engine": {"kind": "gaussian_conjugate"},
     }
-    # the exact path enumerates with finite_support whatever the section says
-    assert build_potential_run(doc).engine.kind == "gaussian_conjugate"
-    doc["potential"]["horizon"] = 13
     with pytest.raises(ConfigError, match="engine: gaussian_conjugate requires"):
+        build_potential_run(doc)
+
+
+@pytest.mark.parametrize("horizon", [4, 13], ids=["exact", "monte_carlo"])
+def test_potential_run_refuses_zero_replications_on_every_path(horizon):
+    doc = {
+        "potential": {"horizon": horizon, "replications": 0},
+        "prior": {
+            "kind": "finite_support",
+            "atoms": [[0.2], [0.8]],
+            "weights": [0.5, 0.5],
+        },
+        "noise": {"kind": "bernoulli_mean"},
+    }
+    with pytest.raises(ConfigError, match="potential: replications must be >= 1"):
         build_potential_run(doc)
 
 
@@ -495,3 +514,24 @@ def test_build_experiment_rejects_an_incompatible_engine():
     doc["engine"] = {"kind": "finite_support"}
     with pytest.raises(ConfigError, match="engine: finite_support requires"):
         build_experiment(doc)
+
+
+SHIPPED_CONFIGS = sorted(
+    (pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.yaml")
+)
+CLI_BUILDERS = {
+    "experiment": build_experiment,
+    "potential": build_potential_run,
+    "lemmas": build_lemma_run,
+}
+
+
+def test_configs_are_shipped():
+    assert SHIPPED_CONFIGS
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_builds(path):
+    doc = load_yaml(str(path))
+    (section,) = set(doc) & set(CLI_BUILDERS)
+    CLI_BUILDERS[section](doc)

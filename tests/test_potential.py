@@ -32,7 +32,11 @@ from ellipsim.distributions import (
     UniformCenteredNoise,
     sample_reward,
 )
-from ellipsim.harness import ExcessiveFailures, verify_expected_potential
+from ellipsim.harness import (
+    ExcessiveFailures,
+    ExperimentConfig,
+    verify_expected_potential,
+)
 from ellipsim.linalg import CholeskyFailure, PsdMatrix, random_psd
 from ellipsim.posterior import (
     EngineConfig,
@@ -53,6 +57,32 @@ from ellipsim.potential import (
 from ellipsim.tolerances import EIGEN_TIE_REL
 
 SEED = 1789
+
+
+def verify(
+    prior,
+    noise,
+    horizon,
+    replications=1,
+    master_seed=0,
+    engine=EngineConfig(kind="finite_support"),
+    rule="adversarial",
+    generator=None,
+):
+    """The verifier on the config of one run; the adversarial rule plays
+    over the unit sphere unless ``generator`` says otherwise."""
+    return verify_expected_potential(
+        ExperimentConfig(
+            prior=prior,
+            noise=noise,
+            engine=engine,
+            actions=generator or UnitSphereGenerator(prior.dim),
+            horizon=horizon,
+            replications=replications,
+            master_seed=master_seed,
+            policy=rule,
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +290,7 @@ def test_exact_tree_matches_brute_force():
     atoms = np.array([0.2, 0.6])
     weights = np.array([0.5, 0.5])
     prior = FiniteSupportPrior(atoms=atoms[:, None], weights=weights)
-    report = verify_expected_potential(
-        prior, BernoulliMeanNoise(), horizon=4, replications=0
-    )
+    report = verify(prior, BernoulliMeanNoise(), horizon=4)
     ref_rounds, ref_total = brute_force_expected_potential(atoms, weights, 4)
     assert report.exact
     assert report.stderr_total == 0.0
@@ -279,9 +307,7 @@ def test_exact_tree_three_atoms_longer_horizon():
     atoms = np.array([0.1, 0.45, 0.9])
     weights = np.array([0.3, 0.45, 0.25])
     prior = FiniteSupportPrior(atoms=atoms[:, None], weights=weights)
-    report = verify_expected_potential(
-        prior, BernoulliMeanNoise(), horizon=8, replications=0
-    )
+    report = verify(prior, BernoulliMeanNoise(), horizon=8)
     _, ref_total = brute_force_expected_potential(atoms, weights, 8)
     assert report.mean_total == pytest.approx(ref_total, abs=1e-11)
 
@@ -311,9 +337,7 @@ LATTICE_IDS = ["counterexample"] + [f"scalar{i}" for i in range(12)] + ["square_
 
 @pytest.mark.parametrize("prior,horizon", LATTICE_CASES, ids=LATTICE_IDS)
 def test_merged_lattice_matches_unmerged_tree(prior, horizon):
-    report = verify_expected_potential(
-        prior, BernoulliMeanNoise(), horizon=horizon, replications=0
-    )
+    report = verify(prior, BernoulliMeanNoise(), horizon=horizon)
     ref_rounds, ref_total = brute_force_expected_potential(
         prior.atoms, prior.weights, horizon
     )
@@ -329,9 +353,7 @@ def _count_nodes(monkeypatch, prior, horizon):
         "adversarial_action",
         lambda gamma: calls.append(1) or adversarial_action(gamma),
     )
-    verify_expected_potential(
-        prior, BernoulliMeanNoise(), horizon=horizon, replications=0
-    )
+    verify(prior, BernoulliMeanNoise(), horizon=horizon)
     return len(calls)
 
 
@@ -376,13 +398,13 @@ def test_monte_carlo_is_seed_deterministic():
         master_seed=7,
         engine=EngineConfig(kind="finite_support"),
     )
-    first = verify_expected_potential(prior, noise, **kwargs)
-    second = verify_expected_potential(prior, noise, **kwargs)
+    first = verify(prior, noise, **kwargs)
+    second = verify(prior, noise, **kwargs)
     assert not first.exact
     assert first.mean_total == second.mean_total
     assert first.stderr_total == second.stderr_total
 
-    shifted = verify_expected_potential(
+    shifted = verify(
         prior, noise, horizon=5, replications=16, master_seed=8,
         engine=EngineConfig(kind="finite_support"),
     )
@@ -440,15 +462,15 @@ MONTE_CARLO_CASES = {
 @pytest.mark.parametrize("case", MONTE_CARLO_CASES.values(), ids=MONTE_CARLO_CASES)
 def test_monte_carlo_matches_a_standalone_loop(case):
     horizon, replications, master_seed = 25, 12, 5
-    report = verify_expected_potential(
+    report = verify(
         case["prior"],
         case["noise"],
         horizon=horizon,
         replications=replications,
         master_seed=master_seed,
         engine=case["engine"],
-        action_rule=case["rule"],
-        action_generator=case["generator"],
+        rule=case["rule"],
+        generator=case["generator"],
     )
     quads = standalone_monte_carlo(
         case["prior"],
@@ -474,7 +496,7 @@ def test_monte_carlo_matches_a_standalone_loop(case):
 def test_monte_carlo_reads_the_quads_of_run_episode():
     prior, noise = _five_atom_prior(), GaussianNoise(sd=0.5)
     engine = EngineConfig(kind="finite_support")
-    report = verify_expected_potential(
+    report = verify(
         prior, noise, horizon=10, replications=2, master_seed=3, engine=engine
     )
     episodes = [
@@ -503,12 +525,11 @@ def test_monte_carlo_mean_out_of_range_surfaces_as_itself():
     )
     prior = FiniteSupportPrior(atoms=atoms, weights=np.full(4, 0.25))
     with pytest.raises(MeanOutOfRange) as info:
-        verify_expected_potential(
+        verify(
             prior,
             BernoulliMeanNoise(),
             horizon=potential.EXACT_ENUMERATION_LIMIT + 1,
             replications=2,
-            engine=EngineConfig(kind="finite_support"),
         )
     assert type(info.value) is MeanOutOfRange
 
@@ -516,8 +537,12 @@ def test_monte_carlo_mean_out_of_range_surfaces_as_itself():
 def test_monte_carlo_requires_two_replications():
     prior = UniformBallPrior(dim=2)
     with pytest.raises(ValueError, match="replications"):
-        verify_expected_potential(
-            prior, GaussianNoise(sd=1.0), horizon=3, replications=1
+        verify(
+            prior,
+            GaussianNoise(sd=1.0),
+            horizon=3,
+            replications=1,
+            engine=EngineConfig(kind="particle"),
         )
 
 
@@ -526,7 +551,7 @@ def test_monte_carlo_failure_budget_trips():
     prior = UniformBallPrior(dim=1)
     noise = UniformCenteredNoise(half_width=0.005)
     with pytest.raises(ExcessiveFailures, match="DegenerateWeights"):
-        verify_expected_potential(
+        verify(
             prior,
             noise,
             horizon=2,
@@ -546,25 +571,22 @@ def test_monte_carlo_counts_a_cholesky_failure_against_the_budget(monkeypatch):
         return episode(*args, **kwargs)
 
     monkeypatch.setattr(harness, "run_episode", fifth_fails)
-    report = verify_expected_potential(
-        _five_atom_prior(),
-        GaussianNoise(sd=0.5),
-        horizon=3,
-        replications=200,
-        engine=EngineConfig(kind="finite_support"),
+    report = verify(
+        _five_atom_prior(), GaussianNoise(sd=0.5), horizon=3, replications=200
     )
     assert report.failed_replications == 1
     assert report.replications == 199
 
 
 def test_adversarial_rule_takes_no_action_generator():
-    with pytest.raises(ValueError, match="no action generator"):
-        verify_expected_potential(
+    with pytest.raises(ValueError, match="plays over the unit sphere"):
+        verify(
             UniformBallPrior(dim=2),
             GaussianNoise(sd=1.0),
             horizon=3,
             replications=4,
-            action_generator=KArmedGaussianGenerator(k=2, dim=2),
+            engine=EngineConfig(kind="particle"),
+            generator=KArmedGaussianGenerator(k=2, dim=2),
         )
 
 
@@ -572,9 +594,7 @@ def test_verification_report_serialization():
     prior = FiniteSupportPrior(
         atoms=np.array([[0.3], [0.7]]), weights=np.array([0.4, 0.6])
     )
-    report = verify_expected_potential(
-        prior, BernoulliMeanNoise(), horizon=3, replications=0
-    )
+    report = verify(prior, BernoulliMeanNoise(), horizon=3)
     payload = report.to_dict()
     assert payload["exact"] is True
     assert payload["mean_total"] == report.mean_total
