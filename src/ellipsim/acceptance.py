@@ -1,9 +1,13 @@
 """The acceptance gate: eleven runnable criteria that define done.
 
-Each criterion function returns a :class:`CriterionResult` with measured
-values, so the same registry backs both the pytest suite and the
-``acceptance`` CLI subcommand. Criteria are independent: each builds its
-own configuration and seeds, and none relies on another having run.
+:data:`CRITERIA` is the one place a criterion's number and name are
+written. Each criterion function takes the seed and returns
+``(passed, measured, message)``; :func:`run_criterion` times it and builds
+the :class:`CriterionResult`, so the same registry backs both the pytest
+suite and the ``acceptance`` CLI subcommand. Where the package has a
+verdict or margin, a criterion reads it rather than restating it.
+Criteria are independent: each builds its own configuration and seeds,
+and none relies on another having run.
 """
 from __future__ import annotations
 
@@ -34,21 +38,17 @@ from .posterior import (
     counterexample_prior,
     counterexample_report,
 )
-from .potential import gamma1_eigs, logdet_growth, logdet_identity_cap
+from .potential import gamma1_eigs, identity_cap_excess, thm23_margin
 from .reporting import (
     write_potential_csv_from_summary,
     write_regret_curve_csv,
     write_summary_json,
 )
-from .tolerances import INEQUALITY_SLACK, MONTE_CARLO_SLACK_SE
-from .verify import (
-    check_classical_potential,
-    check_logdet_concavity,
-    check_logdet_shift,
-    check_logdet_variational,
-    check_trace_cauchy_schwarz,
-    check_variance_reduction,
-)
+from .tolerances import INEQUALITY_SLACK
+from .verify import run_check
+
+# what a criterion function returns: (passed, measured values, message)
+Verdict = Tuple[bool, Dict[str, float], str]
 
 
 @dataclass(frozen=True)
@@ -137,46 +137,22 @@ def config_student_t_d3(seed: int = 0) -> ExperimentConfig:
     )
 
 
-def _fuzz_result(number: int, name: str, reports, start: float) -> CriterionResult:
-    worst = max(r.max_violation for r in reports)
-    passed = all(r.passed for r in reports)
-    measured = {f"{r.name}_max_violation": r.max_violation for r in reports}
-    message = "" if passed else "; ".join(
-        f"{r.name} violated by {r.max_violation:.3e} (tol {r.tolerance:.1e})"
-        for r in reports
-        if not r.passed
-    )
-    measured["worst_violation"] = worst
-    return CriterionResult(
-        number=number,
-        name=name,
-        passed=passed,
-        runtime_seconds=time.perf_counter() - start,
-        measured=measured,
-        message=message,
-    )
+def _fuzz(*names: str) -> Callable[[int], Verdict]:
+    """A criterion that runs the named :mod:`~ellipsim.verify` checks at
+    their default instance counts and passes when every one does."""
 
+    def criterion(seed: int) -> Verdict:
+        reports = [run_check(name, seed) for name in names]
+        measured = {f"{r.name}_max_violation": r.max_violation for r in reports}
+        measured["worst_violation"] = max(r.max_violation for r in reports)
+        message = "; ".join(
+            f"{r.name} violated by {r.max_violation:.3e} (tol {r.tolerance:.1e})"
+            for r in reports
+            if not r.passed
+        )
+        return all(r.passed for r in reports), measured, message
 
-def criterion_1_classical(seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
-    report = check_classical_potential(instances=1000, seed=seed)
-    return _fuzz_result(1, "classical-potential", [report], start)
-
-
-def criterion_2_logdet(seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
-    reports = [
-        check_logdet_concavity(instances=2000, seed=seed),
-        check_logdet_variational(instances=2000, seed=seed),
-        check_logdet_shift(instances=2000, seed=seed),
-    ]
-    return _fuzz_result(2, "logdet-properties", reports, start)
-
-
-def criterion_3_variance_reduction(seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
-    report = check_variance_reduction(instances=500, seed=seed)
-    return _fuzz_result(3, "variance-reduction", [report], start)
+    return criterion
 
 
 def counterexample_reference_problems(report: InflationReport) -> List[str]:
@@ -206,7 +182,7 @@ def counterexample_reference_problems(report: InflationReport) -> List[str]:
     return problems
 
 
-def criterion_4_counterexample(seed: int = 0) -> CriterionResult:
+def counterexample_criterion(seed: int = 0) -> Verdict:
     """One exact Bayes update of the scalar inflation example at p=0.05.
 
     Sub-claims, in order: the reference checks of
@@ -215,7 +191,6 @@ def criterion_4_counterexample(seed: int = 0) -> CriterionResult:
     reference value 0.25 exactly); prior variance 0.031875 against an
     independent arithmetic oracle; variance inflation flagged.
     """
-    start = time.perf_counter()
     p = 0.05
     report = counterexample_report(p, outcome=1.0)
 
@@ -236,28 +211,22 @@ def criterion_4_counterexample(seed: int = 0) -> CriterionResult:
         )
     if not report.variance_inflated:
         problems.append("variance inflation flag is not set")
-    return CriterionResult(
-        number=4,
-        name="counterexample-exact",
-        passed=not problems,
-        runtime_seconds=time.perf_counter() - start,
-        measured={
-            "prior_variance": report.prior_variance,
-            "posterior_variance": report.posterior_variance,
-            "posterior_ratio": report.posterior_ratio,
-            "variance_inflated": float(report.variance_inflated),
-        },
-        message="; ".join(problems),
-    )
+    measured = {
+        "prior_variance": report.prior_variance,
+        "posterior_variance": report.posterior_variance,
+        "posterior_ratio": report.posterior_ratio,
+        "variance_inflated": float(report.variance_inflated),
+    }
+    return not problems, measured, "; ".join(problems)
 
 
-def criterion_5_exact_tree(seed: int = 0) -> CriterionResult:
+def exact_tree_criterion(seed: int = 0) -> Verdict:
     """Exhaustive-outcome expectation of the potential sum, 100 scalar priors."""
-    start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     noise = BernoulliMeanNoise()
     horizon = 10
     worst = -np.inf
+    passed = True
     for i in range(100):
         if i == 0:
             prior = counterexample_prior(0.05)
@@ -282,20 +251,13 @@ def criterion_5_exact_tree(seed: int = 0) -> CriterionResult:
         if not report.exact:
             raise RuntimeError("expected the exact enumeration path")
         worst = max(worst, report.mean_total - report.bound)
-    passed = worst <= INEQUALITY_SLACK
-    return CriterionResult(
-        number=5,
-        name="potential-exact-tree",
-        passed=passed,
-        runtime_seconds=time.perf_counter() - start,
-        measured={"worst_violation": worst},
-        message="" if passed else f"expectation exceeded the bound by {worst:.3e}",
-    )
+        passed = passed and report.holds
+    message = "" if passed else f"expectation exceeded the bound by {worst:.3e}"
+    return passed, {"worst_violation": worst}, message
 
 
-def criterion_6_monte_carlo(seed: int = 0) -> CriterionResult:
+def monte_carlo_criterion(seed: int = 0) -> Verdict:
     """Monte Carlo potential check: d=3, 8 atoms, T=200, 500 replications."""
-    start = time.perf_counter()
     prior = _eight_atom_prior(6, nonnegative=False)
     report = verify_expected_potential(
         ExperimentConfig(
@@ -309,31 +271,16 @@ def criterion_6_monte_carlo(seed: int = 0) -> CriterionResult:
             policy="adversarial",
         )
     )
-    margin = (
-        report.bound + MONTE_CARLO_SLACK_SE * report.stderr_total - report.mean_total
+    measured = {
+        "mean_total": report.mean_total,
+        "stderr_total": report.stderr_total,
+        "bound": report.bound,
+        "margin": thm23_margin(report.mean_total, report.stderr_total, report.bound),
+    }
+    return report.holds, measured, "" if report.holds else (
+        f"mean {report.mean_total:.6g} exceeds bound {report.bound:.6g} "
+        f"+ 3 stderr {report.stderr_total:.3g}"
     )
-    return CriterionResult(
-        number=6,
-        name="potential-monte-carlo",
-        passed=report.holds,
-        runtime_seconds=time.perf_counter() - start,
-        measured={
-            "mean_total": report.mean_total,
-            "stderr_total": report.stderr_total,
-            "bound": report.bound,
-            "margin": margin,
-        },
-        message="" if report.holds else (
-            f"mean {report.mean_total:.6g} exceeds bound {report.bound:.6g} "
-            f"+ 3 stderr {report.stderr_total:.3g}"
-        ),
-    )
-
-
-def criterion_7_trace_cs(seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
-    report = check_trace_cauchy_schwarz(instances=1000, seed=seed)
-    return _fuzz_result(7, "trace-cauchy-schwarz", [report], start)
 
 
 def _regret_check(cfg: ExperimentConfig) -> Tuple[bool, Dict[str, float]]:
@@ -346,9 +293,8 @@ def _regret_check(cfg: ExperimentConfig) -> Tuple[bool, Dict[str, float]]:
     return bool(summary.checks["pass_eq4"]), measured
 
 
-def criterion_8_regret_bounds(seed: int = 0) -> CriterionResult:
+def regret_bounds_criterion(seed: int = 0) -> Verdict:
     """Mean regret + 3 stderr below the square-root bound, three setups."""
-    start = time.perf_counter()
     problems: List[str] = []
     measured: Dict[str, float] = {}
     for label, cfg in (
@@ -364,19 +310,11 @@ def criterion_8_regret_bounds(seed: int = 0) -> CriterionResult:
                 f"{label}: regret {values['final_mean_regret']:.4g} "
                 f"+ 3 x {values['final_stderr']:.4g} exceeds {values['bound']:.4g}"
             )
-    return CriterionResult(
-        number=8,
-        name="regret-bounds",
-        passed=not problems,
-        runtime_seconds=time.perf_counter() - start,
-        measured=measured,
-        message="; ".join(problems),
-    )
+    return not problems, measured, "; ".join(problems)
 
 
-def criterion_9_identity_cap(seed: int = 0) -> CriterionResult:
+def identity_cap_criterion(seed: int = 0) -> Verdict:
     """log det(I + T Gamma_1) <= d log(1 + T) whenever Gamma_1 <= I."""
-    start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 9]))
     worst = -np.inf
     cases = []
@@ -394,20 +332,13 @@ def criterion_9_identity_cap(seed: int = 0) -> CriterionResult:
         eigs = gamma1_eigs(gamma)
         if eigs.max() > 1.0:
             continue
-        growth = logdet_growth(horizon, eigs)
-        worst = max(worst, growth - logdet_identity_cap(horizon, gamma.dim))
+        worst = max(worst, identity_cap_excess(horizon, eigs))
     passed = worst <= INEQUALITY_SLACK
-    return CriterionResult(
-        number=9,
-        name="logdet-identity-cap",
-        passed=passed,
-        runtime_seconds=time.perf_counter() - start,
-        measured={"worst_violation": worst, "cases": float(len(cases))},
-        message="" if passed else f"cap violated by {worst:.3e}",
-    )
+    measured = {"worst_violation": worst, "cases": float(len(cases))}
+    return passed, measured, "" if passed else f"cap violated by {worst:.3e}"
 
 
-def criterion_10_engine_cross_validation(seed: int = 0) -> CriterionResult:
+def engine_cross_validation_criterion(seed: int = 0) -> Verdict:
     """Particle filter against the conjugate engine on replayed episodes.
 
     Episode parameters are chosen so the terminal posterior still contracts
@@ -416,7 +347,6 @@ def criterion_10_engine_cross_validation(seed: int = 0) -> CriterionResult:
     likelihood collapses the surviving atom count and the worst-of-20 mean
     error blows through the tolerance.
     """
-    start = time.perf_counter()
     prior = GaussianPrior(mean=np.zeros(3), cov=PsdMatrix.unchecked(0.25 * np.eye(3)))
     noise = GaussianNoise(sd=2.5)
     gen = KArmedGaussianGenerator(k=10, dim=3)
@@ -446,22 +376,15 @@ def criterion_10_engine_cross_validation(seed: int = 0) -> CriterionResult:
         worst_mean = max(worst_mean, mean_err)
         worst_cov = max(worst_cov, cov_err)
     passed = worst_mean <= 0.02 and worst_cov <= 0.05
-    return CriterionResult(
-        number=10,
-        name="engine-cross-validation",
-        passed=passed,
-        runtime_seconds=time.perf_counter() - start,
-        measured={"worst_mean_l2": worst_mean, "worst_cov_frobenius": worst_cov},
-        message="" if passed else (
-            f"worst mean error {worst_mean:.4g} (limit 0.02), "
-            f"worst covariance error {worst_cov:.4g} (limit 0.05)"
-        ),
+    measured = {"worst_mean_l2": worst_mean, "worst_cov_frobenius": worst_cov}
+    return passed, measured, "" if passed else (
+        f"worst mean error {worst_mean:.4g} (limit 0.02), "
+        f"worst covariance error {worst_cov:.4g} (limit 0.05)"
     )
 
 
-def criterion_11_determinism(seed: int = 0) -> CriterionResult:
+def determinism_criterion(seed: int = 0) -> Verdict:
     """Identical seeds must give byte-identical CSV/JSON artifacts."""
-    start = time.perf_counter()
     cfg = config_bernoulli_d3(seed)
     mismatched: List[str] = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -478,37 +401,49 @@ def criterion_11_determinism(seed: int = 0) -> CriterionResult:
             second = os.path.join(dirs[1], name)
             if not filecmp.cmp(first, second, shallow=False):
                 mismatched.append(name)
-    return CriterionResult(
-        number=11,
-        name="determinism",
-        passed=not mismatched,
-        runtime_seconds=time.perf_counter() - start,
-        measured={"files_compared": 3.0, "files_mismatched": float(len(mismatched))},
-        message="" if not mismatched else f"files differ: {', '.join(mismatched)}",
+    measured = {"files_compared": 3.0, "files_mismatched": float(len(mismatched))}
+    return not mismatched, measured, (
+        "" if not mismatched else f"files differ: {', '.join(mismatched)}"
     )
 
 
-CRITERIA: Tuple[Tuple[int, str, Callable[[int], CriterionResult]], ...] = (
-    (1, "classical-potential", criterion_1_classical),
-    (2, "logdet-properties", criterion_2_logdet),
-    (3, "variance-reduction", criterion_3_variance_reduction),
-    (4, "counterexample-exact", criterion_4_counterexample),
-    (5, "potential-exact-tree", criterion_5_exact_tree),
-    (6, "potential-monte-carlo", criterion_6_monte_carlo),
-    (7, "trace-cauchy-schwarz", criterion_7_trace_cs),
-    (8, "regret-bounds", criterion_8_regret_bounds),
-    (9, "logdet-identity-cap", criterion_9_identity_cap),
-    (10, "engine-cross-validation", criterion_10_engine_cross_validation),
-    (11, "determinism", criterion_11_determinism),
+CRITERIA: Tuple[Tuple[int, str, Callable[[int], Verdict]], ...] = (
+    (1, "classical-potential", _fuzz("classical-potential")),
+    (
+        2,
+        "logdet-properties",
+        _fuzz("logdet-concavity", "logdet-variational", "logdet-shift"),
+    ),
+    (3, "variance-reduction", _fuzz("variance-reduction")),
+    (4, "counterexample-exact", counterexample_criterion),
+    (5, "potential-exact-tree", exact_tree_criterion),
+    (6, "potential-monte-carlo", monte_carlo_criterion),
+    (7, "trace-cauchy-schwarz", _fuzz("trace-cauchy-schwarz")),
+    (8, "regret-bounds", regret_bounds_criterion),
+    (9, "logdet-identity-cap", identity_cap_criterion),
+    (10, "engine-cross-validation", engine_cross_validation_criterion),
+    (11, "determinism", determinism_criterion),
 )
 
 
 def run_criterion(number: int, seed: int = 0) -> CriterionResult:
-    for num, _, func in CRITERIA:
+    """Run the numbered criterion, timed, and report it under its registry name."""
+    for num, name, func in CRITERIA:
         if num == number:
-            return func(seed)
+            start = time.perf_counter()
+            passed, measured, message = func(seed)
+            return CriterionResult(
+                number=num,
+                name=name,
+                passed=passed,
+                runtime_seconds=time.perf_counter() - start,
+                measured=measured,
+                message=message,
+            )
     raise ValueError(f"no criterion numbered {number}")
 
 
 def run_acceptance_suite(seed: int = 0) -> SuiteReport:
-    return SuiteReport(results=tuple(func(seed) for _, _, func in CRITERIA))
+    return SuiteReport(
+        results=tuple(run_criterion(num, seed) for num, _, _ in CRITERIA)
+    )

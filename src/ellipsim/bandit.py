@@ -232,10 +232,11 @@ def check_episode(
 
     An unknown policy is a ``ValueError``, and so is the adversarial policy
     over anything but a :class:`UnitSphereGenerator`. Mean-restricted noise
-    needs a finite-support prior under every policy. A sphere never
-    certifies a reward mean range, so only the other policies must keep
-    every reward mean inside the noise domain; otherwise
-    :class:`~ellipsim.distributions.MeanOutOfRange` is raised.
+    needs a finite-support prior under every policy, and every reward mean
+    it can meet must lie inside the noise domain; otherwise
+    :class:`~ellipsim.distributions.MeanOutOfRange` is raised. The
+    adversarial policy's directions are certified in advance only in
+    d = 1, where its action is always [1]; in d >= 2 they are not checked.
     """
     if policy == "adversarial":
         if not isinstance(generator, UnitSphereGenerator):
@@ -250,20 +251,21 @@ def check_episode(
             "reward means can be bounded in advance"
         )
     if policy == "adversarial":
-        return
-    if isinstance(generator, FixedActionsGenerator):
-        products = prior.atoms @ generator._set.actions.T
-        if np.any(products < -NORM_SLACK) or np.any(products > 1.0 + NORM_SLACK):
-            raise MeanOutOfRange(
-                "fixed action set produces reward means outside [0, 1]"
-            )
-        return
-    atoms_nonneg = bool(np.all(prior.atoms >= -NORM_SLACK))
-    if atoms_nonneg and getattr(generator, "nonnegative", False):
-        return
-    raise MeanOutOfRange(
-        "cannot certify reward means in [0, 1] for this prior/action setup"
-    )
+        if prior.dim > 1:
+            return
+        actions, label = np.ones((1, 1)), "the adversarial action [1]"
+    elif isinstance(generator, FixedActionsGenerator):
+        actions, label = generator._set.actions, "fixed action set"
+    else:
+        atoms_nonneg = bool(np.all(prior.atoms >= -NORM_SLACK))
+        if atoms_nonneg and getattr(generator, "nonnegative", False):
+            return
+        raise MeanOutOfRange(
+            "cannot certify reward means in [0, 1] for this prior/action setup"
+        )
+    products = prior.atoms @ actions.T
+    if np.any(products < -NORM_SLACK) or np.any(products > 1.0 + NORM_SLACK):
+        raise MeanOutOfRange(f"{label} produces reward means outside [0, 1]")
 
 
 def run_episode(

@@ -127,6 +127,14 @@ def _as_int(value: Any, path: str) -> int:
     return value
 
 
+def _seed(section: Mapping, key: str, path: str) -> int:
+    """The seed ``section[key]`` (default 0), refused on ``path.key`` if negative."""
+    seed = _as_int(section.get(key, 0), f"{path}.{key}")
+    if seed < 0:
+        raise ConfigError(f"{path}.{key}", f"must be >= 0, got {seed}")
+    return seed
+
+
 def _as_bool(value: Any, path: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(path, f"expected a boolean, got {value!r}")
@@ -206,7 +214,9 @@ def build_engine(section: Optional[Mapping], path: str = "engine") -> EngineConf
         return EngineConfig()
     kind = _as_str(section.get("kind", "particle"), f"{path}.kind")
     _check_keys(section, ("kind", "particles"), path)
-    particles = _as_int(section.get("particles", 20_000), f"{path}.particles")
+    particles = _as_int(
+        section.get("particles", EngineConfig.particles), f"{path}.particles"
+    )
     try:
         return EngineConfig(kind=kind, particles=particles)
     except ValueError as exc:
@@ -312,7 +322,7 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
         replications=_as_int(
             _require(exp, "replications", "experiment"), "experiment.replications"
         ),
-        master_seed=_as_int(exp.get("master_seed", 0), "experiment.master_seed"),
+        master_seed=_seed(exp, "master_seed", "experiment"),
         workers=_as_int(exp.get("workers", 1), "experiment.workers"),
         policy=policy,
         lam=_as_float(exp.get("lam", 1.0), "experiment.lam"),
@@ -341,10 +351,7 @@ def build_lemma_run(doc: Mapping) -> LemmaRunConfig:
                     f"lemmas.{name}", f"instance count must be >= 1, got {count}"
                 )
             sizes[name] = count
-    seed = _as_int(sec.get("seed", 0), "lemmas.seed")
-    if seed < 0:
-        raise ConfigError("lemmas.seed", f"must be >= 0, got {seed}")
-    return LemmaRunConfig(sizes=sizes, seed=seed)
+    return LemmaRunConfig(sizes=sizes, seed=_seed(sec, "seed", "lemmas"))
 
 
 def build_potential_run(doc: Mapping) -> ExperimentConfig:
@@ -366,9 +373,6 @@ def build_potential_run(doc: Mapping) -> ExperimentConfig:
         raise ConfigError("actions", "the lints action rule needs an actions section")
     else:
         actions = build_actions(_section(doc, "actions"), prior.dim)
-    master_seed = _as_int(sec.get("master_seed", 0), "potential.master_seed")
-    if master_seed < 0:
-        raise ConfigError("potential.master_seed", f"must be >= 0, got {master_seed}")
     cfg = _experiment_config(
         "potential",
         "actions" if rule == "lints" else None,
@@ -378,7 +382,7 @@ def build_potential_run(doc: Mapping) -> ExperimentConfig:
         actions=actions,
         horizon=_as_int(_require(sec, "horizon", "potential"), "potential.horizon"),
         replications=_as_int(sec.get("replications", 300), "potential.replications"),
-        master_seed=master_seed,
+        master_seed=_seed(sec, "master_seed", "potential"),
         policy=rule,
         lam=None,
     )

@@ -30,13 +30,13 @@ from .potential import (
     _exact_potential,
     exact_path_applies,
     gamma1_eigs,
-    logdet_growth,
-    logdet_identity_cap,
+    identity_cap_excess,
     potential_bound,
     regret_bound,
     regret_bound_identity_cap,
     ridge_potential_bound,
     sigma_factor,
+    thm23_margin,
 )
 from .tolerances import (
     INEQUALITY_SLACK,
@@ -292,20 +292,15 @@ def run_experiment(
         elif name == "eq1":
             checks[key] = bool(eq1_violation <= RIDGE_POTENTIAL_SLACK)
         elif name == "thm23":
-            checks[key] = bool(
-                potential_mean
-                <= bounds["thm23_rhs"] + MONTE_CARLO_SLACK_SE * potential_stderr
-            )
+            margin = thm23_margin(potential_mean, potential_stderr, bounds["thm23_rhs"])
+            checks[key] = bool(margin >= 0.0)
         elif name == "eq4":
             checks[key] = bool(
                 final_mean + MONTE_CARLO_SLACK_SE * final_stderr <= bounds["eq4_rhs"]
             )
         else:
             checks[key] = (
-                bool(
-                    logdet_growth(horizon, eigs)
-                    <= logdet_identity_cap(horizon, dim) + INEQUALITY_SLACK
-                )
+                bool(identity_cap_excess(horizon, eigs) <= INEQUALITY_SLACK)
                 if within_identity
                 else None
             )
@@ -378,9 +373,9 @@ def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
     averages the posterior quadratic forms of ``cfg.replications``
     episodes, always with no ridge tracker, through the same driver and
     failure rule as :func:`run_experiment` (degraded engines count in
-    ``failed_replications``). The pass criterion is
-    mean <= bound + ``MONTE_CARLO_SLACK_SE`` * stderr, with stderr zero on
-    the exact path.
+    ``failed_replications``). The bound holds when
+    :func:`~ellipsim.potential.thm23_margin` is >= 0, or on the exact path
+    when mean <= bound + ``INEQUALITY_SLACK``.
     """
     if cfg.policy not in ("adversarial", "lints"):
         raise ValueError(f"unknown action rule {cfg.policy!r}")
@@ -422,7 +417,7 @@ def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
         exact=False,
         mean_total=mean_total,
         stderr_total=stderr_total,
-        holds=bool(mean_total <= bound + MONTE_CARLO_SLACK_SE * stderr_total),
+        holds=bool(thm23_margin(mean_total, stderr_total, bound) >= 0.0),
         per_round_mean=tuple(per_round),
         failed_replications=len(failures),
     )

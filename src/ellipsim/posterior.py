@@ -212,7 +212,7 @@ class ParticleState(FiniteSupportState):
         prior: Prior,
         noise: Noise,
         rng: np.random.Generator,
-        n_particles: int = 20_000,
+        n_particles: int = EngineConfig.particles,
     ):
         self.noise = noise
         self.rng = rng

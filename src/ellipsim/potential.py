@@ -1,7 +1,8 @@
 """Bound formulas, potential trackers and the exact expected potential.
 
 Every right-hand side that a check compares against (eqs. 1 and 4,
-theorem 2.3, remark 3.3) is written once here, as a module-level function.
+theorem 2.3, remark 3.3) is written once here, as a module-level function,
+and so are the margins of the theorem 2.3 and remark 3.3 verdicts.
 
 Two related quantities are tracked along an action sequence:
 
@@ -35,7 +36,13 @@ from .posterior import (
     enumerate_posterior_outcomes,
     make_posterior,
 )
-from .tolerances import EIGEN_TIE_REL, LATTICE_MERGE_LOG, NORM_SLACK, PSD_SLACK
+from .tolerances import (
+    EIGEN_TIE_REL,
+    LATTICE_MERGE_LOG,
+    MONTE_CARLO_SLACK_SE,
+    NORM_SLACK,
+    PSD_SLACK,
+)
 
 # ---------------------------------------------------------------------------
 # bound formulas: the one home of every right-hand side the checks compare to
@@ -75,9 +82,20 @@ def regret_bound_identity_cap(t: int, dim: int, factor: float) -> float:
     return float(dim * np.sqrt(2.0 * factor * t * np.log1p(t)))
 
 
-def logdet_identity_cap(t: int, dim: int) -> float:
-    """d * log(1 + t), which bounds log det(I + t * Gamma_1) when Gamma_1 <= I."""
-    return dim * float(np.log1p(t))
+def identity_cap_excess(t: int, eigs: Sequence[float]) -> float:
+    """Remark 3.3's cap margin: log det(I + t * Gamma_1) - d * log(1 + t).
+
+    The cap d * log(1 + t) bounds the log-det when Gamma_1 <= I, so there
+    the excess is at most zero up to rounding.
+    """
+    return logdet_growth(t, eigs) - len(eigs) * float(np.log1p(t))
+
+
+def thm23_margin(mean: float, stderr: float, bound: float) -> float:
+    """How far a Monte Carlo mean of the potential sum sits below the
+    theorem 2.3 bound widened by ``MONTE_CARLO_SLACK_SE`` standard errors;
+    the bound holds when this is >= 0."""
+    return bound + MONTE_CARLO_SLACK_SE * stderr - mean
 
 
 def ridge_potential_bound(t: int, dim: int, lam: float) -> float:

@@ -10,7 +10,7 @@ a real defect, not an unlucky draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,7 +61,7 @@ CLASSICAL_LAMBDAS = (1.0, 2.0, 10.0)
 
 
 def check_classical_potential(
-    instances: int = 1000, seed: int = 0, tol: float = RIDGE_POTENTIAL_SLACK
+    instances: int, seed: int = 0, tol: float = RIDGE_POTENTIAL_SLACK
 ) -> FuzzReport:
     """Ridge potential telescope on random action sequences.
 
@@ -93,7 +93,7 @@ def check_classical_potential(
 
 
 def check_logdet_concavity(
-    instances: int = 2000,
+    instances: int,
     seed: int = 0,
     dim_max: int = 6,
     tol: float = INEQUALITY_SLACK,
@@ -120,7 +120,7 @@ def check_logdet_concavity(
 
 
 def check_logdet_variational(
-    instances: int = 2000,
+    instances: int,
     seed: int = 0,
     dim_max: int = 6,
     lambdas_per_instance: int = 50,
@@ -157,7 +157,7 @@ def check_logdet_variational(
 
 
 def check_logdet_shift(
-    instances: int = 2000,
+    instances: int,
     seed: int = 0,
     dim_max: int = 6,
     tol: float = INEQUALITY_SLACK,
@@ -203,7 +203,7 @@ def _random_mean_bounded_prior(
 
 
 def check_variance_reduction(
-    instances: int = 500, seed: int = 0, tol: float = INEQUALITY_SLACK
+    instances: int, seed: int = 0, tol: float = INEQUALITY_SLACK
 ) -> FuzzReport:
     """Expected one-step posterior-covariance contraction, enumerated.
 
@@ -265,7 +265,7 @@ def check_variance_reduction(
 
 
 def check_trace_cauchy_schwarz(
-    instances: int = 1000,
+    instances: int,
     seed: int = 0,
     dim_max: int = 6,
     tol: float = INEQUALITY_SLACK,
@@ -290,23 +290,21 @@ def check_trace_cauchy_schwarz(
     return FuzzReport("trace-cauchy-schwarz", instances, worst, tol)
 
 
-DEFAULT_SIZES: Dict[str, int] = {
-    "classical-potential": 1000,
-    "logdet-concavity": 2000,
-    "logdet-variational": 2000,
-    "logdet-shift": 2000,
-    "variance-reduction": 500,
-    "trace-cauchy-schwarz": 1000,
+# every check by name, with the instance count it runs at by default
+DEFAULT_SIZES: Dict[str, Tuple[Callable[..., FuzzReport], int]] = {
+    "classical-potential": (check_classical_potential, 1000),
+    "logdet-concavity": (check_logdet_concavity, 2000),
+    "logdet-variational": (check_logdet_variational, 2000),
+    "logdet-shift": (check_logdet_shift, 2000),
+    "variance-reduction": (check_variance_reduction, 500),
+    "trace-cauchy-schwarz": (check_trace_cauchy_schwarz, 1000),
 }
 
-_CHECKS = {
-    "classical-potential": check_classical_potential,
-    "logdet-concavity": check_logdet_concavity,
-    "logdet-variational": check_logdet_variational,
-    "logdet-shift": check_logdet_shift,
-    "variance-reduction": check_variance_reduction,
-    "trace-cauchy-schwarz": check_trace_cauchy_schwarz,
-}
+
+def run_check(name: str, seed: int = 0, instances: Optional[int] = None) -> FuzzReport:
+    """Run the named check at ``instances``, or at its default count."""
+    check, default = DEFAULT_SIZES[name]
+    return check(instances=default if instances is None else instances, seed=seed)
 
 
 def run_all_checks(
@@ -317,13 +315,11 @@ def run_all_checks(
     ``sizes`` overrides instance counts per check name; a count of zero or
     less is invalid and raises ValueError.
     """
-    merged = dict(DEFAULT_SIZES)
-    if sizes:
-        unknown = set(sizes) - set(merged)
-        if unknown:
-            raise ValueError(f"unknown check names: {sorted(unknown)}")
-        merged.update(sizes)
-    for name, count in merged.items():
+    sizes = sizes or {}
+    unknown = set(sizes) - set(DEFAULT_SIZES)
+    if unknown:
+        raise ValueError(f"unknown check names: {sorted(unknown)}")
+    for name, count in sizes.items():
         if count < 1:
             raise ValueError(f"instance count for {name} must be >= 1, got {count}")
-    return [_CHECKS[name](instances=merged[name], seed=seed) for name in _CHECKS]
+    return [run_check(name, seed, sizes.get(name)) for name in DEFAULT_SIZES]

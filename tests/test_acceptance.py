@@ -5,8 +5,13 @@ No tolerances are loosened here; a criterion that cannot reach its
 pinned reference value fails loudly with the measured numbers in the
 assertion message.
 """
+import ast
+import inspect
+
 import pytest
 
+import ellipsim.acceptance as acceptance_mod
+import ellipsim.verify as verify_mod
 from ellipsim.acceptance import CRITERIA, config_gaussian_d5, run_criterion
 from ellipsim.config import ConfigError
 
@@ -28,6 +33,33 @@ def test_criterion(number, name):
 def test_registry_is_complete():
     numbers = [num for num, _, _ in CRITERIA]
     assert numbers == list(range(1, 12))
+
+
+def test_run_criterion_reports_the_registry_number_and_name():
+    result = run_criterion(9, seed=SUITE_SEED)
+    assert (result.number, result.name) == CRITERIA[8][:2]
+    assert result.runtime_seconds >= 0.0
+
+
+def test_criterion_facts_are_written_once():
+    # only run_criterion builds a CriterionResult, so a criterion's number
+    # and name come from CRITERIA alone
+    tree = ast.parse(inspect.getsource(acceptance_mod))
+    builders = [
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "CriterionResult"
+    ]
+    assert builders == ["run_criterion"]
+    # instance counts live in verify.DEFAULT_SIZES, not in check defaults
+    tree = ast.parse(inspect.getsource(verify_mod))
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name.startswith("check_"):
+            args = func.args.args
+            defaulted = [a.arg for a in args[len(args) - len(func.args.defaults):]]
+            assert "instances" not in defaulted, func.name
 
 
 def test_unknown_criterion_number():

@@ -183,6 +183,35 @@ def test_potential_trace_mean_out_of_range_is_a_failed_run(tmp_path, capsys):
     assert err.startswith("run failed: Bernoulli mean must lie in [0, 1]")
 
 
+# d = 1: the adversarial action is always [1], so the atoms are the reward
+# means and a negative one is refused before anything runs
+ONE_DIM_NEGATIVE_ATOM_YAML = """\
+potential:
+  horizon: 4
+  replications: 1
+  action_rule: adversarial
+prior:
+  kind: finite_support
+  atoms: [[-0.5], [0.5]]
+  weights: [0.5, 0.5]
+noise:
+  kind: bernoulli_mean
+engine:
+  kind: finite_support
+"""
+
+
+def test_potential_trace_one_dim_negative_atom_is_a_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, "pot.yaml", ONE_DIM_NEGATIVE_ATOM_YAML)
+    code = main(["potential-trace", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: potential: the adversarial action [1] produces reward "
+        "means outside [0, 1]"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 # Monte Carlo lints rule: signed atoms and signed arms leave the Bernoulli
 # mean range uncertified, as a regret experiment would be
 UNCERTIFIED_LINTS_YAML = """\
@@ -472,6 +501,7 @@ def test_bernoulli_noise_needs_a_finite_support_prior(tmp_path, capsys, command,
         (["acceptance", "--seed", "-1"], "--seed"),
         (["verify-lemmas", "--config", "{lemmas}"], "lemmas.seed"),
         (["potential-trace", "--config", "{bad_pot}"], "potential.master_seed"),
+        (["run-bandit", "--config", "{bad_run}"], "experiment.master_seed"),
     ],
     ids=[
         "run-bandit-workers-flag",
@@ -481,6 +511,7 @@ def test_bernoulli_noise_needs_a_finite_support_prior(tmp_path, capsys, command,
         "acceptance-seed-flag",
         "lemmas-seed",
         "potential-master-seed",
+        "experiment-master-seed",
     ],
 )
 def test_negative_seed_or_zero_workers_is_a_config_error(tmp_path, capsys, argv, field):
@@ -492,6 +523,11 @@ def test_negative_seed_or_zero_workers_is_a_config_error(tmp_path, capsys, argv,
             tmp_path,
             "bad_pot.yaml",
             POTENTIAL_YAML.replace("master_seed: 11", "master_seed: -2"),
+        ),
+        "bad_run": write(
+            tmp_path,
+            "bad_run.yaml",
+            BANDIT_YAML.replace("master_seed: 3", "master_seed: -2"),
         ),
     }
     argv = [arg.format(**paths) for arg in argv]
