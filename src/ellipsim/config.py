@@ -3,6 +3,11 @@
 The schema is strict: unknown keys are rejected and every error carries
 the dotted field path it refers to, so a typo in a nested section fails
 fast with a usable message instead of silently running defaults.
+The schema is the classes: a prior, noise or action section's ``kind``
+picks a class from one ``kind -> class`` table, and its other keys and
+their defaults are that class's dataclass fields, as the engine
+section's are :class:`~ellipsim.posterior.EngineConfig`'s. One field
+reader builds every such section and one serializer writes it back.
 The ``experiment`` section of ``run-bandit`` and the ``potential`` section
 of ``potential-trace`` share one section parser, and both build a
 :class:`~ellipsim.harness.ExperimentConfig`.
@@ -10,8 +15,8 @@ of ``potential-trace`` share one section parser, and both build a
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Callable, Collection, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
@@ -34,7 +39,7 @@ from .distributions import (
     UniformBallPrior,
     UniformCenteredNoise,
 )
-from .harness import KNOWN_CHECKS, MONTE_CARLO_MIN_REPLICATIONS, ExperimentConfig
+from .harness import ACTION_RULES, MONTE_CARLO_MIN_REPLICATIONS, ExperimentConfig
 from .linalg import PsdMatrix
 from .posterior import EngineConfig, IncompatibleEngine, check_engine_compatible
 from .potential import exact_path_applies
@@ -89,7 +94,7 @@ def load_yaml(path: str) -> Dict:
     return dict(doc)
 
 
-def _check_keys(section: Mapping, allowed: Sequence[str], path: str) -> None:
+def _check_keys(section: Mapping, allowed: Collection[str], path: str) -> None:
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(
@@ -155,115 +160,96 @@ def _as_matrix(value: Any, path: str) -> np.ndarray:
     return arr
 
 
-def build_prior(section: Mapping, path: str = "prior") -> Prior:
+# one table per family section, ``kind -> class``; the engine section has
+# none, its ``kind`` is an :class:`EngineConfig` field
+_PRIORS = {
+    "gaussian": GaussianPrior,
+    "finite_support": FiniteSupportPrior,
+    "uniform_ball": UniformBallPrior,
+}
+_NOISES = {
+    "gaussian": GaussianNoise,
+    "bernoulli_mean": BernoulliMeanNoise,
+    "uniform_centered": UniformCenteredNoise,
+    "student_t": StudentTNoise,
+}
+_ACTIONS = {
+    "fixed": FixedActionsGenerator,
+    "karmed_gaussian": KArmedGaussianGenerator,
+    "unit_sphere": UnitSphereGenerator,
+}
+
+# the YAML value parser of each annotation a family field carries
+_PARSERS: Dict[str, Callable[[Any, str], Any]] = {
+    "float": _as_float,
+    "int": _as_int,
+    "bool": _as_bool,
+    "str": _as_str,
+    "Array": _as_matrix,
+    "PsdMatrix": lambda value, path: PsdMatrix(_as_matrix(value, path)),
+}
+
+
+def _kind(table: Mapping[str, type], noun: str, section: Mapping, path: str) -> type:
     kind = _as_str(_require(section, "kind", path), f"{path}.kind")
+    if kind not in table:
+        raise ConfigError(f"{path}.kind", f"unknown {noun} kind {kind!r}")
+    return table[kind]
+
+
+def _read(cls: type, section: Mapping, path: str, **derived: Any) -> Any:
+    """``cls`` built from ``section``.
+
+    The keys are ``kind`` and the dataclass fields of ``cls``, less those
+    ``derived`` supplies; a field with no default is required. A
+    ``ValueError`` from a parser or from ``cls`` is refused on ``path``.
+    """
+    names = [f.name for f in fields(cls)]
+    values = {name: v for name, v in derived.items() if name in names}
+    read = [f for f in fields(cls) if f.name not in values]
+    _check_keys(section, {"kind"} | {f.name for f in read}, path)
     try:
-        if kind == "gaussian":
-            _check_keys(section, ("kind", "mean", "cov"), path)
-            mean = _as_matrix(_require(section, "mean", path), f"{path}.mean")
-            cov = _as_matrix(_require(section, "cov", path), f"{path}.cov")
-            return GaussianPrior(mean=mean, cov=PsdMatrix(cov))
-        if kind == "finite_support":
-            _check_keys(section, ("kind", "atoms", "weights"), path)
-            atoms = _as_matrix(_require(section, "atoms", path), f"{path}.atoms")
-            weights = _as_matrix(_require(section, "weights", path), f"{path}.weights")
-            return FiniteSupportPrior(atoms=atoms, weights=weights)
-        if kind == "uniform_ball":
-            _check_keys(section, ("kind", "dim", "radius"), path)
-            dim = _as_int(_require(section, "dim", path), f"{path}.dim")
-            radius = _as_float(section.get("radius", 1.0), f"{path}.radius")
-            return UniformBallPrior(dim=dim, radius=radius)
+        for f in read:
+            key = f"{path}.{f.name}"
+            if f.name in section:
+                values[f.name] = _PARSERS[f.type](section[f.name], key)
+            elif f.default is MISSING:
+                raise ConfigError(key, "missing required field")
+        return cls(**values)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.kind", f"unknown prior kind {kind!r}")
+
+
+def build_prior(section: Mapping, path: str = "prior") -> Prior:
+    return _read(_kind(_PRIORS, "prior", section, path), section, path)
 
 
 def build_noise(section: Mapping, path: str = "noise") -> Noise:
-    kind = _as_str(_require(section, "kind", path), f"{path}.kind")
-    try:
-        if kind == "gaussian":
-            _check_keys(section, ("kind", "sd"), path)
-            return GaussianNoise(sd=_as_float(_require(section, "sd", path), f"{path}.sd"))
-        if kind == "bernoulli_mean":
-            _check_keys(section, ("kind",), path)
-            return BernoulliMeanNoise()
-        if kind == "uniform_centered":
-            _check_keys(section, ("kind", "half_width"), path)
-            return UniformCenteredNoise(
-                half_width=_as_float(
-                    _require(section, "half_width", path), f"{path}.half_width"
-                )
-            )
-        if kind == "student_t":
-            _check_keys(section, ("kind", "dof", "scale"), path)
-            return StudentTNoise(
-                dof=_as_float(section.get("dof", 3.0), f"{path}.dof"),
-                scale=_as_float(section.get("scale", 1.0), f"{path}.scale"),
-            )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.kind", f"unknown noise kind {kind!r}")
+    return _read(_kind(_NOISES, "noise", section, path), section, path)
 
 
 def build_engine(section: Optional[Mapping], path: str = "engine") -> EngineConfig:
-    if section is None:
-        return EngineConfig()
-    kind = _as_str(section.get("kind", "particle"), f"{path}.kind")
-    _check_keys(section, ("kind", "particles"), path)
-    particles = _as_int(
-        section.get("particles", EngineConfig.particles), f"{path}.particles"
-    )
-    try:
-        return EngineConfig(kind=kind, particles=particles)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return _read(EngineConfig, section or {}, path)
 
 
 def build_actions(
     section: Mapping, dim: int, path: str = "actions"
 ) -> ActionSetGenerator:
-    kind = _as_str(_require(section, "kind", path), f"{path}.kind")
-    try:
-        if kind == "fixed":
-            _check_keys(section, ("kind", "vectors"), path)
-            vectors = _as_matrix(_require(section, "vectors", path), f"{path}.vectors")
-            gen = FixedActionsGenerator(vectors=vectors)
-            if gen.dim != dim:
-                raise ConfigError(
-                    f"{path}.vectors", f"action dim {gen.dim} != prior dim {dim}"
-                )
-            return gen
-        if kind == "karmed_gaussian":
-            _check_keys(section, ("kind", "k", "nonnegative"), path)
-            return KArmedGaussianGenerator(
-                k=_as_int(_require(section, "k", path), f"{path}.k"),
-                dim=dim,
-                nonnegative=_as_bool(
-                    section.get("nonnegative", False), f"{path}.nonnegative"
-                ),
-            )
-        if kind == "unit_sphere":
-            _check_keys(section, ("kind",), path)
-            return UnitSphereGenerator(dim=dim)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.kind", f"unknown action generator kind {kind!r}")
+    cls = _kind(_ACTIONS, "action generator", section, path)
+    gen = _read(cls, section, path, dim=dim)
+    # fixed vectors carry their own dim; the other kinds take the prior's
+    if gen.dim != dim:
+        raise ConfigError(f"{path}.vectors", f"action dim {gen.dim} != prior dim {dim}")
+    return gen
 
 
-_EXPERIMENT_KEYS = (
-    "horizon",
-    "replications",
-    "master_seed",
-    "workers",
-    "policy",
-    "lam",
-    "bound_checks",
+# a job document's sections besides its own; ``experiment``'s keys are the
+# other ExperimentConfig fields
+_FAMILY_SECTIONS = ("prior", "noise", "engine", "actions")
+_EXPERIMENT_KEYS = tuple(
+    f.name for f in fields(ExperimentConfig) if f.name not in _FAMILY_SECTIONS
 )
 
 
@@ -271,7 +257,7 @@ def _parse_sections(
     doc: Mapping, job: str, job_keys: Sequence[str]
 ) -> Tuple[Mapping, Prior, Noise, EngineConfig]:
     """The job section, prior, noise and an engine that can represent them."""
-    _check_keys(doc, (job, "prior", "noise", "engine", "actions"), "<root>")
+    _check_keys(doc, (job,) + _FAMILY_SECTIONS, "<root>")
     sec = _section(doc, job)
     _check_keys(sec, job_keys, job)
     prior = build_prior(_section(doc, "prior"))
@@ -285,12 +271,12 @@ def _parse_sections(
 
 
 def _experiment_config(
-    path: str, mean_path: Optional[str] = None, **fields: Any
+    path: str, mean_path: Optional[str] = None, **values: Any
 ) -> ExperimentConfig:
-    """``ExperimentConfig(**fields)``, refused as a :class:`ConfigError` on
+    """``ExperimentConfig(**values)``, refused as a :class:`ConfigError` on
     ``path``, or on ``mean_path`` when a reward mean range is uncertified."""
     try:
-        return ExperimentConfig(**fields)
+        return ExperimentConfig(**values)
     except MeanOutOfRange as exc:
         raise ConfigError(mean_path or path, str(exc)) from exc
     except ValueError as exc:
@@ -302,13 +288,13 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
     exp, prior, noise, engine = _parse_sections(doc, "experiment", _EXPERIMENT_KEYS)
     actions = build_actions(_section(doc, "actions"), prior.dim)
 
-    checks = exp.get("bound_checks", list(KNOWN_CHECKS))
+    checks = exp.get("bound_checks", ExperimentConfig.bound_checks)
     if not isinstance(checks, Sequence) or isinstance(checks, str):
         raise ConfigError("experiment.bound_checks", "expected a list of check names")
     checks = tuple(_as_str(c, "experiment.bound_checks") for c in checks)
     # the episode loop also plays the verifier's adversarial rule, but a
     # regret experiment takes only these two
-    policy = _as_str(exp.get("policy", "lints"), "experiment.policy")
+    policy = _as_str(exp.get("policy", ExperimentConfig.policy), "experiment.policy")
     if policy not in ("lints", "greedy"):
         raise ConfigError("experiment", f"unknown policy {policy!r}")
 
@@ -323,9 +309,11 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
             _require(exp, "replications", "experiment"), "experiment.replications"
         ),
         master_seed=_seed(exp, "master_seed", "experiment"),
-        workers=_as_int(exp.get("workers", 1), "experiment.workers"),
+        workers=_as_int(
+            exp.get("workers", ExperimentConfig.workers), "experiment.workers"
+        ),
         policy=policy,
-        lam=_as_float(exp.get("lam", 1.0), "experiment.lam"),
+        lam=_as_float(exp.get("lam", ExperimentConfig.lam), "experiment.lam"),
         bound_checks=checks,
     )
 
@@ -361,7 +349,7 @@ def build_potential_run(doc: Mapping) -> ExperimentConfig:
         doc, "potential", ("horizon", "replications", "master_seed", "action_rule")
     )
     rule = _as_str(sec.get("action_rule", "adversarial"), "potential.action_rule")
-    if rule not in ("adversarial", "lints"):
+    if rule not in ACTION_RULES:
         raise ConfigError("potential.action_rule", f"unknown action rule {rule!r}")
     if rule == "adversarial":
         if "actions" in doc:
@@ -403,62 +391,28 @@ def build_potential_run(doc: Mapping) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def prior_to_dict(prior: Prior) -> Dict:
-    if isinstance(prior, GaussianPrior):
-        return {
-            "kind": "gaussian",
-            "mean": prior.mean.tolist(),
-            "cov": prior.cov.mat.tolist(),
-        }
-    if isinstance(prior, FiniteSupportPrior):
-        return {
-            "kind": "finite_support",
-            "atoms": prior.atoms.tolist(),
-            "weights": prior.weights.tolist(),
-        }
-    return {"kind": "uniform_ball", "dim": prior.dim, "radius": prior.radius}
-
-
-def noise_to_dict(noise: Noise) -> Dict:
-    if isinstance(noise, GaussianNoise):
-        return {"kind": "gaussian", "sd": noise.sd}
-    if isinstance(noise, BernoulliMeanNoise):
-        return {"kind": "bernoulli_mean"}
-    if isinstance(noise, UniformCenteredNoise):
-        return {"kind": "uniform_centered", "half_width": noise.half_width}
-    return {"kind": "student_t", "dof": noise.dof, "scale": noise.scale}
-
-
-def engine_to_dict(engine: EngineConfig) -> Dict:
-    return {"kind": engine.kind, "particles": engine.particles}
-
-
-def actions_to_dict(gen: ActionSetGenerator) -> Dict:
-    if isinstance(gen, FixedActionsGenerator):
-        return {"kind": "fixed", "vectors": np.asarray(gen.vectors).tolist()}
-    if isinstance(gen, KArmedGaussianGenerator):
-        return {
-            "kind": "karmed_gaussian",
-            "k": gen.k,
-            "nonnegative": gen.nonnegative,
-        }
-    return {"kind": "unit_sphere"}
+def _to_dict(table: Mapping[str, type], obj: Any, derived: Sequence[str] = ()) -> Dict:
+    """The section :func:`_read` builds ``obj`` from, less ``derived``."""
+    out = {"kind": kind for kind, cls in table.items() if type(obj) is cls}
+    for f in fields(obj):
+        if f.name not in derived:
+            value = getattr(obj, f.name)
+            # arrays and PsdMatrix as nested lists
+            plain = isinstance(value, (int, float, str))
+            out[f.name] = value if plain else np.asarray(value).tolist()
+    return out
 
 
 def experiment_to_dict(cfg: ExperimentConfig) -> Dict:
     # workers is an execution detail, not semantics: leaving it out keeps
     # serialized summaries identical across worker counts
+    exp = {key: getattr(cfg, key) for key in _EXPERIMENT_KEYS if key != "workers"}
+    exp["bound_checks"] = list(cfg.bound_checks)
     return {
-        "experiment": {
-            "horizon": cfg.horizon,
-            "replications": cfg.replications,
-            "master_seed": cfg.master_seed,
-            "policy": cfg.policy,
-            "lam": cfg.lam,
-            "bound_checks": list(cfg.bound_checks),
-        },
-        "prior": prior_to_dict(cfg.prior),
-        "noise": noise_to_dict(cfg.noise),
-        "engine": engine_to_dict(cfg.engine),
-        "actions": actions_to_dict(cfg.actions),
+        "experiment": exp,
+        "prior": _to_dict(_PRIORS, cfg.prior),
+        "noise": _to_dict(_NOISES, cfg.noise),
+        "engine": _to_dict({}, cfg.engine),
+        # the generator's dim is the prior's
+        "actions": _to_dict(_ACTIONS, cfg.actions, derived=("dim",)),
     }

@@ -49,6 +49,8 @@ CURVE_POINT_LIMIT = 10_000
 CURVE_POINTS_WHEN_SUBSAMPLED = 1000
 
 KNOWN_CHECKS = ("eq1", "thm23", "eq4", "remark33")
+# the expected-potential verifier's action rules
+ACTION_RULES = ("adversarial", "lints")
 # the Monte Carlo standard error needs at least two replications
 MONTE_CARLO_MIN_REPLICATIONS = 2
 
@@ -225,9 +227,7 @@ def _curve_ts(horizon: int) -> np.ndarray:
     return np.unique(np.round(pts).astype(int))
 
 
-def run_experiment(
-    cfg: ExperimentConfig, config_echo: Optional[Dict] = None
-) -> RunSummary:
+def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     """Run all replications of an experiment and reduce them.
 
     Failures follow :func:`_run_replications`. The reduction walks
@@ -237,11 +237,10 @@ def run_experiment(
     if cfg.lam is None:
         raise ValueError("run_experiment reports eq1 and needs a ridge lam")
     start = time.perf_counter()
-    if config_echo is None:
-        from .config import experiment_to_dict
+    # config imports this module
+    from .config import experiment_to_dict
 
-        config_echo = experiment_to_dict(cfg)
-
+    config_echo = experiment_to_dict(cfg)
     successes, failures = _run_replications(cfg)
     regret = np.stack([r["cumulative_regret"] for r in successes])
     n = regret.shape[0]
@@ -377,7 +376,7 @@ def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
     :func:`~ellipsim.potential.thm23_margin` is >= 0, or on the exact path
     when mean <= bound + ``INEQUALITY_SLACK``.
     """
-    if cfg.policy not in ("adversarial", "lints"):
+    if cfg.policy not in ACTION_RULES:
         raise ValueError(f"unknown action rule {cfg.policy!r}")
     prior, noise, horizon = cfg.prior, cfg.noise, cfg.horizon
     _, gamma1 = prior.moments()

@@ -101,9 +101,11 @@ class PsdMatrix:
         return float(vec @ self.mat @ vec)
 
     def __array__(self, dtype=None, copy=None) -> Array:
-        if dtype is not None:
-            return np.asarray(self.mat, dtype=dtype)
-        return self.mat
+        # np.array asks for a fresh, writeable copy; np.asarray shares the
+        # read-only buffer
+        if copy:
+            return np.array(self.mat, dtype=dtype)
+        return np.asarray(self.mat, dtype=dtype)
 
     def __repr__(self) -> str:
         return f"PsdMatrix(dim={self.dim})"

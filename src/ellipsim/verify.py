@@ -58,6 +58,13 @@ def _check_rng(seed: int, check_id: int) -> np.random.Generator:
 CLASSICAL_DIMS = (1, 2, 4, 8)
 CLASSICAL_HORIZONS = (50, 500)
 CLASSICAL_LAMBDAS = (1.0, 2.0, 10.0)
+# largest dimension the log-det and trace checks draw
+DIM_MAX = 6
+# dominated Lambda draws per logdet-variational instance
+VARIATIONAL_LAMBDAS = 50
+# largest dimension and atom count of variance-reduction's random priors
+PRIOR_DIM_MAX = 3
+PRIOR_ATOMS_MAX = 8
 
 
 def check_classical_potential(
@@ -93,16 +100,13 @@ def check_classical_potential(
 
 
 def check_logdet_concavity(
-    instances: int,
-    seed: int = 0,
-    dim_max: int = 6,
-    tol: float = INEQUALITY_SLACK,
+    instances: int, seed: int = 0, tol: float = INEQUALITY_SLACK
 ) -> FuzzReport:
     """Concavity of Sigma -> log det(I + x Sigma) along random chords."""
     rng = _check_rng(seed, 2)
     worst = -np.inf
     for _ in range(instances):
-        dim = int(rng.integers(1, dim_max + 1))
+        dim = int(rng.integers(1, DIM_MAX + 1))
         scale = float(np.exp(rng.uniform(np.log(1e-2), np.log(10.0))))
         rank_a = int(rng.integers(1, dim + 1))
         rank_b = int(rng.integers(1, dim + 1))
@@ -120,11 +124,7 @@ def check_logdet_concavity(
 
 
 def check_logdet_variational(
-    instances: int,
-    seed: int = 0,
-    dim_max: int = 6,
-    lambdas_per_instance: int = 50,
-    tol: float = INEQUALITY_SLACK,
+    instances: int, seed: int = 0, tol: float = INEQUALITY_SLACK
 ) -> FuzzReport:
     """Variational form: log det(I + x Sigma) dominates every Lambda <= x I.
 
@@ -136,7 +136,7 @@ def check_logdet_variational(
     rng = _check_rng(seed, 3)
     worst = -np.inf
     for _ in range(instances):
-        dim = int(rng.integers(1, dim_max + 1))
+        dim = int(rng.integers(1, DIM_MAX + 1))
         scale = float(np.exp(rng.uniform(np.log(1e-2), np.log(10.0))))
         base = random_psd(dim, scale, rng)
         # floor the spectrum so Sigma is safely invertible
@@ -144,7 +144,7 @@ def check_logdet_variational(
         x = float(np.exp(rng.uniform(np.log(1e-3), np.log(100.0))))
         root = psd_sqrt(sigma)
         potential = logdet_potential(sigma, x)
-        for _ in range(lambdas_per_instance):
+        for _ in range(VARIATIONAL_LAMBDAS):
             lam_mat = random_psd(dim, x, rng)
             inner = np.eye(dim) + root @ lam_mat.mat @ root
             _, inner_logdet = np.linalg.slogdet(symmetrize(inner))
@@ -157,10 +157,7 @@ def check_logdet_variational(
 
 
 def check_logdet_shift(
-    instances: int,
-    seed: int = 0,
-    dim_max: int = 6,
-    tol: float = INEQUALITY_SLACK,
+    instances: int, seed: int = 0, tol: float = INEQUALITY_SLACK
 ) -> FuzzReport:
     """One-observation budget shift for the log-det potential.
 
@@ -171,7 +168,7 @@ def check_logdet_shift(
     rng = _check_rng(seed, 4)
     worst = -np.inf
     for _ in range(instances):
-        dim = int(rng.integers(1, dim_max + 1))
+        dim = int(rng.integers(1, DIM_MAX + 1))
         scale = float(np.exp(rng.uniform(np.log(1e-2), np.log(10.0))))
         rank = int(rng.integers(1, dim + 1))
         sigma = random_psd(dim, scale, rng, rank=rank)
@@ -188,12 +185,10 @@ def check_logdet_shift(
     return FuzzReport("logdet-shift", instances, worst, tol)
 
 
-def _random_mean_bounded_prior(
-    rng: np.random.Generator, dim_max: int = 3, atoms_max: int = 8
-) -> FiniteSupportPrior:
+def _random_mean_bounded_prior(rng: np.random.Generator) -> FiniteSupportPrior:
     """Finite prior in the nonnegative orthant of the unit ball."""
-    dim = int(rng.integers(1, dim_max + 1))
-    n = int(rng.integers(2, atoms_max + 1))
+    dim = int(rng.integers(1, PRIOR_DIM_MAX + 1))
+    n = int(rng.integers(2, PRIOR_ATOMS_MAX + 1))
     atoms = np.abs(rng.standard_normal((n, dim)))
     norms = np.linalg.norm(atoms, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
@@ -265,16 +260,13 @@ def check_variance_reduction(
 
 
 def check_trace_cauchy_schwarz(
-    instances: int,
-    seed: int = 0,
-    dim_max: int = 6,
-    tol: float = INEQUALITY_SLACK,
+    instances: int, seed: int = 0, tol: float = INEQUALITY_SLACK
 ) -> FuzzReport:
     """Paired-moment trace inequality on random correlated samples."""
     rng = _check_rng(seed, 6)
     worst = -np.inf
     for _ in range(instances):
-        dim = int(rng.integers(1, dim_max + 1))
+        dim = int(rng.integers(1, DIM_MAX + 1))
         n = int(rng.integers(10, 400))
         x = rng.standard_normal((n, dim)) @ rng.standard_normal((dim, dim))
         draw = rng.random()

@@ -1,9 +1,12 @@
 """Config parsing: strict schemas, dotted error paths, round trips."""
+import ast
+import dataclasses
 import pathlib
 
 import numpy as np
 import pytest
 
+from ellipsim import config as config_mod
 from ellipsim.bandit import (
     FixedActionsGenerator,
     KArmedGaussianGenerator,
@@ -20,8 +23,6 @@ from ellipsim.config import (
     build_prior,
     experiment_to_dict,
     load_yaml,
-    noise_to_dict,
-    prior_to_dict,
 )
 from ellipsim.distributions import (
     BernoulliMeanNoise,
@@ -32,6 +33,8 @@ from ellipsim.distributions import (
     UniformBallPrior,
     UniformCenteredNoise,
 )
+from ellipsim.harness import ExperimentConfig
+from ellipsim.posterior import EngineConfig
 
 
 def full_doc():
@@ -94,7 +97,7 @@ def test_gaussian_prior_round_trip():
     }
     prior = build_prior(spec)
     assert isinstance(prior, GaussianPrior)
-    assert prior_to_dict(prior) == spec
+    assert config_mod._to_dict(config_mod._PRIORS, prior) == spec
 
 
 def test_finite_support_prior_round_trip():
@@ -105,13 +108,17 @@ def test_finite_support_prior_round_trip():
     }
     prior = build_prior(spec)
     assert isinstance(prior, FiniteSupportPrior)
-    assert prior_to_dict(prior) == spec
+    assert config_mod._to_dict(config_mod._PRIORS, prior) == spec
 
 
 def test_uniform_ball_prior_defaults_radius():
     prior = build_prior({"kind": "uniform_ball", "dim": 3})
     assert isinstance(prior, UniformBallPrior)
-    assert prior_to_dict(prior) == {"kind": "uniform_ball", "dim": 3, "radius": 1.0}
+    assert config_mod._to_dict(config_mod._PRIORS, prior) == {
+        "kind": "uniform_ball",
+        "dim": 3,
+        "radius": 1.0,
+    }
 
 
 def test_prior_unknown_kind():
@@ -155,7 +162,7 @@ def test_prior_domain_error_keeps_path():
 def test_noise_round_trip(spec, cls):
     noise = build_noise(spec)
     assert isinstance(noise, cls)
-    assert noise_to_dict(noise) == spec
+    assert config_mod._to_dict(config_mod._NOISES, noise) == spec
 
 
 def test_student_t_defaults():
@@ -203,8 +210,10 @@ def test_engine_unknown_kind():
 
 
 def test_fixed_actions_round_trip():
-    gen = build_actions({"kind": "fixed", "vectors": [[1.0, 0.0], [0.0, 1.0]]}, dim=2)
+    spec = {"kind": "fixed", "vectors": [[1.0, 0.0], [0.0, 1.0]]}
+    gen = build_actions(spec, dim=2)
     assert isinstance(gen, FixedActionsGenerator)
+    assert config_mod._to_dict(config_mod._ACTIONS, gen, derived=("dim",)) == spec
 
 
 def test_fixed_actions_dim_mismatch():
@@ -229,6 +238,149 @@ def test_unit_sphere_actions():
 def test_actions_unknown_kind():
     with pytest.raises(ConfigError, match="unknown action generator kind"):
         build_actions({"kind": "grid"}, dim=2)
+
+
+# ---------------------------------------------------------------------------
+# the family sections: one field reader and one serializer
+# ---------------------------------------------------------------------------
+
+
+# one spec per kind, every field written out, so a spec is exactly what
+# the serializer writes back; actions take their dim from a 2-dim prior
+SECTIONS = {
+    "prior": (
+        build_prior,
+        config_mod._PRIORS,
+        [
+            {"kind": "gaussian", "mean": [0.5, -0.5], "cov": [[2.0, 0.0], [0.0, 1.0]]},
+            {"kind": "finite_support", "atoms": [[0.5]], "weights": [1.0]},
+            {"kind": "uniform_ball", "dim": 3, "radius": 0.5},
+        ],
+    ),
+    "noise": (
+        build_noise,
+        config_mod._NOISES,
+        [
+            {"kind": "gaussian", "sd": 1.5},
+            {"kind": "bernoulli_mean"},
+            {"kind": "uniform_centered", "half_width": 0.3},
+            {"kind": "student_t", "dof": 4.0, "scale": 0.5},
+        ],
+    ),
+    "actions": (
+        lambda spec: build_actions(spec, dim=2),
+        config_mod._ACTIONS,
+        [
+            {"kind": "fixed", "vectors": [[1.0, 0.0], [0.0, 1.0]]},
+            {"kind": "karmed_gaussian", "k": 4, "nonnegative": True},
+            {"kind": "unit_sphere"},
+        ],
+    ),
+}
+SECTION_SPECS = [
+    (name, spec) for name, (_, _, specs) in SECTIONS.items() for spec in specs
+]
+
+
+def test_section_specs_cover_every_kind():
+    for name, (_, table, specs) in SECTIONS.items():
+        assert sorted(spec["kind"] for spec in specs) == sorted(table), name
+
+
+@pytest.mark.parametrize(
+    "name, spec", SECTION_SPECS, ids=[f"{n}-{s['kind']}" for n, s in SECTION_SPECS]
+)
+def test_section_round_trip(name, spec):
+    build, table, _ = SECTIONS[name]
+    obj = build(spec)
+    assert type(obj) is table[spec["kind"]]
+    derived = ("dim",) if name == "actions" else ()
+    assert config_mod._to_dict(table, obj, derived) == spec
+
+
+def test_engine_round_trip():
+    spec = {"kind": "finite_support", "particles": 500}
+    assert config_mod._to_dict({}, build_engine(spec)) == spec
+
+
+KEY_ERRORS = [
+    ("prior", {"kind": "uniform_ball"}, "prior.dim: missing required field"),
+    (
+        "prior",
+        {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]], "sd": 1.0},
+        "prior.sd: unknown key (allowed: cov, kind, mean)",
+    ),
+    ("noise", {"kind": "uniform_centered"}, "noise.half_width: missing required field"),
+    (
+        "noise",
+        {"kind": "bernoulli_mean", "sd": 1.0},
+        "noise.sd: unknown key (allowed: kind)",
+    ),
+    ("actions", {"kind": "karmed_gaussian"}, "actions.k: missing required field"),
+    # the generator's dim comes from the prior, never from the section
+    (
+        "actions",
+        {"kind": "unit_sphere", "dim": 2},
+        "actions.dim: unknown key (allowed: kind)",
+    ),
+    # the engine's kind is a field, listed once
+    (
+        "engine",
+        {"kind": "particle", "size": 10},
+        "engine.size: unknown key (allowed: kind, particles)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, spec, error",
+    KEY_ERRORS,
+    ids=[f"{name}-{error.split()[1]}" for name, _, error in KEY_ERRORS],
+)
+def test_section_key_errors_name_the_dotted_path(name, spec, error):
+    build = build_engine if name == "engine" else SECTIONS[name][0]
+    with pytest.raises(ConfigError) as info:
+        build(spec)
+    assert str(info.value) == error
+
+
+FAMILY_CLASSES = [
+    cls for _, table, _ in SECTIONS.values() for cls in table.values()
+] + [EngineConfig]
+
+
+def test_every_family_field_annotation_has_a_parser():
+    for cls in FAMILY_CLASSES:
+        for field in dataclasses.fields(cls):
+            assert field.type in config_mod._PARSERS, (cls.__name__, field.name)
+
+
+def test_config_writes_no_class_default():
+    # a default lives on its class: config.py never calls .get(key, literal)
+    # for a key that is a field with a default
+    defaulted = {
+        field.name
+        for cls in FAMILY_CLASSES + [ExperimentConfig]
+        for field in dataclasses.fields(cls)
+        if field.default is not dataclasses.MISSING
+    }
+    tree = ast.parse(open(config_mod.__file__, encoding="utf-8").read())
+    copies = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and len(node.args) == 2
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value in defaulted
+        ):
+            try:
+                ast.literal_eval(node.args[1])
+            except ValueError:
+                continue
+            copies.append(ast.unparse(node))
+    assert copies == []
 
 
 # ---------------------------------------------------------------------------

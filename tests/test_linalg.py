@@ -90,6 +90,15 @@ class TestPsdMatrix:
         p = PsdMatrix.identity(2)
         assert np.allclose(np.asarray(p), np.eye(2))
 
+    def test_array_copy_is_fresh_and_writeable(self):
+        p = PsdMatrix.identity(2)
+        copy = np.array(p)
+        assert not np.shares_memory(copy, p.mat)
+        copy[0, 0] = 5.0
+        assert p.mat[0, 0] == 1.0
+        # asarray keeps the zero-copy view of the frozen buffer
+        assert np.asarray(p) is p.mat
+
 
 def test_jittered_cholesky_reconstructs_spd():
     rng = np.random.default_rng(RNG_SEED)
