@@ -11,7 +11,6 @@ from .bandit import (
     FiniteActionSet,
     FixedActionsGenerator,
     KArmedGaussianGenerator,
-    SphereActionSet,
     UnitSphereGenerator,
     greedy_step,
     lints_step,
@@ -84,7 +83,6 @@ __all__ = [
     "PotentialTrace",
     "PsdMatrix",
     "RunSummary",
-    "SphereActionSet",
     "StudentTNoise",
     "UniformBallPrior",
     "UniformCenteredNoise",

@@ -36,6 +36,12 @@ from .potential import PotentialTrace, adversarial_action
 from .tolerances import INEQUALITY_SLACK, NORM_SLACK, REGRET_SLACK
 
 
+# the regret job's policies and the expected-potential verifier's action
+# rules; run_episode plays both sets
+REGRET_POLICIES = ("lints", "greedy")
+ACTION_RULES = ("adversarial", "lints")
+
+
 class EmptyActionSet(ValueError):
     """An action set with no actions was presented."""
 
@@ -80,25 +86,6 @@ class FiniteActionSet:
         """Best action for the given parameter; ties go to the lowest index."""
         scores = self.actions @ np.asarray(theta, dtype=np.float64)
         return self.actions[int(np.argmax(scores))]
-
-
-@dataclass(frozen=True)
-class SphereActionSet:
-    """The whole unit sphere; argmax is the normalized parameter."""
-
-    dim: int
-
-    def argmax(self, theta: ArrayLike) -> Array:
-        vec = np.asarray(theta, dtype=np.float64)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            out = np.zeros(self.dim)
-            out[0] = 1.0
-            return out
-        return vec / norm
-
-
-ActionSet = Union[FiniteActionSet, SphereActionSet]
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,21 +139,25 @@ class KArmedGaussianGenerator:
 
 @dataclass(frozen=True)
 class UnitSphereGenerator:
-    """Presents the full unit sphere every round."""
+    """The whole unit sphere, its own action set every round; argmax normalizes."""
 
     dim: int
+    nonnegative = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "_set", SphereActionSet(self.dim))
+    def sample_round(self, rng: np.random.Generator) -> "UnitSphereGenerator":
+        return self
 
-    @property
-    def nonnegative(self) -> bool:
-        return False
+    def argmax(self, theta: ArrayLike) -> Array:
+        vec = np.asarray(theta, dtype=np.float64)
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0:
+            out = np.zeros(self.dim)
+            out[0] = 1.0
+            return out
+        return vec / norm
 
-    def sample_round(self, rng: np.random.Generator) -> SphereActionSet:
-        return self._set
 
-
+ActionSet = Union[FiniteActionSet, UnitSphereGenerator]
 ActionSetGenerator = Union[
     FixedActionsGenerator, KArmedGaussianGenerator, UnitSphereGenerator
 ]
@@ -241,7 +232,7 @@ def check_episode(
     if policy == "adversarial":
         if not isinstance(generator, UnitSphereGenerator):
             raise ValueError("the adversarial policy plays over the unit sphere")
-    elif policy not in ("lints", "greedy"):
+    elif policy not in REGRET_POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     if not noise.requires_unit_interval_mean:
         return
@@ -258,7 +249,7 @@ def check_episode(
         actions, label = generator._set.actions, "fixed action set"
     else:
         atoms_nonneg = bool(np.all(prior.atoms >= -NORM_SLACK))
-        if atoms_nonneg and getattr(generator, "nonnegative", False):
+        if atoms_nonneg and generator.nonnegative:
             return
         raise MeanOutOfRange(
             "cannot certify reward means in [0, 1] for this prior/action setup"

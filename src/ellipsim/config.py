@@ -22,6 +22,8 @@ import numpy as np
 import yaml
 
 from .bandit import (
+    ACTION_RULES,
+    REGRET_POLICIES,
     ActionSetGenerator,
     FixedActionsGenerator,
     KArmedGaussianGenerator,
@@ -39,7 +41,7 @@ from .distributions import (
     UniformBallPrior,
     UniformCenteredNoise,
 )
-from .harness import ACTION_RULES, MONTE_CARLO_MIN_REPLICATIONS, ExperimentConfig
+from .harness import MONTE_CARLO_MIN_REPLICATIONS, ExperimentConfig
 from .linalg import PsdMatrix
 from .posterior import EngineConfig, IncompatibleEngine, check_engine_compatible
 from .potential import exact_path_applies
@@ -295,7 +297,7 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
     # the episode loop also plays the verifier's adversarial rule, but a
     # regret experiment takes only these two
     policy = _as_str(exp.get("policy", ExperimentConfig.policy), "experiment.policy")
-    if policy not in ("lints", "greedy"):
+    if policy not in REGRET_POLICIES:
         raise ConfigError("experiment", f"unknown policy {policy!r}")
 
     return _experiment_config(

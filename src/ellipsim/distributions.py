@@ -1,11 +1,11 @@
 """Prior and reward-noise families.
 
 Priors describe the unknown parameter vector; noises describe the reward
-given its conditional mean. Each prior exposes exact first and second
-moments plus sampling; each noise exposes sampling, a pointwise likelihood
-and a conditional-variance bound. The classes are deliberately small and
-closed: downstream code switches on capability flags (finite support,
-finite outcome set, mean-range restriction) rather than on types.
+given its conditional mean. Each prior family subclasses :class:`Prior`,
+which draws one sample as the first of ``sample_many``; each noise family
+subclasses :class:`Noise`, which holds the capability defaults (no
+mean-range restriction, no finite outcome set) that
+:class:`BernoulliMeanNoise` overrides as class data.
 """
 from __future__ import annotations
 
@@ -13,16 +13,22 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.typing import ArrayLike, NDArray
+from numpy.typing import ArrayLike
 
-from .linalg import PsdMatrix, psd_sqrt
+from .linalg import Array, PsdMatrix, psd_sqrt
 from .tolerances import NORM_SLACK, PRIOR_WEIGHT_SUM_ABS
-
-Array = NDArray[np.float64]
 
 
 class MeanOutOfRange(ValueError):
     """A conditional reward mean fell outside the noise family's domain."""
+
+
+def atom_moments(atoms: Array, weights: Array) -> Tuple[Array, PsdMatrix]:
+    """Mean and covariance of the law putting ``weights[i]`` on ``atoms[i]``."""
+    mean = weights @ atoms
+    centered = atoms - mean
+    cov = (weights[:, None] * centered).T @ centered
+    return mean, PsdMatrix.unchecked(cov)
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +36,15 @@ class MeanOutOfRange(ValueError):
 # ---------------------------------------------------------------------------
 
 
+class Prior:
+    """A prior family; subclasses supply ``dim``, ``moments`` and ``sample_many``."""
+
+    def sample(self, rng: np.random.Generator) -> Array:
+        return self.sample_many(rng, 1)[0]
+
+
 @dataclass(frozen=True, eq=False)
-class GaussianPrior:
+class GaussianPrior(Prior):
     """Multivariate Gaussian prior N(mean, cov).
 
     The support is unbounded, so regret bounds that assume a unit-ball
@@ -60,9 +73,6 @@ class GaussianPrior:
     def moments(self) -> Tuple[Array, PsdMatrix]:
         return self.mean, self.cov
 
-    def sample(self, rng: np.random.Generator) -> Array:
-        return self.sample_many(rng, 1)[0]
-
     def sample_many(self, rng: np.random.Generator, size: int) -> Array:
         # psd_sqrt instead of Cholesky so singular covariances sample fine
         root = psd_sqrt(self.cov)
@@ -71,7 +81,7 @@ class GaussianPrior:
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteSupportPrior:
+class FiniteSupportPrior(Prior):
     """Discrete prior on a fixed set of support points.
 
     Support points live in the unit ball; weights are a probability
@@ -114,13 +124,7 @@ class FiniteSupportPrior:
         return self.atoms.shape[1]
 
     def moments(self) -> Tuple[Array, PsdMatrix]:
-        mean = self.weights @ self.atoms
-        centered = self.atoms - mean
-        cov = (self.weights[:, None] * centered).T @ centered
-        return mean, PsdMatrix.unchecked(cov)
-
-    def sample(self, rng: np.random.Generator) -> Array:
-        return self.atoms[rng.choice(self.atoms.shape[0], p=self.weights)]
+        return atom_moments(self.atoms, self.weights)
 
     def sample_many(self, rng: np.random.Generator, size: int) -> Array:
         idx = rng.choice(self.atoms.shape[0], size=size, p=self.weights)
@@ -128,7 +132,7 @@ class FiniteSupportPrior:
 
 
 @dataclass(frozen=True, eq=False)
-class UniformBallPrior:
+class UniformBallPrior(Prior):
     """Uniform prior on the Euclidean ball of the given radius.
 
     The covariance is radius^2 / (dim + 2) times the identity; for dim = 2
@@ -149,9 +153,6 @@ class UniformBallPrior:
         cov = self.radius**2 / (self.dim + 2) * np.eye(self.dim)
         return mean, PsdMatrix.unchecked(cov)
 
-    def sample(self, rng: np.random.Generator) -> Array:
-        return self.sample_many(rng, 1)[0]
-
     def sample_many(self, rng: np.random.Generator, size: int) -> Array:
         # direction from a normalized Gaussian, radius from U^(1/d) scaling
         z = rng.standard_normal((size, self.dim))
@@ -161,16 +162,23 @@ class UniformBallPrior:
         return z / norms * radii[:, None]
 
 
-Prior = GaussianPrior | FiniteSupportPrior | UniformBallPrior
-
-
 # ---------------------------------------------------------------------------
 # noises
 # ---------------------------------------------------------------------------
 
 
+class Noise:
+    """A noise family; subclasses supply ``sigma_sq_bound``, ``sample_reward``
+    and ``likelihood``."""
+
+    # the conditional mean must lie in [0, 1]
+    requires_unit_interval_mean: bool = False
+    # the possible rewards, when there are finitely many
+    finite_outcomes: Optional[Tuple[float, ...]] = None
+
+
 @dataclass(frozen=True)
-class GaussianNoise:
+class GaussianNoise(Noise):
     """Reward = mean + N(0, sd^2)."""
 
     sd: float
@@ -183,14 +191,6 @@ class GaussianNoise:
     def sigma_sq_bound(self) -> float:
         return self.sd**2
 
-    @property
-    def requires_unit_interval_mean(self) -> bool:
-        return False
-
-    @property
-    def finite_outcomes(self) -> Optional[Tuple[float, ...]]:
-        return None
-
     def sample_reward(self, mean: float, rng: np.random.Generator) -> float:
         return float(mean + self.sd * rng.standard_normal())
 
@@ -201,7 +201,7 @@ class GaussianNoise:
 
 
 @dataclass(frozen=True)
-class BernoulliMeanNoise:
+class BernoulliMeanNoise(Noise):
     """Reward in {0, 1} with success probability equal to the mean.
 
     The conditional mean must lie in [0, 1]; anything else raises
@@ -209,17 +209,9 @@ class BernoulliMeanNoise:
     bounded by 1/4 uniformly.
     """
 
-    @property
-    def sigma_sq_bound(self) -> float:
-        return 0.25
-
-    @property
-    def requires_unit_interval_mean(self) -> bool:
-        return True
-
-    @property
-    def finite_outcomes(self) -> Tuple[float, ...]:
-        return (0.0, 1.0)
+    sigma_sq_bound = 0.25
+    requires_unit_interval_mean = True
+    finite_outcomes = (0.0, 1.0)
 
     def _check_mean(self, mean: ArrayLike) -> Array:
         arr = np.asarray(mean, dtype=np.float64)
@@ -245,7 +237,7 @@ class BernoulliMeanNoise:
 
 
 @dataclass(frozen=True)
-class UniformCenteredNoise:
+class UniformCenteredNoise(Noise):
     """Reward = mean + U(-half_width, half_width); variance half_width^2 / 3."""
 
     half_width: float
@@ -258,14 +250,6 @@ class UniformCenteredNoise:
     def sigma_sq_bound(self) -> float:
         return self.half_width**2 / 3.0
 
-    @property
-    def requires_unit_interval_mean(self) -> bool:
-        return False
-
-    @property
-    def finite_outcomes(self) -> Optional[Tuple[float, ...]]:
-        return None
-
     def sample_reward(self, mean: float, rng: np.random.Generator) -> float:
         return float(mean + rng.uniform(-self.half_width, self.half_width))
 
@@ -276,7 +260,7 @@ class UniformCenteredNoise:
 
 
 @dataclass(frozen=True)
-class StudentTNoise:
+class StudentTNoise(Noise):
     """Reward = mean + scale * t(dof); heavy tailed but finite variance.
 
     Requires dof > 2 so the conditional variance scale^2 * dof / (dof - 2)
@@ -297,14 +281,6 @@ class StudentTNoise:
     def sigma_sq_bound(self) -> float:
         return self.scale**2 * self.dof / (self.dof - 2.0)
 
-    @property
-    def requires_unit_interval_mean(self) -> bool:
-        return False
-
-    @property
-    def finite_outcomes(self) -> Optional[Tuple[float, ...]]:
-        return None
-
     def sample_reward(self, mean: float, rng: np.random.Generator) -> float:
         return float(mean + self.scale * rng.standard_t(self.dof))
 
@@ -323,9 +299,6 @@ class StudentTNoise:
         z = (y - mean) / self.scale
         log_pdf = self._log_const - (self.dof + 1.0) / 2.0 * np.log1p(z * z / self.dof)
         return np.exp(log_pdf)
-
-
-Noise = GaussianNoise | BernoulliMeanNoise | UniformCenteredNoise | StudentTNoise
 
 
 def sample_reward(noise: Noise, mean: float, rng: np.random.Generator) -> float:

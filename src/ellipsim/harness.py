@@ -22,7 +22,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bandit import ActionSetGenerator, EpisodeFailure, check_episode, run_episode
+from .bandit import (
+    ACTION_RULES,
+    REGRET_POLICIES,
+    ActionSetGenerator,
+    EpisodeFailure,
+    check_episode,
+    run_episode,
+)
 from .distributions import Noise, Prior
 from .linalg import CholeskyFailure, PsdMatrix, psd_order_holds
 from .posterior import DegenerateWeights, EngineConfig
@@ -49,8 +56,6 @@ CURVE_POINT_LIMIT = 10_000
 CURVE_POINTS_WHEN_SUBSAMPLED = 1000
 
 KNOWN_CHECKS = ("eq1", "thm23", "eq4", "remark33")
-# the expected-potential verifier's action rules
-ACTION_RULES = ("adversarial", "lints")
 # the Monte Carlo standard error needs at least two replications
 MONTE_CARLO_MIN_REPLICATIONS = 2
 
@@ -232,10 +237,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
 
     Failures follow :func:`_run_replications`. The reduction walks
     replications in index order, so worker count never changes results.
-    The eq1 check needs the ridge tracker, so ``cfg.lam`` must be set.
+    The eq1 check needs the ridge tracker, so ``cfg.lam`` must be set,
+    and ``cfg.policy`` must be one of ``REGRET_POLICIES``.
     """
     if cfg.lam is None:
         raise ValueError("run_experiment reports eq1 and needs a ridge lam")
+    if cfg.policy not in REGRET_POLICIES:
+        raise ValueError(f"unknown policy {cfg.policy!r}")
     start = time.perf_counter()
     # config imports this module
     from .config import experiment_to_dict

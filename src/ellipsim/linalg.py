@@ -28,10 +28,10 @@ def symmetrize(mat: ArrayLike) -> Array:
     return (arr + arr.T) / 2.0
 
 
-def is_symmetric(mat: Array, rel_tol: float = SYMMETRY_REL) -> bool:
+def is_symmetric(mat: Array) -> bool:
     """Check entrywise symmetry up to relative tolerance.
 
-    The comparison is |M_ij - M_ji| <= rel_tol * max(1, |M_ij|, |M_ji|),
+    The comparison is |M_ij - M_ji| <= SYMMETRY_REL * max(1, |M_ij|, |M_ji|),
     so tiny asymmetries from accumulated rounding pass while genuinely
     lopsided matrices do not.
     """
@@ -39,7 +39,7 @@ def is_symmetric(mat: Array, rel_tol: float = SYMMETRY_REL) -> bool:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         return False
     scale = np.maximum(1.0, np.maximum(np.abs(arr), np.abs(arr.T)))
-    return bool(np.all(np.abs(arr - arr.T) <= rel_tol * scale))
+    return bool(np.all(np.abs(arr - arr.T) <= SYMMETRY_REL * scale))
 
 
 def min_eigenvalue(mat: ArrayLike) -> float:
@@ -121,12 +121,15 @@ def as_array(mat: MatrixLike) -> Array:
     return np.asarray(mat, dtype=np.float64)
 
 
-def jittered_cholesky(mat: MatrixLike, max_retries: int = 3) -> Array:
+JITTER_RETRIES = 3
+
+
+def jittered_cholesky(mat: MatrixLike) -> Array:
     """Lower Cholesky factor with an escalating diagonal jitter fallback.
 
     First attempts a plain factorization. On failure, adds
     1e-12 * trace(M)/dim to the diagonal and retries, multiplying the
-    jitter by 10 on each subsequent attempt, up to ``max_retries`` retries.
+    jitter by 10 on each subsequent attempt, up to ``JITTER_RETRIES`` retries.
     Raises :class:`CholeskyFailure` if every attempt fails.
     """
     arr = symmetrize(as_array(mat))
@@ -137,19 +140,19 @@ def jittered_cholesky(mat: MatrixLike, max_retries: int = 3) -> Array:
         pass
     jitter = 1e-12 * float(np.trace(arr)) / dim
     eye = np.eye(dim)
-    for _ in range(max_retries):
+    for _ in range(JITTER_RETRIES):
         try:
             return np.linalg.cholesky(arr + jitter * eye)
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise CholeskyFailure(
-        f"Cholesky failed after {max_retries} jitter retries (dim={dim})"
+        f"Cholesky failed after {JITTER_RETRIES} jitter retries (dim={dim})"
     )
 
 
 def logdet_psd(mat: MatrixLike) -> float:
-    """log det of a positive definite matrix via its Cholesky factor."""
-    chol = jittered_cholesky(mat)
+    """log det of a positive definite matrix via its unjittered Cholesky factor."""
+    chol = np.linalg.cholesky(symmetrize(as_array(mat)))
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
@@ -181,12 +184,10 @@ def rank_one_shrink(sigma: MatrixLike, v: ArrayLike) -> PsdMatrix:
     return PsdMatrix(symmetrize(out))
 
 
-def psd_order_holds(
-    a: MatrixLike, b: MatrixLike, tol: float = PSD_SLACK
-) -> bool:
-    """Loewner-order test: does A <= B hold, i.e. is B - A PSD up to tol?"""
+def psd_order_holds(a: MatrixLike, b: MatrixLike) -> bool:
+    """Loewner-order test: does A <= B hold, i.e. is B - A PSD up to PSD_SLACK?"""
     diff = symmetrize(as_array(b) - as_array(a))
-    return float(np.linalg.eigvalsh(diff)[0]) >= -tol
+    return float(np.linalg.eigvalsh(diff)[0]) >= -PSD_SLACK
 
 
 def random_psd(

@@ -29,6 +29,7 @@ from .distributions import (
     GaussianPrior,
     Noise,
     Prior,
+    atom_moments,
 )
 from .linalg import (
     Array,
@@ -152,9 +153,7 @@ class FiniteSupportState:
         return self.weights @ self.atoms
 
     def covariance(self) -> PsdMatrix:
-        centered = self.atoms - self.mean()
-        cov = (self.weights[:, None] * centered).T @ centered
-        return PsdMatrix.unchecked(cov)
+        return atom_moments(self.atoms, self.weights)[1]
 
     def quad_form(self, v: ArrayLike) -> float:
         proj = self.atoms @ np.asarray(v, dtype=np.float64)

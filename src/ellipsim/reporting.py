@@ -10,6 +10,8 @@ import json
 import os
 from typing import Dict, Iterable, List, Sequence
 
+import numpy as np
+
 from .harness import RunSummary, VerificationReport
 from .potential import (
     potential_bound,
@@ -33,6 +35,10 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
             fh.write(line + "\n")
 
 
+def _csv_row(t: int, *values: float) -> str:
+    return ",".join([str(t)] + [format_float(v) for v in values])
+
+
 def write_regret_curve_csv(path: str, summary: RunSummary) -> None:
     """Columns: t, mean_regret, stderr, eq4_bound, remark33_bound.
 
@@ -40,26 +46,15 @@ def write_regret_curve_csv(path: str, summary: RunSummary) -> None:
     the identity, since the capped bound does not apply there.
     """
     lines = ["t,mean_regret,stderr,eq4_bound,remark33_bound"]
-    eigs = summary.gamma1_eigs
-    for i, t in enumerate(summary.ts):
+    dim, factor = summary.dim, summary.sigma_factor
+    for t, mean, stderr in zip(summary.ts, summary.mean_regret, summary.stderr_regret):
         cap = (
-            regret_bound_identity_cap(t, summary.dim, summary.sigma_factor)
+            regret_bound_identity_cap(t, dim, factor)
             if summary.gamma1_within_identity
             else float("nan")
         )
-        lines.append(
-            ",".join(
-                [
-                    str(t),
-                    format_float(summary.mean_regret[i]),
-                    format_float(summary.stderr_regret[i]),
-                    format_float(
-                        regret_bound(t, summary.dim, summary.sigma_factor, eigs)
-                    ),
-                    format_float(cap),
-                ]
-            )
-        )
+        eq4 = regret_bound(t, dim, factor, summary.gamma1_eigs)
+        lines.append(_csv_row(t, mean, stderr, eq4, cap))
     _write_lines(path, lines)
 
 
@@ -67,24 +62,15 @@ def write_potential_csv(
     path: str,
     ts: Sequence[int],
     mean_gamma_quad: Sequence[float],
+    running_sum: Sequence[float],
     sigma_factor: float,
     gamma1_eigs: Sequence[float],
 ) -> None:
-    """Columns: t, mean_gamma_quad, running_sum, thm23_bound."""
+    """Columns: t, mean_gamma_quad, running_sum (over all rounds to t), thm23_bound."""
     lines = ["t,mean_gamma_quad,running_sum,thm23_bound"]
-    running = 0.0
-    for i, t in enumerate(ts):
-        running += float(mean_gamma_quad[i])
-        lines.append(
-            ",".join(
-                [
-                    str(t),
-                    format_float(mean_gamma_quad[i]),
-                    format_float(running),
-                    format_float(potential_bound(t, sigma_factor, gamma1_eigs)),
-                ]
-            )
-        )
+    for t, quad, total in zip(ts, mean_gamma_quad, running_sum):
+        bound = potential_bound(t, sigma_factor, gamma1_eigs)
+        lines.append(_csv_row(t, quad, total, bound))
     _write_lines(path, lines)
 
 
@@ -93,6 +79,7 @@ def write_potential_csv_from_summary(path: str, summary: RunSummary) -> None:
         path,
         summary.ts,
         summary.mean_gamma_quad,
+        summary.running_gamma_sum,
         summary.sigma_factor,
         summary.gamma1_eigs,
     )
@@ -102,9 +89,10 @@ def write_potential_csv_from_report(path: str, report: VerificationReport) -> No
     write_potential_csv(
         path,
         list(range(1, report.horizon + 1)),
-        list(report.per_round_mean),
+        report.per_round_mean,
+        np.cumsum(report.per_round_mean),
         report.sigma_factor,
-        list(report.gamma1_eigs),
+        report.gamma1_eigs,
     )
 
 

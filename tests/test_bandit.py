@@ -10,7 +10,6 @@ from ellipsim.bandit import (
     FiniteActionSet,
     FixedActionsGenerator,
     KArmedGaussianGenerator,
-    SphereActionSet,
     UnitSphereGenerator,
     greedy_step,
     lints_step,
@@ -53,7 +52,7 @@ def test_finite_action_set_validation():
 
 
 def test_sphere_action_set_normalizes():
-    aset = SphereActionSet(dim=3)
+    aset = UnitSphereGenerator(dim=3)
     theta = np.array([3.0, 0.0, 4.0])
     assert np.allclose(aset.argmax(theta), [0.6, 0.0, 0.8])
     assert np.allclose(aset.argmax(np.zeros(3)), [1.0, 0.0, 0.0])
@@ -81,7 +80,9 @@ def test_karmed_generator_shapes_and_folding():
 def test_unit_sphere_generator():
     gen = UnitSphereGenerator(dim=2)
     rng = np.random.default_rng(SEED)
-    assert isinstance(gen.sample_round(rng), SphereActionSet)
+    # the sphere never changes, so the generator is its own action set
+    assert gen.sample_round(rng) is gen
+    assert not gen.nonnegative
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """Priors and noise families against independent scipy / Monte Carlo oracles."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
 
+from ellipsim import config as config_mod
 from ellipsim.distributions import (
     BernoulliMeanNoise,
     FiniteSupportPrior,
     GaussianNoise,
     GaussianPrior,
     MeanOutOfRange,
+    Noise,
+    Prior,
     StudentTNoise,
     UniformBallPrior,
     UniformCenteredNoise,
@@ -239,3 +244,52 @@ def test_reward_sampling_dispatch_and_moments():
     assert abs(draws.std() - 0.5) < 0.03
     vals = noise.likelihood(1.0, np.array([1.0]))
     assert vals[0] == pytest.approx(scipy.stats.norm.pdf(0.0, scale=0.5))
+
+
+# ---------------------------------------------------------------------------
+# the two family bases
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "noise,outcomes,unit_mean,sigma_sq",
+    [
+        (GaussianNoise(sd=0.5), None, False, 0.25),
+        (BernoulliMeanNoise(), (0.0, 1.0), True, 0.25),
+        (UniformCenteredNoise(half_width=0.3), None, False, 0.03),
+        (StudentTNoise(dof=4.0, scale=2.0), None, False, 8.0),
+    ],
+)
+def test_noise_capabilities(noise, outcomes, unit_mean, sigma_sq):
+    assert noise.finite_outcomes == outcomes
+    assert noise.requires_unit_interval_mean is unit_mean
+    assert noise.sigma_sq_bound == pytest.approx(sigma_sq, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [
+        GaussianPrior(mean=np.array([0.5, -1.0]), cov=PsdMatrix(np.diag([2.0, 0.5]))),
+        FiniteSupportPrior(
+            atoms=np.array([[0.0, 0.1], [0.5, 0.5], [-0.3, 0.2]]),
+            weights=np.array([0.2, 0.5, 0.3]),
+        ),
+        UniformBallPrior(dim=3, radius=0.7),
+    ],
+)
+def test_prior_sample_is_the_first_of_sample_many(prior):
+    for seed in range(50):
+        one = prior.sample(np.random.default_rng(seed))
+        many = prior.sample_many(np.random.default_rng(seed), 1)[0]
+        assert np.array_equal(one, many)
+        assert one.shape == (prior.dim,)
+
+
+def test_every_config_family_subclasses_its_base():
+    for table, base in ((config_mod._PRIORS, Prior), (config_mod._NOISES, Noise)):
+        assert isinstance(base, type), base
+        for cls in table.values():
+            assert issubclass(cls, base), cls
+            # dataclasses would take a base attribute as a field's default
+            shared = {f.name for f in dataclasses.fields(cls)} & set(dir(base))
+            assert not shared, (cls, shared)

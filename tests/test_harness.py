@@ -19,6 +19,7 @@ from ellipsim.harness import (
 )
 from ellipsim.linalg import PsdMatrix
 from ellipsim.posterior import EngineConfig
+from ellipsim.reporting import format_float, write_potential_csv_from_summary
 
 
 def small_config(**overrides):
@@ -63,6 +64,13 @@ def test_config_describes_the_verifier_episodes():
         run_experiment(cfg)
 
 
+def test_run_experiment_refuses_a_verifier_only_policy():
+    # the episode loop plays the adversarial rule, a regret experiment does not
+    cfg = small_config(policy="adversarial", actions=UnitSphereGenerator(2), horizon=5)
+    with pytest.raises(ValueError, match=r"^unknown policy 'adversarial'$"):
+        run_experiment(cfg)
+
+
 def test_run_experiment_basic_shape():
     summary = run_experiment(small_config())
     assert summary.replications == 8
@@ -77,6 +85,22 @@ def test_run_experiment_basic_shape():
     assert summary.running_gamma_sum[-1] == pytest.approx(
         sum(summary.mean_gamma_quad)
     )
+
+
+def test_subsampled_potential_csv_sums_every_round(monkeypatch, tmp_path):
+    # keep 10 of 50 rounds, as a run past CURVE_POINT_LIMIT keeps 1000
+    monkeypatch.setattr(harness_mod, "CURVE_POINT_LIMIT", 20)
+    monkeypatch.setattr(harness_mod, "CURVE_POINTS_WHEN_SUBSAMPLED", 10)
+    summary = run_experiment(small_config(horizon=50, replications=4))
+    assert summary.ts[-1] == 50 and len(summary.ts) == 10
+    path = tmp_path / "potential.csv"
+    write_potential_csv_from_summary(str(path), summary)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == summary.ts
+    assert [row[2] for row in rows] == [
+        format_float(v) for v in summary.running_gamma_sum
+    ]
+    assert float(rows[-1][2]) == pytest.approx(summary.potential_sum_mean)
 
 
 def test_run_experiment_is_deterministic():

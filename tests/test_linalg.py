@@ -129,6 +129,12 @@ def test_logdet_psd_matches_slogdet():
         assert logdet_psd(m) == pytest.approx(ref, abs=1e-10)
 
 
+def test_logdet_psd_refuses_a_singular_matrix():
+    # no jitter: the log of a jitter would read as a finite log-det
+    with pytest.raises(np.linalg.LinAlgError):
+        logdet_psd(np.diag([1.0, 0.0]))
+
+
 def test_logdet_potential_matches_dense_formula():
     rng = np.random.default_rng(RNG_SEED)
     sigma = random_psd(4, 2.0, rng)
