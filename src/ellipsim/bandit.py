@@ -211,10 +211,6 @@ class EpisodeResult:
     def horizon(self) -> int:
         return self.actions.shape[0]
 
-    @property
-    def final_regret(self) -> float:
-        return float(self.cumulative_regret[-1])
-
 
 def check_episode(
     prior: Prior, noise: Noise, generator: ActionSetGenerator, policy: str

@@ -145,13 +145,6 @@ class RunSummary:
         del data["wall_time_seconds"]
         return {"format": self.FORMAT, **data}
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "RunSummary":
-        if data.get("format") != cls.FORMAT:
-            raise ValueError(f"unrecognized summary format {data.get('format')!r}")
-        kwargs = {k: v for k, v in data.items() if k != "format"}
-        return cls(**kwargs, wall_time_seconds=0.0)
-
     @property
     def all_checks_pass(self) -> bool:
         return all(v is not False for v in self.checks.values())

@@ -15,9 +15,10 @@ Two related quantities are tracked along an action sequence:
 
 The expected general potential sum under the adversarial action rule is
 computed here exactly for small discrete models, over the outcome lattice
-in which paths that reach the same posterior merge into one node carrying
-their summed probability. The verifier that chooses between this and a
-Monte Carlo estimate over episodes lives in :mod:`ellipsim.harness`.
+in which paths with the same (action, outcome) counts, and so the same
+posterior, merge into one node carrying their summed probability. The
+verifier that chooses between this and a Monte Carlo estimate over
+episodes lives in :mod:`ellipsim.harness`.
 """
 from __future__ import annotations
 
@@ -32,13 +33,11 @@ from .distributions import FiniteSupportPrior, Noise, Prior
 from .linalg import Array, PsdMatrix
 from .posterior import (
     EngineConfig,
-    FiniteSupportState,
     enumerate_posterior_outcomes,
     make_posterior,
 )
 from .tolerances import (
     EIGEN_TIE_REL,
-    LATTICE_MERGE_LOG,
     MONTE_CARLO_SLACK_SE,
     NORM_SLACK,
     PSD_SLACK,
@@ -238,67 +237,36 @@ def exact_path_applies(
     )
 
 
-# children are hashed into buckets sqrt(LATTICE_MERGE_LOG) wide in every
-# log-weight and compared within a bucket. Two states within the tolerance
-# then straddle a bucket edge with odds of about 1e-6 per weight; keyed on
-# a grid as fine as the tolerance, paths taken in a different order split
-# often enough to break the t + 1 bound on random scalar priors by H = 11
-_LATTICE_BUCKET_LOG = LATTICE_MERGE_LOG**0.5
-
-
-def _merge_child(
-    level: List[list],
-    buckets: Dict[Tuple[float, ...], List[int]],
-    prob: float,
-    child: FiniteSupportState,
-) -> None:
-    """Add ``prob`` to the node of ``level`` that holds the same posterior
-    as ``child``, or append ``child`` as a new node.
-
-    Nodes are [path probability, state, log-weights]. Two posteriors over
-    the shared support are the same when every log-weight agrees within
-    ``LATTICE_MERGE_LOG``; a zero weight (log -inf) only matches a zero.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_weights = np.log(child.weights)
-        key = tuple(np.rint(log_weights / _LATTICE_BUCKET_LOG).tolist())
-        bucket = buckets.setdefault(key, [])
-        for slot in bucket:
-            node = level[slot]
-            # equal keys put the -inf entries in the same places; their
-            # difference is nan, which the comparison lets through
-            if not (np.abs(node[2] - log_weights) > LATTICE_MERGE_LOG).any():
-                node[0] += prob
-                return
-    bucket.append(len(level))
-    level.append([prob, child, log_weights])
-
-
 def _exact_potential(
     prior: Prior, noise: Noise, horizon: int
 ) -> Tuple[np.ndarray, float]:
     """Expected per-round adversarial-rule potentials over the merged lattice.
 
-    Paths that reach the same posterior (for a scalar prior: the same
-    success and failure counts, in any order) continue identically, so
-    each depth holds every distinct posterior once, carrying the summed
-    probability of the paths into it (see :func:`_merge_child`). The
-    first path to reach a posterior keeps its state as the representative,
-    so the order of the nodes is deterministic. A scalar prior has at most
-    t + 1 nodes at depth t instead of 2^t.
+    A finite-support posterior is the prior reweighted by the likelihood of
+    each (action, outcome) pair seen, so paths with the same multiset of
+    pairs (for a scalar prior: the same success and failure counts, in any
+    order) reach the same posterior and continue identically. Each depth
+    keys its nodes on that multiset, with actions told apart by their exact
+    bytes, and a node carries the summed probability of the paths into it.
+    The first path to reach a key keeps its state as the representative,
+    so the order of the nodes is deterministic. A scalar prior has t + 1
+    nodes at depth t instead of 2^t.
     """
     root = make_posterior(prior, noise, EngineConfig(kind="finite_support"))
     per_round = np.zeros(horizon)
-    level: List[list] = [[1.0, root, None]]
+    action_ids: Dict[bytes, int] = {}
+    # sorted (action index, outcome) pairs of a path -> [probability, state]
+    level: Dict[Tuple, list] = {(): [1.0, root]}
     for t in range(horizon):
-        nxt: List[list] = []
-        buckets: Dict[Tuple[float, ...], List[int]] = {}
-        for prob, state, _ in level:
+        nxt: Dict[Tuple, list] = {}
+        for pairs, (prob, state) in level.items():
             action = adversarial_action(state.covariance())
             per_round[t] += prob * state.quad_form(action)
             if t + 1 == horizon:
                 continue
-            for _, branch_prob, child in enumerate_posterior_outcomes(state, action):
-                _merge_child(nxt, buckets, prob * branch_prob, child)
+            a = action_ids.setdefault(action.tobytes(), len(action_ids))
+            for y, branch_prob, child in enumerate_posterior_outcomes(state, action):
+                node = nxt.setdefault(tuple(sorted(pairs + ((a, y),))), [0.0, child])
+                node[0] += prob * branch_prob
         level = nxt
     return per_round, float(per_round.sum())

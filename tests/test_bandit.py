@@ -136,7 +136,6 @@ def test_episode_shapes_and_regret_accounting():
     assert result.actions.shape == (40, 3)
     assert np.all(result.instant_regret >= 0)
     assert np.allclose(result.cumulative_regret, np.cumsum(result.instant_regret))
-    assert result.final_regret == result.cumulative_regret[-1]
     # per-round optimality of the recorded comparator
     for t in range(result.horizon):
         assert result.theta_star @ result.optimal_actions[t] >= (

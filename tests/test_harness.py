@@ -14,7 +14,6 @@ from ellipsim.distributions import (
 from ellipsim.harness import (
     ExcessiveFailures,
     ExperimentConfig,
-    RunSummary,
     run_experiment,
 )
 from ellipsim.linalg import PsdMatrix
@@ -122,14 +121,6 @@ def test_wall_time_not_serialized():
     payload = summary.to_dict()
     assert "wall_time_seconds" not in payload
     assert summary.wall_time_seconds > 0
-
-
-def test_summary_round_trips():
-    summary = run_experiment(small_config(replications=3, horizon=6))
-    rebuilt = RunSummary.from_dict(summary.to_dict())
-    assert rebuilt.to_dict() == summary.to_dict()
-    with pytest.raises(ValueError, match="format"):
-        RunSummary.from_dict({"format": "something-else"})
 
 
 def test_single_replication_singleton_prior_has_zero_regret():

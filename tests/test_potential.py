@@ -1,13 +1,13 @@
 """Potential tracking and the expected-potential verifier.
 
-The exact verifier merges outcome paths that reach the same posterior. It
-is checked against an unmerged enumeration of every path, written with
-plain lists, which shares only the adversarial action rule with it. The
-Monte Carlo verifier runs the package's episode loop; it is checked
-against a standalone per-round loop that shares only the engines with it.
+The exact verifier merges outcome paths with the same (action, outcome)
+counts. It is checked against an unmerged enumeration of every path,
+written with plain lists, which shares only the adversarial action rule
+with it. The Monte Carlo verifier runs the package's episode loop; it is
+checked against a standalone per-round loop that shares only the engines
+with it.
 """
 import ast
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,7 +46,6 @@ from ellipsim.posterior import (
 from ellipsim.potential import (
     ClassicalPotential,
     PotentialTrace,
-    _merge_child,
     adversarial_action,
     gamma1_eigs,
     logdet_growth,
@@ -363,23 +362,16 @@ def test_scalar_lattice_keeps_one_node_per_success_count(monkeypatch, prior, _):
     # difference of node counts between horizons t + 1 and t is depth t
     totals = [0] + [_count_nodes(monkeypatch, prior, h) for h in range(1, 13)]
     for t in range(12):
-        assert totals[t + 1] - totals[t] <= t + 1
-    assert totals[12] <= 78
+        assert totals[t + 1] - totals[t] == t + 1
 
 
-def test_merge_joins_rounding_noise_and_keeps_zeros_apart():
-    weights = np.array([0.2, 0.3, 0.5])
-    level, buckets = [], {}
-    for w, prob in (
-        (weights, 0.25),
-        (weights * (1.0 + 1e-14), 0.5),  # a re-ordered path's rounding
-        (np.array([0.2, 0.3001, 0.4999]), 0.125),
-        (np.array([0.0, 0.5, 0.5]), 0.0625),
-        (np.array([1e-300, 0.5, 0.5]), 0.03125),
-        (np.array([0.0, 0.5, 0.5]), 0.03125),
-    ):
-        _merge_child(level, buckets, prob, SimpleNamespace(weights=w))
-    assert [node[0] for node in level] == [0.75, 0.125, 0.09375, 0.03125]
+def test_lattice_keeps_histories_apart_whose_posteriors_nearly_agree(monkeypatch):
+    # the two atoms' log-weights after different success counts differ by
+    # less than 1e-12, yet only equal counts give the same posterior
+    prior = FiniteSupportPrior(
+        atoms=np.array([[0.5], [0.5 + 1e-13]]), weights=np.array([0.5, 0.5])
+    )
+    assert _count_nodes(monkeypatch, prior, 4) == 1 + 2 + 3 + 4
 
 
 # ---------------------------------------------------------------------------
