@@ -30,7 +30,7 @@ from .distributions import (
     StudentTNoise,
 )
 from .harness import ExperimentConfig, run_experiment, verify_expected_potential
-from .linalg import PsdMatrix, random_psd
+from .linalg import PsdMatrix, psd_order_holds, random_psd
 from .posterior import (
     EngineConfig,
     InflationReport,
@@ -38,13 +38,13 @@ from .posterior import (
     counterexample_prior,
     counterexample_report,
 )
-from .potential import gamma1_eigs, identity_cap_excess, thm23_margin
+from .potential import gamma1_eigs, identity_cap_excess, monte_carlo_margin
 from .reporting import (
     write_potential_csv_from_summary,
     write_regret_curve_csv,
     write_summary_json,
 )
-from .tolerances import INEQUALITY_SLACK
+from .tolerances import INEQUALITY_SLACK, MONTE_CARLO_SLACK_SE
 from .verify import run_check
 
 # what a criterion function returns: (passed, measured values, message)
@@ -275,11 +275,13 @@ def monte_carlo_criterion(seed: int = 0) -> Verdict:
         "mean_total": report.mean_total,
         "stderr_total": report.stderr_total,
         "bound": report.bound,
-        "margin": thm23_margin(report.mean_total, report.stderr_total, report.bound),
+        "margin": monte_carlo_margin(
+            report.mean_total, report.stderr_total, report.bound
+        ),
     }
     return report.holds, measured, "" if report.holds else (
         f"mean {report.mean_total:.6g} exceeds bound {report.bound:.6g} "
-        f"+ 3 stderr {report.stderr_total:.3g}"
+        f"+ {MONTE_CARLO_SLACK_SE:g} stderr {report.stderr_total:.3g}"
     )
 
 
@@ -308,7 +310,8 @@ def regret_bounds_criterion(seed: int = 0) -> Verdict:
         if not ok:
             problems.append(
                 f"{label}: regret {values['final_mean_regret']:.4g} "
-                f"+ 3 x {values['final_stderr']:.4g} exceeds {values['bound']:.4g}"
+                f"+ {MONTE_CARLO_SLACK_SE:g} x {values['final_stderr']:.4g} "
+                f"exceeds {values['bound']:.4g}"
             )
     return not problems, measured, "; ".join(problems)
 
@@ -329,10 +332,9 @@ def identity_cap_criterion(seed: int = 0) -> Verdict:
         horizon = int(rng.integers(1, 10_001))
         cases.append((gamma, horizon))
     for gamma, horizon in cases:
-        eigs = gamma1_eigs(gamma)
-        if eigs.max() > 1.0:
+        if not psd_order_holds(gamma, PsdMatrix.identity(gamma.dim)):
             continue
-        worst = max(worst, identity_cap_excess(horizon, eigs))
+        worst = max(worst, identity_cap_excess(horizon, gamma1_eigs(gamma)))
     passed = worst <= INEQUALITY_SLACK
     measured = {"worst_violation": worst, "cases": float(len(cases))}
     return passed, measured, "" if passed else f"cap violated by {worst:.3e}"

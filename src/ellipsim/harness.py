@@ -38,16 +38,16 @@ from .potential import (
     exact_path_applies,
     gamma1_eigs,
     identity_cap_excess,
+    monte_carlo_margin,
     potential_bound,
     regret_bound,
     regret_bound_identity_cap,
+    ridge_excess,
     ridge_potential_bound,
     sigma_factor,
-    thm23_margin,
 )
 from .tolerances import (
     INEQUALITY_SLACK,
-    MONTE_CARLO_SLACK_SE,
     REPLICATION_FAILURE_SHARE,
     RIDGE_POTENTIAL_SLACK,
 )
@@ -275,11 +275,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
         ),
     }
 
-    # every completed episode ran the full horizon, so the ridge log-det
-    # bound of each is compared with the one eq1 right-hand side
+    # every completed episode ran the full horizon
     eq1_violation = max(
-        max(r["sigma_sum"] - r["sigma_logdet_rhs"] for r in successes),
-        max(r["sigma_logdet_rhs"] for r in successes) - bounds["eq1_rhs"],
+        ridge_excess(r["sigma_sum"], r["sigma_logdet_rhs"], horizon, dim, cfg.lam)
+        for r in successes
     )
 
     final_mean = float(mean_regret[-1])
@@ -292,12 +291,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
         elif name == "eq1":
             checks[key] = bool(eq1_violation <= RIDGE_POTENTIAL_SLACK)
         elif name == "thm23":
-            margin = thm23_margin(potential_mean, potential_stderr, bounds["thm23_rhs"])
+            margin = monte_carlo_margin(
+                potential_mean, potential_stderr, bounds["thm23_rhs"]
+            )
             checks[key] = bool(margin >= 0.0)
         elif name == "eq4":
-            checks[key] = bool(
-                final_mean + MONTE_CARLO_SLACK_SE * final_stderr <= bounds["eq4_rhs"]
-            )
+            margin = monte_carlo_margin(final_mean, final_stderr, bounds["eq4_rhs"])
+            checks[key] = bool(margin >= 0.0)
         else:
             checks[key] = (
                 bool(identity_cap_excess(horizon, eigs) <= INEQUALITY_SLACK)
@@ -374,7 +374,7 @@ def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
     episodes, always with no ridge tracker, through the same driver and
     failure rule as :func:`run_experiment` (degraded engines count in
     ``failed_replications``). The bound holds when
-    :func:`~ellipsim.potential.thm23_margin` is >= 0, or on the exact path
+    :func:`~ellipsim.potential.monte_carlo_margin` is >= 0, or on the exact path
     when mean <= bound + ``INEQUALITY_SLACK``.
     """
     if cfg.policy not in ACTION_RULES:
@@ -417,7 +417,7 @@ def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
         exact=False,
         mean_total=mean_total,
         stderr_total=stderr_total,
-        holds=bool(thm23_margin(mean_total, stderr_total, bound) >= 0.0),
+        holds=bool(monte_carlo_margin(mean_total, stderr_total, bound) >= 0.0),
         per_round_mean=tuple(per_round),
         failed_replications=len(failures),
     )

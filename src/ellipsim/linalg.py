@@ -8,7 +8,7 @@ boundaries rather than scattered through callers.
 """
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -92,9 +92,6 @@ class PsdMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def trace(self) -> float:
-        return float(np.trace(self.mat))
-
     def quad_form(self, v: ArrayLike) -> float:
         """v.T @ M @ v as a scalar."""
         vec = np.asarray(v, dtype=np.float64)
@@ -111,20 +108,10 @@ class PsdMatrix:
         return f"PsdMatrix(dim={self.dim})"
 
 
-MatrixLike = Union[PsdMatrix, ArrayLike]
-
-
-def as_array(mat: MatrixLike) -> Array:
-    """Coerce a PsdMatrix or array-like to a float64 ndarray."""
-    if isinstance(mat, PsdMatrix):
-        return mat.mat
-    return np.asarray(mat, dtype=np.float64)
-
-
 JITTER_RETRIES = 3
 
 
-def jittered_cholesky(mat: MatrixLike) -> Array:
+def jittered_cholesky(mat: ArrayLike) -> Array:
     """Lower Cholesky factor with an escalating diagonal jitter fallback.
 
     First attempts a plain factorization. On failure, adds
@@ -132,7 +119,7 @@ def jittered_cholesky(mat: MatrixLike) -> Array:
     jitter by 10 on each subsequent attempt, up to ``JITTER_RETRIES`` retries.
     Raises :class:`CholeskyFailure` if every attempt fails.
     """
-    arr = symmetrize(as_array(mat))
+    arr = symmetrize(mat)
     dim = arr.shape[0]
     try:
         return np.linalg.cholesky(arr)
@@ -150,25 +137,25 @@ def jittered_cholesky(mat: MatrixLike) -> Array:
     )
 
 
-def logdet_psd(mat: MatrixLike) -> float:
+def logdet_psd(mat: ArrayLike) -> float:
     """log det of a positive definite matrix via its unjittered Cholesky factor."""
-    chol = np.linalg.cholesky(symmetrize(as_array(mat)))
+    chol = np.linalg.cholesky(symmetrize(mat))
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def logdet_potential(sigma: MatrixLike, x: float) -> float:
+def logdet_potential(sigma: ArrayLike, x: float) -> float:
     """log det(I + x * Sigma) for x >= 0 and Sigma PSD.
 
     Nonnegative for any PSD Sigma, zero at x = 0, and concave,
     nondecreasing in Sigma in the Loewner order.
     """
-    arr = as_array(sigma)
+    arr = np.asarray(sigma, dtype=np.float64)
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     return logdet_psd(np.eye(arr.shape[0]) + x * arr)
 
 
-def rank_one_shrink(sigma: MatrixLike, v: ArrayLike) -> PsdMatrix:
+def rank_one_shrink(sigma: ArrayLike, v: ArrayLike) -> PsdMatrix:
     """Posterior-style covariance shrink by one observation direction.
 
     Returns Sigma - (Sigma v)(Sigma v).T / (1 + v.T Sigma v), the result of
@@ -176,7 +163,7 @@ def rank_one_shrink(sigma: MatrixLike, v: ArrayLike) -> PsdMatrix:
     along v. Equivalently, the inverse gains a rank-one term:
     result^{-1} = Sigma^{-1} + v v.T when Sigma is invertible.
     """
-    arr = as_array(sigma)
+    arr = np.asarray(sigma, dtype=np.float64)
     vec = np.asarray(v, dtype=np.float64)
     sv = arr @ vec
     denom = 1.0 + float(vec @ sv)
@@ -184,9 +171,9 @@ def rank_one_shrink(sigma: MatrixLike, v: ArrayLike) -> PsdMatrix:
     return PsdMatrix(symmetrize(out))
 
 
-def psd_order_holds(a: MatrixLike, b: MatrixLike) -> bool:
+def psd_order_holds(a: ArrayLike, b: ArrayLike) -> bool:
     """Loewner-order test: does A <= B hold, i.e. is B - A PSD up to PSD_SLACK?"""
-    diff = symmetrize(as_array(b) - as_array(a))
+    diff = symmetrize(np.subtract(b, a, dtype=np.float64))
     return float(np.linalg.eigvalsh(diff)[0]) >= -PSD_SLACK
 
 
@@ -217,12 +204,12 @@ def random_psd(
     return PsdMatrix.unchecked((q * eigs) @ q.T)
 
 
-def psd_sqrt(mat: MatrixLike) -> Array:
+def psd_sqrt(mat: ArrayLike) -> Array:
     """Symmetric PSD square root via eigendecomposition.
 
     Negative eigenvalues within rounding slack are clipped to zero.
     """
-    arr = symmetrize(as_array(mat))
+    arr = symmetrize(mat)
     eigvals, eigvecs = np.linalg.eigh(arr)
     eigvals = np.clip(eigvals, 0.0, None)
     return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T

@@ -9,9 +9,10 @@ parameter given the observed (action, reward) pairs:
 * ``particle``: sequential importance resampling for everything else: the
   finite-support engine run on prior draws, which it resamples.
 
-All engines share the same surface: ``mean``, ``covariance``, ``sample``,
-``update``, ``clone``. Updates mutate in place; ``clone`` exists so
-enumeration can branch a state per outcome.
+All engines share the same surface: ``mean``, ``covariance``,
+``quad_form``, ``sample`` and ``update``; updates mutate in place. Only
+the weighted-point engines have ``clone``: outcome enumeration branches a
+finite-support state per outcome with it.
 """
 from __future__ import annotations
 
@@ -118,14 +119,6 @@ class GaussianConjugateState:
         self.precision += np.outer(a, a) * inv_var
         self.shift += a * (y * inv_var)
         self._chol = None
-
-    def clone(self) -> "GaussianConjugateState":
-        other = self.__class__.__new__(self.__class__)
-        other.noise = self.noise
-        other.precision = self.precision.copy()
-        other.shift = self.shift.copy()
-        other._chol = None
-        return other
 
 
 class FiniteSupportState:

@@ -2,7 +2,7 @@
 
 Every right-hand side that a check compares against (eqs. 1 and 4,
 theorem 2.3, remark 3.3) is written once here, as a module-level function,
-and so are the margins of the theorem 2.3 and remark 3.3 verdicts.
+and so are the margins of the Monte Carlo, eq. 1 and remark 3.3 verdicts.
 
 Two related quantities are tracked along an action sequence:
 
@@ -90,16 +90,24 @@ def identity_cap_excess(t: int, eigs: Sequence[float]) -> float:
     return logdet_growth(t, eigs) - len(eigs) * float(np.log1p(t))
 
 
-def thm23_margin(mean: float, stderr: float, bound: float) -> float:
-    """How far a Monte Carlo mean of the potential sum sits below the
-    theorem 2.3 bound widened by ``MONTE_CARLO_SLACK_SE`` standard errors;
-    the bound holds when this is >= 0."""
+def monte_carlo_margin(mean: float, stderr: float, bound: float) -> float:
+    """How far a Monte Carlo mean sits below a one-sided bound widened by
+    ``MONTE_CARLO_SLACK_SE`` standard errors; the bound holds when this is
+    >= 0. The theorem 2.3 and eq. 4 verdicts both read it."""
     return bound + MONTE_CARLO_SLACK_SE * stderr - mean
 
 
 def ridge_potential_bound(t: int, dim: int, lam: float) -> float:
     """Eq. 1: 2 * d * log(1 + t / (lam * d)), the ridge potential after t steps."""
     return 2.0 * dim * float(np.log1p(t / (lam * dim)))
+
+
+def ridge_excess(
+    quad_sum: float, logdet_rhs: float, t: int, dim: int, lam: float
+) -> float:
+    """Eq. 1's excess after t steps: how far the ridge quad sum exceeds its
+    log-det bound or that log-det exceeds :func:`ridge_potential_bound`."""
+    return max(quad_sum - logdet_rhs, logdet_rhs - ridge_potential_bound(t, dim, lam))
 
 
 class ClassicalPotential:
@@ -122,7 +130,6 @@ class ClassicalPotential:
         self.logdet_cov0 = -dim * np.log(lam)
         self.logdet_cov = self.logdet_cov0
         self.quad_sum = 0.0
-        self.steps = 0
 
     def step(self, action: ArrayLike) -> float:
         """Absorb one action; returns the quadratic form a.T Sigma_t a."""
@@ -136,7 +143,6 @@ class ClassicalPotential:
         self.cov = self.cov - np.outer(sv, sv) / (1.0 + quad)
         self.logdet_cov -= np.log1p(quad)
         self.quad_sum += quad
-        self.steps += 1
         return quad
 
     def logdet_bound(self) -> float:
@@ -213,7 +219,7 @@ def adversarial_action(gamma: PsdMatrix) -> Array:
     return -v if first < 0 else v
 
 
-EXACT_ENUMERATION_LIMIT = 12
+EXACT_NODE_LIMIT = 2**12 - 1  # the unmerged binary tree of horizon 12
 
 
 def exact_path_applies(
@@ -221,20 +227,30 @@ def exact_path_applies(
 ) -> bool:
     """Whether the exact outcome lattice applies: finite-support prior,
     finitely many noise outcomes, the adversarial rule (deterministic in
-    the state) and a horizon of at most ``EXACT_ENUMERATION_LIMIT``.
+    the state) and at most ``EXACT_NODE_LIMIT`` nodes in the worst case.
     Otherwise :func:`ellipsim.harness.verify_expected_potential` takes
     the Monte Carlo path.
 
-    With Bernoulli noise in d >= 2 the adversarial directions may drive a
-    reward mean out of [0, 1]; nothing here checks that, and enumeration
-    then raises ``MeanOutOfRange``.
+    With k outcomes, H rounds and d = 1 the action is always [1], so a
+    node is a multiset of outcomes: at most C(H + k - 1, k) nodes. In
+    d >= 2 nothing need merge, so the worst case is the full tree,
+    (k^H - 1) / (k - 1) nodes. Bernoulli noise is exact up to H = 90 in
+    d = 1 and H = 12 in d >= 2. In d >= 2 its adversarial directions may
+    drive a reward mean out of [0, 1]; nothing here checks that, and
+    enumeration then raises ``MeanOutOfRange``.
     """
-    return (
+    if not (
         action_rule == "adversarial"
         and noise.finite_outcomes is not None
         and isinstance(prior, FiniteSupportPrior)
-        and horizon <= EXACT_ENUMERATION_LIMIT
-    )
+    ):
+        return False
+    k = len(noise.finite_outcomes)
+    if prior.dim == 1:
+        nodes = math.comb(horizon + k - 1, k)
+    else:
+        nodes = (k**horizon - 1) // (k - 1)
+    return nodes <= EXACT_NODE_LIMIT
 
 
 def _exact_potential(

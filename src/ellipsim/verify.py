@@ -26,7 +26,7 @@ from .linalg import (
     symmetrize,
 )
 from .posterior import FiniteSupportState, enumerate_posterior_outcomes
-from .potential import ClassicalPotential, ridge_potential_bound
+from .potential import ClassicalPotential, ridge_excess
 from .tolerances import INEQUALITY_SLACK, RIDGE_POTENTIAL_SLACK
 
 
@@ -91,11 +91,8 @@ def check_classical_potential(
         actions = dirs / norms * scales[:, None]
         for a in actions:
             tracker.step(a)
-        worst = max(
-            worst,
-            tracker.quad_sum - tracker.logdet_bound(),
-            tracker.logdet_bound() - ridge_potential_bound(horizon, dim, lam),
-        )
+        logdet = tracker.logdet_bound()
+        worst = max(worst, ridge_excess(tracker.quad_sum, logdet, horizon, dim, lam))
     return FuzzReport("classical-potential", instances, worst, tol)
 
 

@@ -606,8 +606,9 @@ def test_potential_run_exact_path_takes_any_replication_count():
         "noise": {"kind": "bernoulli_mean"},
     }
     assert build_potential_run(doc).replications == 1
-    # past the enumeration horizon the same model takes the Monte Carlo path
-    doc["potential"]["horizon"] = 13
+    # past the exact path's reach (H = 90 for a scalar Bernoulli model) the
+    # same model takes the Monte Carlo path
+    doc["potential"]["horizon"] = 91
     with pytest.raises(ConfigError, match="potential.replications"):
         build_potential_run(doc)
 
@@ -628,7 +629,7 @@ def test_config_error_carries_path_attribute():
         assert False, "expected ConfigError"
 
 
-@pytest.mark.parametrize("horizon", [4, 13], ids=["exact", "monte_carlo"])
+@pytest.mark.parametrize("horizon", [4, 91], ids=["exact", "monte_carlo"])
 def test_potential_run_checks_the_engine_on_both_paths(horizon):
     # the exact path enumerates with finite_support, but an engine that
     # cannot represent the model is refused there too
@@ -646,7 +647,7 @@ def test_potential_run_checks_the_engine_on_both_paths(horizon):
         build_potential_run(doc)
 
 
-@pytest.mark.parametrize("horizon", [4, 13], ids=["exact", "monte_carlo"])
+@pytest.mark.parametrize("horizon", [4, 91], ids=["exact", "monte_carlo"])
 def test_potential_run_refuses_zero_replications_on_every_path(horizon):
     doc = {
         "potential": {"horizon": horizon, "replications": 0},

@@ -1,9 +1,9 @@
-"""The demos import package names from the modules that define them.
+"""Each package name has one import path: the module that defines it.
 
-Running all the demos takes tens of seconds, so this parses each one with
-``ast`` and resolves its ``ellipsim`` imports without executing it. A name
-that a module merely re-imports counts as moved: the demo should follow it
-to its one home.
+The package root re-exports nothing. Running all the demos takes tens of
+seconds, so this parses each one with ``ast`` and resolves its
+``ellipsim`` imports without executing it. A name that a module merely
+re-imports counts as moved: the demo should follow it to its one home.
 """
 import ast
 import importlib
@@ -11,7 +11,21 @@ import pathlib
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_package_root_binds_only_its_version():
+    path = ROOT / "src" / "ellipsim" / "__init__.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = []
+    for node in ast.walk(tree):
+        assert not isinstance(node, (ast.Import, ast.ImportFrom)), ast.unparse(node)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.append(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+    assert bound == ["__version__"]
 
 
 def test_demos_exist():
@@ -37,7 +51,7 @@ def test_demo_imports_resolve(path):
                     f"{path.name}: {node.module} has no {alias.name}"
                 )
                 home = getattr(getattr(module, alias.name), "__module__", node.module)
-                assert node.module == "ellipsim" or home == node.module, (
+                assert home == node.module, (
                     f"{path.name}: {alias.name} lives in {home}, not {node.module}"
                 )
                 resolved += 1

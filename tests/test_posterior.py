@@ -93,15 +93,6 @@ def test_conjugate_sampling_moments():
     assert np.allclose(np.cov(draws.T), state.covariance().mat, atol=0.05)
 
 
-def test_conjugate_clone_is_independent():
-    prior, noise = gaussian_pair()
-    state = GaussianConjugateState(prior, noise)
-    copy = state.clone()
-    copy.update(np.array([1.0, 0.0, 0.0]), 5.0)
-    assert np.allclose(state.mean(), prior.mean)
-    assert not np.allclose(copy.mean(), prior.mean)
-
-
 def rel_err(got, ref):
     return float(np.linalg.norm(np.asarray(got) - ref) / np.linalg.norm(ref))
 

@@ -8,6 +8,7 @@ checked against a standalone per-round loop that shares only the engines
 with it.
 """
 import ast
+import math
 
 import numpy as np
 import pytest
@@ -356,6 +357,46 @@ def _count_nodes(monkeypatch, prior, horizon):
     return len(calls)
 
 
+def success_count_potential(atoms, weights, horizon):
+    """Expected potential per round of a scalar Bernoulli prior under the
+    action [1], summed over success counts rather than paths.
+
+    After n rounds with s successes the posterior weights are proportional
+    to w0 * theta^s * (1 - theta)^(n - s), and C(n, s) times their sum is
+    the probability of s successes, so round n contributes the sum over s
+    of that probability times the posterior variance.
+    """
+    per_round = []
+    for n in range(horizon):
+        round_sum = 0.0
+        for s in range(n + 1):
+            joint = math.comb(n, s) * weights * atoms**s * (1.0 - atoms) ** (n - s)
+            mass = joint.sum()
+            if mass == 0.0:
+                continue
+            w = joint / mass
+            round_sum += mass * float(w @ (atoms - w @ atoms) ** 2)
+        per_round.append(round_sum)
+    return per_round, sum(per_round)
+
+
+@pytest.mark.parametrize(
+    "horizon,expected", [(13, 0.09988966868420626), (90, 0.1062418033686322)]
+)
+def test_scalar_exact_path_matches_success_count_recursion(horizon, expected):
+    # a scalar lattice has at most H(H + 1) / 2 nodes, so the counterexample
+    # prior stays exact well past the d >= 2 reach of H = 12
+    prior = counterexample_prior(0.05)
+    report = verify(prior, BernoulliMeanNoise(), horizon=horizon, replications=1)
+    ref_rounds, ref_total = success_count_potential(
+        prior.atoms[:, 0], prior.weights, horizon
+    )
+    assert report.exact
+    np.testing.assert_allclose(report.per_round_mean, ref_rounds, rtol=1e-12, atol=0)
+    assert report.mean_total == pytest.approx(ref_total, rel=1e-12, abs=0)
+    assert report.mean_total == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("prior,_", LATTICE_CASES[:-1], ids=LATTICE_IDS[:-1])
 def test_scalar_lattice_keeps_one_node_per_success_count(monkeypatch, prior, _):
     # the lattice up to depth t - 1 does not depend on the horizon, so the
@@ -510,8 +551,9 @@ def test_monte_carlo_reads_the_quads_of_run_episode():
 
 
 def test_monte_carlo_mean_out_of_range_surfaces_as_itself():
-    # past the exact limit the adversarial rule runs by Monte Carlo, and
-    # its signed eigendirections push a Bernoulli mean out of [0, 1]
+    # past the exact path's reach in d >= 2 (H = 12) the adversarial rule
+    # runs by Monte Carlo, and its signed eigendirections push a Bernoulli
+    # mean out of [0, 1]
     atoms = np.array(
         [[0.2, 0.1, 0.3], [0.5, 0.2, 0.1], [0.1, 0.4, 0.2], [0.3, 0.3, 0.3]]
     )
@@ -520,7 +562,7 @@ def test_monte_carlo_mean_out_of_range_surfaces_as_itself():
         verify(
             prior,
             BernoulliMeanNoise(),
-            horizon=potential.EXACT_ENUMERATION_LIMIT + 1,
+            horizon=13,
             replications=2,
         )
     assert type(info.value) is MeanOutOfRange
