@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from typing import List, Optional
@@ -149,6 +150,8 @@ def cmd_acceptance(args: argparse.Namespace) -> int:
     return EXIT_OK if suite.all_passed else EXIT_CHECK_FAILED
 
 
+# parse_args leaves the parser as it was, so one parser serves every call
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ellipsim",

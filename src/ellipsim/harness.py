@@ -395,7 +395,7 @@ def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
     )
 
     if exact_path_applies(prior, noise, horizon, cfg.policy):
-        per_round, total = _exact_potential(prior, noise, horizon)
+        per_round, total, _ = _exact_potential(prior, noise, horizon)
         return report(
             replications=0,
             exact=True,

@@ -16,9 +16,11 @@ Two related quantities are tracked along an action sequence:
 The expected general potential sum under the adversarial action rule is
 computed here exactly for small discrete models, over the outcome lattice
 in which paths with the same (action, outcome) counts, and so the same
-posterior, merge into one node carrying their summed probability. The
-verifier that chooses between this and a Monte Carlo estimate over
-episodes lives in :mod:`ellipsim.harness`.
+posterior, merge into one node carrying their summed probability. Each
+depth of the lattice is one frontier, a matrix of posterior weights with
+a vector of path probabilities, advanced by array operations over all its
+nodes at once. The verifier that chooses between this and a Monte Carlo
+estimate over episodes lives in :mod:`ellipsim.harness`.
 """
 from __future__ import annotations
 
@@ -29,13 +31,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .distributions import FiniteSupportPrior, Noise, Prior
+from .distributions import FiniteSupportPrior, Noise, Prior, atom_moments
 from .linalg import Array, PsdMatrix
-from .posterior import (
-    EngineConfig,
-    enumerate_posterior_outcomes,
-    make_posterior,
-)
+from .posterior import DegenerateWeights, EngineConfig, make_posterior
+# the lattice no longer branches through it; kept bound here as a tracer
+# patch point until observability moves into the package (ROADMAP item 5)
+from .posterior import enumerate_posterior_outcomes  # noqa: F401
 from .tolerances import (
     EIGEN_TIE_REL,
     MONTE_CARLO_SLACK_SE,
@@ -236,8 +237,9 @@ def exact_path_applies(
     d >= 2 nothing need merge, so the worst case is the full tree,
     (k^H - 1) / (k - 1) nodes. Bernoulli noise is exact up to H = 90 in
     d = 1 and H = 12 in d >= 2. In d >= 2 its adversarial directions may
-    drive a reward mean out of [0, 1]; nothing here checks that, and
-    enumeration then raises ``MeanOutOfRange``.
+    drive a reward mean out of [0, 1]; nothing here checks that, and the
+    lattice then raises ``MeanOutOfRange`` where it first branches on such
+    a direction.
     """
     if not (
         action_rule == "adversarial"
@@ -253,36 +255,88 @@ def exact_path_applies(
     return nodes <= EXACT_NODE_LIMIT
 
 
+def _with_pair(key: Tuple, pair: Tuple[int, int]) -> Tuple:
+    """A merge key one (action id, outcome index) pair later: the sorted
+    ``(pair, count)`` items of the path."""
+    counts = dict(key)
+    counts[pair] = counts.get(pair, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 def _exact_potential(
-    prior: Prior, noise: Noise, horizon: int
-) -> Tuple[np.ndarray, float]:
-    """Expected per-round adversarial-rule potentials over the merged lattice.
+    prior: FiniteSupportPrior, noise: Noise, horizon: int
+) -> Tuple[np.ndarray, float, List[int]]:
+    """Expected per-round adversarial-rule potentials over the merged lattice,
+    their sum, and the number of lattice nodes at each depth.
 
     A finite-support posterior is the prior reweighted by the likelihood of
-    each (action, outcome) pair seen, so paths with the same multiset of
-    pairs (for a scalar prior: the same success and failure counts, in any
-    order) reach the same posterior and continue identically. Each depth
-    keys its nodes on that multiset, with actions told apart by their exact
-    bytes, and a node carries the summed probability of the paths into it.
-    The first path to reach a key keeps its state as the representative,
-    so the order of the nodes is deterministic. A scalar prior has t + 1
-    nodes at depth t instead of 2^t.
+    each (action, outcome) pair seen, so paths with the same counts of
+    pairs (for a scalar prior: the same success count) reach the same
+    posterior and continue identically. Each depth is one frontier: an
+    ``(N, n)`` matrix ``W`` of posterior weights over the prior's n atoms,
+    the ``(N,)`` path probabilities ``P`` and one action id per node, with
+    actions told apart by their exact bytes. Each action's projections
+    ``atoms @ a`` and, once it branches, its ``(k, n)`` likelihood rows are
+    computed once and kept in a table, so a Bernoulli mean range is checked
+    once per action. A depth's quadratic forms, branch probabilities and
+    children are then a few array operations over all nodes; a child's
+    branch probability is the row sum that normalizes its weights. Children
+    are visited parent by parent, outcome by outcome, and merge on their
+    count key; the first path to reach a key keeps its weight row, so the
+    node order is deterministic. A scalar prior has t + 1 nodes at depth t
+    instead of 2^t.
     """
     root = make_posterior(prior, noise, EngineConfig(kind="finite_support"))
-    per_round = np.zeros(horizon)
+    atoms = root.atoms
     action_ids: Dict[bytes, int] = {}
-    # sorted (action index, outcome) pairs of a path -> [probability, state]
-    level: Dict[Tuple, list] = {(): [1.0, root]}
+    projections: List[Array] = []  # atoms @ a, by action id
+    likelihoods: List[Array] = []  # (k, n) rows, by id, for actions that branch
+
+    def action_id(action: Array) -> int:
+        key = action.tobytes()
+        if key not in action_ids:
+            action_ids[key] = len(projections)
+            projections.append(atoms @ action)
+        return action_ids[key]
+
+    per_round = np.zeros(horizon)
+    nodes: List[int] = []
+    W, P, keys = root.weights[None, :], np.ones(1), [()]
     for t in range(horizon):
-        nxt: Dict[Tuple, list] = {}
-        for pairs, (prob, state) in level.items():
-            action = adversarial_action(state.covariance())
-            per_round[t] += prob * state.quad_form(action)
-            if t + 1 == horizon:
-                continue
-            a = action_ids.setdefault(action.tobytes(), len(action_ids))
-            for y, branch_prob, child in enumerate_posterior_outcomes(state, action):
-                node = nxt.setdefault(tuple(sorted(pairs + ((a, y),))), [0.0, child])
-                node[0] += prob * branch_prob
-        level = nxt
-    return per_round, float(per_round.sum())
+        nodes.append(len(keys))
+        if atoms.shape[1] == 1:
+            # adversarial_action of any 1 x 1 covariance is exactly [1.0]
+            acts = [action_id(np.ones(1))] * len(keys)
+        else:
+            acts = [action_id(adversarial_action(atom_moments(atoms, w)[1])) for w in W]
+        proj = np.array(projections)[acts]
+        mean = (W * proj).sum(axis=1)
+        per_round[t] = P @ (W * (proj - mean[:, None]) ** 2).sum(axis=1)
+        if t + 1 == horizon:
+            break
+        for proj_a in projections[len(likelihoods):]:
+            likelihoods.append(
+                np.array([noise.likelihood(y, proj_a) for y in noise.finite_outcomes])
+            )
+        # multiply, then divide by the row sum, as FiniteSupportState.update
+        # does: each weight row keeps the engine's bits, so d >= 2 directions
+        # and the merges they key do not move
+        raw = W[:, None, :] * np.array(likelihoods)[acts]
+        mass = raw.sum(axis=2)
+        if not np.isfinite(mass).all():
+            raise DegenerateWeights("posterior weights vanished in the exact lattice")
+        # zero-mass outcomes have no child; np.nonzero walks parent-major
+        parents, ys = np.nonzero(mass > 0.0)
+        nxt: Dict[Tuple, int] = {}
+        slots, first = [], []
+        for c, (i, j) in enumerate(zip(parents.tolist(), ys.tolist())):
+            key = _with_pair(keys[i], (acts[i], j))
+            if key not in nxt:
+                nxt[key] = len(nxt)
+                first.append(c)
+            slots.append(nxt[key])
+        P_next = np.zeros(len(nxt))
+        np.add.at(P_next, slots, P[parents] * mass[parents, ys])
+        rep = (parents[first], ys[first])
+        W, P, keys = raw[rep] / mass[rep][:, None], P_next, list(nxt)
+    return per_round, float(per_round.sum()), nodes

@@ -156,8 +156,39 @@ def test_potential_trace_seed_flag_changes_estimate(tmp_path, capsys):
     assert first != second
 
 
-# Exact path: the adversarial rule probes a covariance eigendirection with
-# negative entries, so a Bernoulli reward mean leaves [0, 1] by round 4.
+def test_consecutive_calls_do_not_leak_a_seed(tmp_path, capsys):
+    # main builds its parser once per process; a flag from one call must
+    # not reach the next, whatever runs in between
+    pot = write(
+        tmp_path,
+        "pot.yaml",
+        POTENTIAL_YAML + "engine:\n  kind: particle\n  particles: 200\n",
+    )
+    run = write(tmp_path, "run.yaml", BANDIT_YAML)
+
+    def trace(name, *flags):
+        out = tmp_path / name
+        code = main(["potential-trace", "--config", pot, "--out", str(out), *flags])
+        assert code == EXIT_OK
+        return (out / "verification.json").read_bytes()
+
+    def bandit_seed(name, *flags):
+        out = tmp_path / name
+        main(["run-bandit", "--config", run, "--out", str(out), "--workers", "1", *flags])
+        return json.loads((out / "summary.json").read_text())["master_seed"]
+
+    config_seed = trace("config_seed", "--seed", "11")
+    seeded = trace("seeded", "--seed", "5")
+    assert trace("unseeded") == config_seed != seeded
+    assert bandit_seed("bandit_seeded", "--seed", "99") == 99
+    assert bandit_seed("bandit_unseeded") == 3
+    assert trace("unseeded_again") == config_seed
+    capsys.readouterr()
+
+
+# Exact path: the adversarial rule's first direction, from the prior's
+# covariance, has a negative entry and gives one atom a negative Bernoulli
+# mean. The mean range is checked where the lattice first branches on it.
 MEAN_OUT_OF_RANGE_YAML = """\
 potential:
   horizon: 4
@@ -181,6 +212,31 @@ def test_potential_trace_mean_out_of_range_is_a_failed_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CHECK_FAILED
     assert err.startswith("run failed: Bernoulli mean must lie in [0, 1]")
+
+
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_exact_path_checks_the_mean_range_only_where_it_branches(
+    tmp_path, capsys, horizon
+):
+    # at H = 1 nothing branches on the out-of-range direction, so the run is
+    # exact; from H = 2 the root branches on it
+    cfg = write(
+        tmp_path,
+        "pot.yaml",
+        MEAN_OUT_OF_RANGE_YAML.replace("horizon: 4", f"horizon: {horizon}"),
+    )
+    code = main(["potential-trace", "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    if horizon == 1:
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "verification.json").read_text())
+        assert report["exact"]
+        assert report["mean_total"] == pytest.approx(0.02666462972008379, rel=1e-12)
+    else:
+        assert code == EXIT_CHECK_FAILED
+        assert err == (
+            "run failed: Bernoulli mean must lie in [0, 1], got -0.11467231955161812\n"
+        )
 
 
 # d = 1: the adversarial action is always [1], so the atoms are the reward

@@ -325,14 +325,21 @@ def _lattice_priors():
                 int(rng.integers(1, 11)),
             )
         )
-    # the adversarial directions of this d=2 prior keep every mean in [0, 1]
+    # the adversarial directions of these d >= 2 priors keep every mean in [0, 1]
     square = np.array([[0.3, 0.3], [0.6, 0.6], [0.3, 0.6], [0.6, 0.3]])
     cases.append((FiniteSupportPrior(atoms=square, weights=np.full(4, 0.25)), 8))
+    rng = np.random.default_rng(9)
+    atoms = rng.uniform(0.1, 0.5, size=(4, 3))
+    weights = rng.dirichlet(np.ones(4))
+    cases.append((FiniteSupportPrior(atoms=atoms, weights=weights), 8))
     return cases
 
 
 LATTICE_CASES = _lattice_priors()
-LATTICE_IDS = ["counterexample"] + [f"scalar{i}" for i in range(12)] + ["square_d2"]
+LATTICE_IDS = (
+    ["counterexample"] + [f"scalar{i}" for i in range(12)] + ["square_d2", "random_d3"]
+)
+SCALAR_CASES = [case for case in LATTICE_CASES if case[0].dim == 1]
 
 
 @pytest.mark.parametrize("prior,horizon", LATTICE_CASES, ids=LATTICE_IDS)
@@ -346,15 +353,9 @@ def test_merged_lattice_matches_unmerged_tree(prior, horizon):
     assert report.mean_total == pytest.approx(ref_total, rel=1e-12, abs=0)
 
 
-def _count_nodes(monkeypatch, prior, horizon):
-    calls = []
-    monkeypatch.setattr(
-        potential,
-        "adversarial_action",
-        lambda gamma: calls.append(1) or adversarial_action(gamma),
-    )
-    verify(prior, BernoulliMeanNoise(), horizon=horizon)
-    return len(calls)
+def _depth_nodes(prior, horizon):
+    """Nodes at each depth of the exact lattice."""
+    return potential._exact_potential(prior, BernoulliMeanNoise(), horizon)[2]
 
 
 def success_count_potential(atoms, weights, horizon):
@@ -397,22 +398,29 @@ def test_scalar_exact_path_matches_success_count_recursion(horizon, expected):
     assert report.mean_total == pytest.approx(expected, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("prior,_", LATTICE_CASES[:-1], ids=LATTICE_IDS[:-1])
-def test_scalar_lattice_keeps_one_node_per_success_count(monkeypatch, prior, _):
-    # the lattice up to depth t - 1 does not depend on the horizon, so the
-    # difference of node counts between horizons t + 1 and t is depth t
-    totals = [0] + [_count_nodes(monkeypatch, prior, h) for h in range(1, 13)]
-    for t in range(12):
-        assert totals[t + 1] - totals[t] == t + 1
+@pytest.mark.parametrize("prior,_", SCALAR_CASES, ids=LATTICE_IDS[: len(SCALAR_CASES)])
+def test_scalar_lattice_keeps_one_node_per_success_count(prior, _):
+    assert _depth_nodes(prior, 12) == [t + 1 for t in range(12)]
 
 
-def test_lattice_keeps_histories_apart_whose_posteriors_nearly_agree(monkeypatch):
+def test_lattice_keeps_histories_apart_whose_posteriors_nearly_agree():
     # the two atoms' log-weights after different success counts differ by
     # less than 1e-12, yet only equal counts give the same posterior
     prior = FiniteSupportPrior(
         atoms=np.array([[0.5], [0.5 + 1e-13]]), weights=np.array([0.5, 0.5])
     )
-    assert _count_nodes(monkeypatch, prior, 4) == 1 + 2 + 3 + 4
+    assert _depth_nodes(prior, 4) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "case,horizon,expected",
+    [("square_d2", 8, 125), ("square_d2", 12, 666), ("random_d3", 8, 255)],
+)
+def test_lattice_node_counts_in_higher_dimensions(case, horizon, expected):
+    # the counts of the lattice keyed on (action, outcome) pairs: in d >= 2
+    # two action multisets that reach the same posterior stay apart
+    prior, _ = LATTICE_CASES[LATTICE_IDS.index(case)]
+    assert sum(_depth_nodes(prior, horizon)) == expected
 
 
 # ---------------------------------------------------------------------------
