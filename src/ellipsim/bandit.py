@@ -5,15 +5,16 @@ an action set, let the policy pick, observe a noisy reward and update the
 posterior. The policy of interest samples a parameter from the posterior
 and plays its argmax; a greedy comparator plays the argmax of the
 posterior mean; the adversarial rule plays the top eigendirection of the
-posterior covariance over the unit sphere. Per-round posterior and ridge
-quadratic forms are recorded in a :class:`~ellipsim.potential.PotentialTrace`.
+posterior covariance over the unit sphere. Per-round posterior quadratic
+forms are recorded in a :class:`~ellipsim.potential.PotentialTrace`.
 :func:`run_episode` is the one episode loop, run by both the regret
-experiments and the Monte Carlo potential verifier in :mod:`ellipsim.harness`.
+experiments and the Monte Carlo potential verifier in :mod:`ellipsim.harness`;
+the regret job replays eq. 1's ridge tracker over the actions it returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -263,12 +264,11 @@ def run_episode(
     horizon: int,
     rng: np.random.Generator,
     policy: str = "lints",
-    lam: Optional[float] = 1.0,
 ) -> EpisodeResult:
     """Simulate one full episode and return its record.
 
     ``policy`` is "lints", "greedy" or "adversarial"; :func:`check_episode`
-    says which setups each one plays. ``lam=None`` runs no ridge tracker.
+    says which setups each one plays.
 
     The draw order per round is fixed (action set, then policy sample,
     then reward), so a single generator yields reproducible episodes.
@@ -282,7 +282,7 @@ def run_episode(
     theta_star = prior.sample(rng)
     state = make_posterior(prior, noise, engine, rng=rng)
     dim = theta_star.shape[0]
-    trace = PotentialTrace(dim, lam=lam)
+    trace = PotentialTrace()
     actions = np.zeros((horizon, dim))
     optimal = np.zeros((horizon, dim))
     rewards = np.zeros(horizon)
@@ -303,7 +303,7 @@ def run_episode(
             else:
                 chosen = adversarial_action(state.covariance())
             quad = state.quad_form(chosen)
-            trace.append_quads(chosen, quad)
+            trace.append_quads(quad)
             # the same BLAS dot as @, without the matmul dispatch's overhead
             y = sample_reward(noise, float(chosen.dot(theta_star)), rng)
             state.update(chosen, y)

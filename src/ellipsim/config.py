@@ -346,7 +346,7 @@ def build_lemma_run(doc: Mapping) -> LemmaRunConfig:
 
 def build_potential_run(doc: Mapping) -> ExperimentConfig:
     """The expected-potential verifier's run: ``policy`` is the action rule,
-    ``lam=None``, and the adversarial rule plays over the unit sphere."""
+    and the adversarial rule plays over the unit sphere."""
     sec, prior, noise, engine = _parse_sections(
         doc, "potential", ("horizon", "replications", "master_seed", "action_rule")
     )
@@ -374,7 +374,6 @@ def build_potential_run(doc: Mapping) -> ExperimentConfig:
         replications=_as_int(sec.get("replications", 300), "potential.replications"),
         master_seed=_seed(sec, "master_seed", "potential"),
         policy=rule,
-        lam=None,
     )
     # the exact path runs no replications
     if cfg.replications < MONTE_CARLO_MIN_REPLICATIONS and not exact_path_applies(

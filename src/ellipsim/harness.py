@@ -8,17 +8,19 @@ and ``verify_expected_potential(cfg)``, and replicate
 episodes in index order, so results never depend on the worker count.
 Regret summaries carry the regret and potential curves, the analytic
 bound values and one-sided pass flags with Monte Carlo slack of
-``tolerances.MONTE_CARLO_SLACK_SE`` standard errors. The verifier
-compares E[sum of a.T Gamma_t a] with its log-det bound, exactly over
-the outcome lattice of :mod:`ellipsim.potential` or by Monte Carlo.
+``tolerances.MONTE_CARLO_SLACK_SE`` standard errors; eq. 1's ridge
+potential is replayed over each episode's actions in the worker that ran
+it. The verifier compares E[sum of a.T Gamma_t a] with its log-det bound,
+exactly over the outcome lattice of :mod:`ellipsim.potential` or by Monte
+Carlo.
 """
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .bandit import (
     REGRET_POLICIES,
     ActionSetGenerator,
     EpisodeFailure,
+    EpisodeResult,
     check_episode,
     run_episode,
 )
@@ -34,6 +37,7 @@ from .distributions import Noise, Prior
 from .linalg import CholeskyFailure, PsdMatrix, psd_order_holds
 from .posterior import DegenerateWeights, EngineConfig
 from .potential import (
+    ClassicalPotential,
     _exact_potential,
     exact_path_applies,
     gamma1_eigs,
@@ -68,9 +72,10 @@ class ExcessiveFailures(RuntimeError):
 class ExperimentConfig:
     """Everything needed to reproduce one experiment.
 
-    Any episode :func:`~ellipsim.bandit.run_episode` plays, ``lam=None`` too.
+    Any episode :func:`~ellipsim.bandit.run_episode` plays.
     :func:`run_experiment` and :func:`verify_expected_potential` both take
-    one; for the verifier ``policy`` is the action rule.
+    one; for the verifier ``policy`` is the action rule. ``lam`` is eq. 1's
+    ridge, which only the regret job replays.
     """
 
     prior: Prior
@@ -82,7 +87,7 @@ class ExperimentConfig:
     master_seed: int = 0
     workers: int = 1
     policy: str = "lints"
-    lam: Optional[float] = 1.0
+    lam: float = 1.0
     bound_checks: Tuple[str, ...] = KNOWN_CHECKS
 
     def __post_init__(self):
@@ -96,7 +101,7 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.lam is not None and not self.lam >= 1.0:
+        if not self.lam >= 1.0:
             raise ValueError(f"lam must be >= 1, got {self.lam}")
         unknown = set(self.bound_checks) - set(KNOWN_CHECKS)
         if unknown:
@@ -150,10 +155,12 @@ class RunSummary:
         return all(v is not False for v in self.checks.values())
 
 
-def _replicate(cfg: ExperimentConfig, rep: int) -> Dict:
-    """Run one replication; returns reduced arrays or an error record.
+def _replicate(cfg: ExperimentConfig, record: Callable[..., Dict], rep: int) -> Dict:
+    """Run one replication; returns ``record(cfg, episode)``, the arrays
+    a job keeps of it, or an error record.
 
-    Only a degraded engine gives a record; other episode errors are raised.
+    Only a degraded engine gives an error record; other episode errors
+    are raised.
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, rep]))
     try:
@@ -165,7 +172,6 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> Dict:
             cfg.horizon,
             rng,
             policy=cfg.policy,
-            lam=cfg.lam,
         )
     except EpisodeFailure as exc:
         if not isinstance(exc.cause, (DegenerateWeights, CholeskyFailure)):
@@ -176,29 +182,44 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> Dict:
             "error_type": type(exc.cause).__name__,
             "message": str(exc.cause),
         }
-    trace = episode.trace
+    return record(cfg, episode)
+
+
+def _potential_record(cfg: ExperimentConfig, episode: EpisodeResult) -> Dict:
+    """The verifier's record: the posterior quadratic forms only."""
+    return {"gamma_quads": np.asarray(episode.trace.gamma_quads)}
+
+
+def _regret_record(cfg: ExperimentConfig, episode: EpisodeResult) -> Dict:
+    """The regret job's record, with eq. 1's excess from a ridge tracker
+    replayed over the episode's actions."""
+    horizon, dim = episode.actions.shape
+    ridge = ClassicalPotential(dim, lam=cfg.lam)
+    quad_sum = float(np.sum([ridge.step(a) for a in episode.actions]))
     return {
+        **_potential_record(cfg, episode),
         "cumulative_regret": episode.cumulative_regret,
-        "gamma_quads": np.asarray(trace.gamma_quads),
-        "sigma_sum": trace.sigma_sum,
-        "sigma_logdet_rhs": (
-            None if trace.classical is None else trace.classical.logdet_bound()
+        "eq1_excess": ridge_excess(
+            quad_sum, ridge.logdet_bound(), horizon, dim, cfg.lam
         ),
     }
 
 
-def _run_replications(cfg: ExperimentConfig) -> Tuple[List[Dict], List[Dict]]:
+def _run_replications(
+    cfg: ExperimentConfig, record: Callable[..., Dict]
+) -> Tuple[List[Dict], List[Dict]]:
     """Run every replication in index order; returns (successes, failures).
 
     Past ``REPLICATION_FAILURE_SHARE`` failures raise :class:`ExcessiveFailures`.
     """
     reps = range(cfg.replications)
+    job = partial(_replicate, cfg, record)
     if cfg.workers > 1:
         chunk = max(1, cfg.replications // (cfg.workers * 4))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            raw = list(pool.map(partial(_replicate, cfg), reps, chunksize=chunk))
+            raw = list(pool.map(job, reps, chunksize=chunk))
     else:
-        raw = [_replicate(cfg, rep) for rep in reps]
+        raw = [job(rep) for rep in reps]
     failures = [r for r in raw if "error_type" in r]
     successes = [r for r in raw if "error_type" not in r]
     if len(failures) > REPLICATION_FAILURE_SHARE * cfg.replications:
@@ -230,11 +251,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
 
     Failures follow :func:`_run_replications`. The reduction walks
     replications in index order, so worker count never changes results.
-    The eq1 check needs the ridge tracker, so ``cfg.lam`` must be set,
-    and ``cfg.policy`` must be one of ``REGRET_POLICIES``.
+    ``cfg.policy`` must be one of ``REGRET_POLICIES``.
     """
-    if cfg.lam is None:
-        raise ValueError("run_experiment reports eq1 and needs a ridge lam")
     if cfg.policy not in REGRET_POLICIES:
         raise ValueError(f"unknown policy {cfg.policy!r}")
     start = time.perf_counter()
@@ -242,7 +260,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     from .config import experiment_to_dict
 
     config_echo = experiment_to_dict(cfg)
-    successes, failures = _run_replications(cfg)
+    successes, failures = _run_replications(cfg, _regret_record)
     regret = np.stack([r["cumulative_regret"] for r in successes])
     n = regret.shape[0]
 
@@ -275,11 +293,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
         ),
     }
 
-    # every completed episode ran the full horizon
-    eq1_violation = max(
-        ridge_excess(r["sigma_sum"], r["sigma_logdet_rhs"], horizon, dim, cfg.lam)
-        for r in successes
-    )
+    eq1_violation = max(r["eq1_excess"] for r in successes)
 
     final_mean = float(mean_regret[-1])
     final_stderr = float(stderr_regret[-1])
@@ -371,11 +385,11 @@ def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
     sampling over the sets ``cfg.actions`` draws). Uses the exact outcome
     lattice when :func:`~ellipsim.potential.exact_path_applies`; otherwise
     averages the posterior quadratic forms of ``cfg.replications``
-    episodes, always with no ridge tracker, through the same driver and
-    failure rule as :func:`run_experiment` (degraded engines count in
-    ``failed_replications``). The bound holds when
-    :func:`~ellipsim.potential.monte_carlo_margin` is >= 0, or on the exact path
-    when mean <= bound + ``INEQUALITY_SLACK``.
+    episodes through the same driver and failure rule as
+    :func:`run_experiment` (degraded engines count in
+    ``failed_replications``), and replays no ridge tracker. The bound
+    holds when :func:`~ellipsim.potential.monte_carlo_margin` is >= 0, or
+    on the exact path when mean <= bound + ``INEQUALITY_SLACK``.
     """
     if cfg.policy not in ACTION_RULES:
         raise ValueError(f"unknown action rule {cfg.policy!r}")
@@ -410,7 +424,7 @@ def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
             f"Monte Carlo needs >= {MONTE_CARLO_MIN_REPLICATIONS} replications, "
             f"got {cfg.replications}"
         )
-    successes, failures = _run_replications(replace(cfg, lam=None))
+    successes, failures = _run_replications(cfg, _potential_record)
     per_round, mean_total, stderr_total = _potential_stats(successes)
     return report(
         replications=len(successes),

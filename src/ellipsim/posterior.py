@@ -11,12 +11,12 @@ parameter given the observed (action, reward) pairs:
 
 All engines share the same surface: ``mean``, ``covariance``,
 ``quad_form``, ``sample`` and ``update``; updates mutate in place. Only
-the weighted-point engines have ``clone``: outcome enumeration branches a
-finite-support state per outcome with it.
+the exact finite-support engine has ``clone``: outcome enumeration
+branches a state per outcome with it, and refuses particle states, which
+inherit it.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -239,15 +239,6 @@ class ParticleState(FiniteSupportState):
         self.atoms = self.atoms[idx]
         self.weights = np.full(n, 1.0 / n)
         self.resample_count += 1
-
-    def clone(self) -> "ParticleState":
-        other = self.__class__.__new__(self.__class__)
-        other.noise = self.noise
-        other.rng = copy.deepcopy(self.rng)
-        other.atoms = self.atoms
-        other.weights = self.weights.copy()
-        other.resample_count = self.resample_count
-        return other
 
 
 PosteriorState = GaussianConjugateState | FiniteSupportState | ParticleState

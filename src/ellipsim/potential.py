@@ -8,10 +8,13 @@ Two related quantities are tracked along an action sequence:
 
 * the classical ridge potential, where the design covariance
   (lam * I + sum of a a.T)^{-1} shrinks deterministically and the summed
-  quadratic forms are controlled by a log-det telescope;
+  quadratic forms are controlled by a log-det telescope; it depends only
+  on the actions, so :class:`ClassicalPotential` is replayed over them
+  after an episode;
 * the general posterior potential, where the quadratic form is taken in
   the posterior covariance of the parameter, which is random and need not
-  shrink on any single round.
+  shrink on any single round; :class:`PotentialTrace` records it as the
+  episode plays.
 
 The expected general potential sum under the adversarial action rule is
 computed here exactly for small discrete models, over the outcome lattice
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -153,35 +156,19 @@ class ClassicalPotential:
 
 @dataclass
 class PotentialTrace:
-    """Aligned record of general and classical potentials along one run.
+    """The posterior quadratic forms a.T Gamma_t a along one run, by round.
 
-    Each recorded round stores the posterior quadratic form a.T Gamma_t a
-    and the classical quadratic form a.T Sigma_t a, with the classical
-    state advanced in lockstep so the two sequences stay comparable round
-    by round. With ``lam=None`` only the posterior forms are recorded.
+    Eq. 1's ridge potential depends only on the actions, so the regret job
+    replays :class:`ClassicalPotential` over an episode's actions after it.
     """
 
-    dim: int
-    lam: Optional[float] = 1.0
     gamma_quads: List[float] = field(default_factory=list)
-    sigma_quads: List[float] = field(default_factory=list)
 
-    def __post_init__(self):
-        self.classical = (
-            None if self.lam is None else ClassicalPotential(self.dim, lam=self.lam)
-        )
-
-    def append_quads(self, action: ArrayLike, gamma_quad: float) -> None:
+    def append_quads(self, gamma_quad: float) -> None:
         """Record a round from a precomputed posterior quadratic form."""
         if gamma_quad < -PSD_SLACK:
             raise ValueError(f"posterior quadratic form is negative: {gamma_quad}")
-        if self.classical is not None:
-            self.sigma_quads.append(self.classical.step(action))
         self.gamma_quads.append(max(float(gamma_quad), 0.0))
-
-    @property
-    def sigma_sum(self) -> float:
-        return float(np.sum(self.sigma_quads))
 
 
 def adversarial_action(gamma: PsdMatrix) -> Array:

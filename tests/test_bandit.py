@@ -156,7 +156,6 @@ def test_episode_is_reproducible():
 def test_episode_trace_records_every_round():
     result = gaussian_episode(horizon=25)
     assert len(result.trace.gamma_quads) == 25
-    assert len(result.trace.sigma_quads) == 25
     # posterior quads start at prior scale and end tighter
     assert result.trace.gamma_quads[0] == pytest.approx(1.0, abs=1e-9)
     assert result.trace.gamma_quads[-1] < result.trace.gamma_quads[0]
@@ -243,12 +242,10 @@ def test_adversarial_policy_plays_the_top_eigendirection_over_the_sphere():
     rng = np.random.default_rng(SEED)
     result = run_episode(
         prior, BernoulliMeanNoise(), UnitSphereGenerator(1), engine,
-        horizon=8, rng=rng, policy="adversarial", lam=None,
+        horizon=8, rng=rng, policy="adversarial",
     )
     assert np.array_equal(result.actions, np.ones((8, 1)))
     assert np.all(result.instant_regret == 0.0)
-    assert result.trace.classical is None
-    assert result.trace.sigma_quads == []
     assert len(result.trace.gamma_quads) == 8
     with pytest.raises(ValueError, match="unit sphere"):
         run_episode(

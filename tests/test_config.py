@@ -528,7 +528,6 @@ def test_potential_run_defaults():
     assert run.replications == 6
     assert run.master_seed == 0
     assert run.policy == "adversarial"
-    assert run.lam is None
     assert isinstance(run.actions, UnitSphereGenerator)
     assert run.actions.dim == 2
 

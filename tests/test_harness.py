@@ -51,16 +51,12 @@ def test_config_validation():
 
 
 def test_config_describes_the_verifier_episodes():
-    # the adversarial rule with no ridge tracker, as the potential verifier runs it
-    cfg = small_config(policy="adversarial", actions=UnitSphereGenerator(2), lam=None)
-    assert cfg.lam is None
+    # the adversarial rule over the sphere, as the potential verifier runs it
+    small_config(policy="adversarial", actions=UnitSphereGenerator(2))
     with pytest.raises(ValueError, match="unit sphere"):
         small_config(policy="adversarial")
     with pytest.raises(ValueError, match="unknown policy"):
         small_config(policy="ucb")
-    # a regret experiment reports eq1, which needs the ridge tracker
-    with pytest.raises(ValueError, match="ridge lam"):
-        run_experiment(cfg)
 
 
 def test_run_experiment_refuses_a_verifier_only_policy():
@@ -179,7 +175,7 @@ def test_wide_prior_disables_identity_cap():
 def test_failure_budget_aborts_run(monkeypatch):
     original = harness_mod._replicate
 
-    def sometimes_broken(cfg, rep):
+    def sometimes_broken(cfg, record, rep):
         if rep % 2 == 0:
             return {
                 "replication": rep,
@@ -187,7 +183,7 @@ def test_failure_budget_aborts_run(monkeypatch):
                 "error_type": "DegenerateWeights",
                 "message": "synthetic failure",
             }
-        return original(cfg, rep)
+        return original(cfg, record, rep)
 
     monkeypatch.setattr(harness_mod, "_replicate", sometimes_broken)
     with pytest.raises(ExcessiveFailures, match="failed"):

@@ -319,18 +319,6 @@ def test_particle_tracks_conjugate_posterior():
     )
 
 
-def test_particle_clone_owns_its_rng():
-    prior, noise = gaussian_pair(dim=2)
-    rng = np.random.default_rng(SEED)
-    state = ParticleState(prior, noise, rng, n_particles=200)
-    twin = state.clone()
-    a, y = np.array([1.0, 0.0]), 0.1
-    state.update(a, y)
-    twin.update(a, y)
-    assert np.allclose(state.weights, twin.weights)
-    assert np.allclose(state.particles, twin.particles)
-
-
 class ReferenceFiniteSupportState:
     """Standalone finite-support engine: the reads and the reweight that a
     bandit episode uses, written out as the reference to reproduce."""

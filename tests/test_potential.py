@@ -51,6 +51,7 @@ from ellipsim.potential import (
     gamma1_eigs,
     logdet_growth,
     potential_bound,
+    ridge_excess,
     ridge_potential_bound,
     sigma_factor,
 )
@@ -230,26 +231,45 @@ def test_trace_sigma_factor_above_one():
 
 
 def test_trace_rejects_negative_quads():
-    trace = PotentialTrace(dim=2)
+    trace = PotentialTrace()
     with pytest.raises(ValueError):
-        trace.append_quads(np.array([1.0, 0.0]), -1e-3)
+        trace.append_quads(-1e-3)
 
 
-def test_trace_runs_classical_tracker_in_lockstep():
-    rng = np.random.default_rng(SEED)
-    trace = PotentialTrace(dim=3, lam=2.0)
-    standalone = ClassicalPotential(dim=3, lam=2.0)
-    quads = []
-    for _ in range(10):
-        a = rng.standard_normal(3)
-        a /= np.linalg.norm(a)
-        trace.append_quads(a, PsdMatrix.identity(3).quad_form(a))
-        quads.append(standalone.step(a))
-    assert trace.sigma_quads == pytest.approx(quads, abs=1e-12)
-    assert trace.sigma_sum == pytest.approx(sum(quads), abs=1e-12)
-    assert trace.classical.logdet_bound() == pytest.approx(
-        standalone.logdet_bound(), abs=1e-12
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("engine", ["finite_support", "gaussian_conjugate"])
+def test_eq1_replays_the_ridge_tracker_over_the_played_actions(engine, workers):
+    if engine == "finite_support":
+        prior = _five_atom_prior()
+    else:
+        prior = GaussianPrior(mean=np.zeros(3), cov=PsdMatrix.identity(3))
+    cfg = ExperimentConfig(
+        prior=prior,
+        noise=GaussianNoise(sd=0.5),
+        engine=EngineConfig(kind=engine),
+        actions=KArmedGaussianGenerator(k=4, dim=3),
+        horizon=15,
+        replications=3,
+        master_seed=7,
+        workers=workers,
+        lam=2.0,
     )
+    excesses = []
+    for rep in range(cfg.replications):
+        episode = run_episode(
+            prior,
+            cfg.noise,
+            cfg.actions,
+            cfg.engine,
+            cfg.horizon,
+            np.random.default_rng(np.random.SeedSequence([cfg.master_seed, rep])),
+        )
+        ridge = ClassicalPotential(dim=3, lam=2.0)
+        quads = [ridge.step(a) for a in episode.actions]
+        excesses.append(
+            ridge_excess(np.sum(quads), ridge.logdet_bound(), cfg.horizon, 3, 2.0)
+        )
+    assert harness.run_experiment(cfg).eq1_max_violation == max(excesses)
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +569,40 @@ def test_monte_carlo_reads_the_quads_of_run_episode():
             10,
             np.random.default_rng(np.random.SeedSequence([3, rep])),
             policy="adversarial",
-            lam=None,
         )
         for rep in range(2)
     ]
     quads = [np.asarray(ep.trace.gamma_quads) for ep in episodes]
-    assert all(ep.trace.classical is None for ep in episodes)
     assert np.array_equal(report.per_round_mean, (quads[0] + quads[1]) / 2)
+
+
+def test_monte_carlo_path_builds_no_ridge_tracker(monkeypatch):
+    # only the regret job replays eq. 1; the verifier keeps the posterior quads
+    def refuse(*args, **kwargs):
+        raise AssertionError("ridge tracker built")
+
+    monkeypatch.setattr(harness, "ClassicalPotential", refuse)
+    case = MONTE_CARLO_CASES["lints_conjugate"]
+    report = verify(
+        case["prior"],
+        case["noise"],
+        horizon=10,
+        replications=2,
+        engine=case["engine"],
+        rule=case["rule"],
+        generator=case["generator"],
+    )
+    assert not report.exact
+    cfg = ExperimentConfig(
+        prior=case["prior"],
+        noise=case["noise"],
+        engine=case["engine"],
+        actions=case["generator"],
+        horizon=10,
+        replications=2,
+    )
+    with pytest.raises(AssertionError, match="ridge tracker built"):
+        harness.run_experiment(cfg)
 
 
 def test_monte_carlo_mean_out_of_range_surfaces_as_itself():
