@@ -84,9 +84,10 @@ class FiniteActionSet:
         return self.actions.shape[1]
 
     def argmax(self, theta: ArrayLike) -> Array:
-        """Best action for the given parameter; ties go to the lowest index."""
+        """Best action for the given parameter; ties go to the lowest index,
+        as ``ndarray.argmax`` breaks them."""
         scores = self.actions @ np.asarray(theta, dtype=np.float64)
-        return self.actions[int(np.argmax(scores))]
+        return self.actions[scores.argmax()]
 
 
 @dataclass(frozen=True, eq=False)

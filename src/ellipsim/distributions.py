@@ -206,26 +206,34 @@ class BernoulliMeanNoise(Noise):
 
     The conditional mean must lie in [0, 1]; anything else raises
     :class:`MeanOutOfRange`. The conditional variance mean*(1-mean) is
-    bounded by 1/4 uniformly.
+    bounded by 1/4 uniformly. ``likelihood`` checks an array of means
+    and ``sample_reward`` one float, with the same bounds and message.
     """
 
     sigma_sq_bound = 0.25
     requires_unit_interval_mean = True
     finite_outcomes = (0.0, 1.0)
 
+    @staticmethod
+    def _out_of_range(value: float) -> MeanOutOfRange:
+        return MeanOutOfRange(f"Bernoulli mean must lie in [0, 1], got {value}")
+
+    # means within NORM_SLACK of [0, 1] are clipped into it; a NaN mean
+    # fails neither comparison and passes on as NaN
     def _check_mean(self, mean: ArrayLike) -> Array:
         arr = np.asarray(mean, dtype=np.float64)
-        if np.any(arr < -NORM_SLACK) or np.any(arr > 1.0 + NORM_SLACK):
-            outside = (arr < -NORM_SLACK) | (arr > 1.0 + NORM_SLACK)
+        outside = (arr < -NORM_SLACK) | (arr > 1.0 + NORM_SLACK)
+        if outside.any():
             bad = arr if arr.ndim == 0 else arr[outside]
-            raise MeanOutOfRange(
-                f"Bernoulli mean must lie in [0, 1], got {float(np.atleast_1d(bad)[0])}"
-            )
-        return np.clip(arr, 0.0, 1.0)
+            raise self._out_of_range(float(np.atleast_1d(bad)[0]))
+        return arr.clip(0.0, 1.0)
 
     def sample_reward(self, mean: float, rng: np.random.Generator) -> float:
-        p = float(self._check_mean(mean))
-        return float(rng.random() < p)
+        # the check of _check_mean on one float, without building an array
+        mean = float(mean)
+        if mean < -NORM_SLACK or mean > 1.0 + NORM_SLACK:
+            raise self._out_of_range(mean)
+        return float(rng.random() < min(max(mean, 0.0), 1.0))
 
     def likelihood(self, y: float, mean: ArrayLike) -> Array:
         p = self._check_mean(mean)

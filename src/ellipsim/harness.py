@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -146,7 +146,9 @@ class RunSummary:
     FORMAT = "ellipsim-summary-v2"
 
     def to_dict(self) -> Dict:
-        data = asdict(self)
+        # shallow: the fields are JSON-ready already, and asdict's deep copy
+        # of the config echo costs milliseconds at d = 100
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         del data["wall_time_seconds"]
         return {"format": self.FORMAT, **data}
 
@@ -329,13 +331,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
         failures=failures,
         master_seed=cfg.master_seed,
         sigma_factor=factor,
-        gamma1_eigs=[float(v) for v in eigs],
+        gamma1_eigs=eigs.tolist(),
         gamma1_within_identity=bool(within_identity),
-        ts=[int(t) for t in ts],
-        mean_regret=[float(v) for v in mean_regret[idx]],
-        stderr_regret=[float(v) for v in stderr_regret[idx]],
-        mean_gamma_quad=[float(v) for v in mean_gamma[idx]],
-        running_gamma_sum=[float(v) for v in running_gamma[idx]],
+        ts=ts.tolist(),
+        mean_regret=mean_regret[idx].tolist(),
+        stderr_regret=stderr_regret[idx].tolist(),
+        mean_gamma_quad=mean_gamma[idx].tolist(),
+        running_gamma_sum=running_gamma[idx].tolist(),
         final_mean_regret=final_mean,
         final_stderr_regret=final_stderr,
         potential_sum_mean=potential_mean,

@@ -12,8 +12,9 @@ parameter given the observed (action, reward) pairs:
 All engines share the same surface: ``mean``, ``covariance``,
 ``quad_form``, ``sample`` and ``update``; updates mutate in place. Only
 the exact finite-support engine has ``clone``: outcome enumeration
-branches a state per outcome with it, and refuses particle states, which
-inherit it.
+branches a state per outcome with it. It refuses particle states, whose
+inherited ``clone`` returns a plain finite-support state on the current
+particles and weights.
 """
 from __future__ import annotations
 
@@ -154,7 +155,19 @@ class FiniteSupportState:
         return float(self.weights @ (proj - m) ** 2)
 
     def sample(self, rng: np.random.Generator) -> Array:
-        return self.atoms[rng.choice(self.atoms.shape[0], p=self.weights)]
+        """One atom drawn with probability its weight.
+
+        Does the arithmetic of ``rng.choice(n, p=weights)``: cumulative
+        sum, divided by its last entry, one ``rng.random()`` and a
+        right-sided search. So it picks the same index and leaves the
+        generator in the same state, without ``choice``'s per-call checks
+        of ``p``, which engine weights always pass: the prior's weights
+        sum to 1, :meth:`update` refuses a zero or non-finite total and
+        every likelihood is nonnegative.
+        """
+        cdf = self.weights.cumsum()
+        cdf /= cdf[-1]
+        return self.atoms[cdf.searchsorted(rng.random(), side="right")]
 
     def _reweight(self, action: ArrayLike, y: float) -> None:
         a = np.asarray(action, dtype=np.float64)
@@ -177,8 +190,13 @@ class FiniteSupportState:
         return float(self.weights @ lik)
 
     def clone(self) -> "FiniteSupportState":
+        """An independent exact state on the same atoms and weights.
+
+        Always a plain :class:`FiniteSupportState`, also for a particle
+        state, whose clone is its particles as fixed support.
+        """
         # atoms are shared: nothing writes into them in place
-        other = self.__class__.__new__(self.__class__)
+        other = FiniteSupportState.__new__(FiniteSupportState)
         other.noise = self.noise
         other.atoms = self.atoms
         other.weights = self.weights.copy()

@@ -3,6 +3,10 @@
 Every right-hand side that a check compares against (eqs. 1 and 4,
 theorem 2.3, remark 3.3) is written once here, as a module-level function,
 and so are the margins of the Monte Carlo, eq. 1 and remark 3.3 verdicts.
+The theorem 2.3, eq. 4 and remark 3.3 bounds take either one round count
+``t`` and return a float, or an int array of round counts and return one
+bound per entry, bit for bit the float each entry would give on its own,
+so a curve is evaluated in one call.
 
 Two related quantities are tracked along an action sequence:
 
@@ -62,27 +66,40 @@ def gamma1_eigs(gamma1: PsdMatrix) -> Array:
     return np.clip(np.linalg.eigvalsh(gamma1.mat), 0.0, None)
 
 
-def logdet_growth(t: int, eigs: Sequence[float]) -> float:
+def _per_t(values: Array, t: int | Array) -> float | Array:
+    """The bound ``values`` as a float for one round count ``t``, else as
+    the array of one bound per entry of the int array ``t``."""
+    return values if np.ndim(t) else float(values)
+
+
+def logdet_growth(t: int | Array, eigs: Sequence[float]) -> float | Array:
     """log det(I + t * Gamma_1) from the eigenvalues of Gamma_1."""
-    return float(np.sum(np.log1p(t * np.asarray(eigs))))
+    terms = np.log1p(np.multiply.outer(t, np.asarray(eigs, dtype=np.float64)))
+    return _per_t(terms.sum(axis=-1), t)
 
 
-def potential_bound(t: int, factor: float, eigs: Sequence[float]) -> float:
+def potential_bound(
+    t: int | Array, factor: float, eigs: Sequence[float]
+) -> float | Array:
     """Theorem 2.3: 2 * max(sigma^2, 1) * log det(I + t * Gamma_1)."""
     return 2.0 * factor * logdet_growth(t, eigs)
 
 
-def regret_bound(t: int, dim: int, factor: float, eigs: Sequence[float]) -> float:
+def regret_bound(
+    t: int | Array, dim: int, factor: float, eigs: Sequence[float]
+) -> float | Array:
     """Eq. 4: sqrt(2 * max(sigma^2, 1) * d * t * log det(I + t * Gamma_1))."""
-    return float(np.sqrt(2.0 * factor * dim * t * logdet_growth(t, eigs)))
+    return _per_t(np.sqrt(2.0 * factor * dim * t * logdet_growth(t, eigs)), t)
 
 
-def regret_bound_identity_cap(t: int, dim: int, factor: float) -> float:
+def regret_bound_identity_cap(
+    t: int | Array, dim: int, factor: float
+) -> float | Array:
     """Remark 3.3: d * sqrt(2 * max(sigma^2, 1) * t * log(1 + t)).
 
     Bounds the regret only when Gamma_1 <= I.
     """
-    return float(dim * np.sqrt(2.0 * factor * t * np.log1p(t)))
+    return _per_t(dim * np.sqrt(2.0 * factor * t * np.log1p(t)), t)
 
 
 def identity_cap_excess(t: int, eigs: Sequence[float]) -> float:
@@ -117,8 +134,8 @@ def ridge_excess(
 class ClassicalPotential:
     """Deterministic ridge-covariance potential tracker.
 
-    Holds Sigma_t = (lam * I + sum_{s<t} a_s a_s.T)^{-1}, updated by the
-    rank-one shrink identity, together with a running log det kept
+    Holds Sigma_t = (lam * I + sum_{s<t} a_s a_s.T)^{-1}, updated in place
+    by the rank-one shrink identity, together with a running log det kept
     incrementally: each step subtracts log(1 + quad) because the shrink
     divides the determinant by exactly that factor.
     """
@@ -136,15 +153,22 @@ class ClassicalPotential:
         self.quad_sum = 0.0
 
     def step(self, action: ArrayLike) -> float:
-        """Absorb one action; returns the quadratic form a.T Sigma_t a."""
-        a = np.asarray(action, dtype=np.float64)
-        norm = float(np.linalg.norm(a))
+        """Absorb one action; returns the quadratic form a.T Sigma_t a.
+
+        An action whose Euclidean norm exceeds 1 by more than NORM_SLACK
+        is a ``ValueError``.
+        """
+        # contiguous, so the dot sums as np.linalg.norm's does: same bits
+        a = np.ascontiguousarray(action, dtype=np.float64)
+        norm = math.sqrt(a.dot(a))
         if norm > 1.0 + NORM_SLACK:
             raise ValueError(f"action norm must be <= 1, got {norm}")
         sv = self.cov @ a
-        quad = float(a @ sv)
+        quad = float(a.dot(sv))
         # stays exactly symmetric: outer(sv, sv) is, entry for entry
-        self.cov = self.cov - np.outer(sv, sv) / (1.0 + quad)
+        shrink = np.outer(sv, sv)
+        shrink /= 1.0 + quad
+        self.cov -= shrink
         self.logdet_cov -= np.log1p(quad)
         self.quad_sum += quad
         return quad

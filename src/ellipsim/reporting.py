@@ -46,15 +46,14 @@ def write_regret_curve_csv(path: str, summary: RunSummary) -> None:
     the identity, since the capped bound does not apply there.
     """
     lines = ["t,mean_regret,stderr,eq4_bound,remark33_bound"]
-    dim, factor = summary.dim, summary.sigma_factor
-    for t, mean, stderr in zip(summary.ts, summary.mean_regret, summary.stderr_regret):
-        cap = (
-            regret_bound_identity_cap(t, dim, factor)
-            if summary.gamma1_within_identity
-            else float("nan")
-        )
-        eq4 = regret_bound(t, dim, factor, summary.gamma1_eigs)
-        lines.append(_csv_row(t, mean, stderr, eq4, cap))
+    dim, factor, ts = summary.dim, summary.sigma_factor, np.asarray(summary.ts)
+    eq4 = regret_bound(ts, dim, factor, summary.gamma1_eigs)
+    if summary.gamma1_within_identity:
+        cap = regret_bound_identity_cap(ts, dim, factor)
+    else:
+        cap = np.full(len(ts), float("nan"))
+    for row in zip(summary.ts, summary.mean_regret, summary.stderr_regret, eq4, cap):
+        lines.append(_csv_row(*row))
     _write_lines(path, lines)
 
 
@@ -68,9 +67,9 @@ def write_potential_csv(
 ) -> None:
     """Columns: t, mean_gamma_quad, running_sum (over all rounds to t), thm23_bound."""
     lines = ["t,mean_gamma_quad,running_sum,thm23_bound"]
-    for t, quad, total in zip(ts, mean_gamma_quad, running_sum):
-        bound = potential_bound(t, sigma_factor, gamma1_eigs)
-        lines.append(_csv_row(t, quad, total, bound))
+    bounds = potential_bound(np.asarray(ts), sigma_factor, gamma1_eigs)
+    for row in zip(ts, mean_gamma_quad, running_sum, bounds):
+        lines.append(_csv_row(*row))
     _write_lines(path, lines)
 
 

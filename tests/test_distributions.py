@@ -21,6 +21,7 @@ from ellipsim.distributions import (
     sample_reward,
 )
 from ellipsim.linalg import PsdMatrix
+from ellipsim.tolerances import NORM_SLACK
 
 SEED = 915
 
@@ -169,6 +170,66 @@ def test_bernoulli_noise_mean_range():
     # rounding-level overshoot is clipped, not fatal
     got = noise.likelihood(1.0, np.array([1.0 + 1e-14]))
     assert got[0] == 1.0
+
+
+def masked_check_mean(mean):
+    """The Bernoulli mean check written with np.any, np.clip and a mask."""
+    arr = np.asarray(mean, dtype=np.float64)
+    if np.any(arr < -NORM_SLACK) or np.any(arr > 1.0 + NORM_SLACK):
+        outside = (arr < -NORM_SLACK) | (arr > 1.0 + NORM_SLACK)
+        bad = arr if arr.ndim == 0 else arr[outside]
+        raise MeanOutOfRange(
+            f"Bernoulli mean must lie in [0, 1], got {float(np.atleast_1d(bad)[0])}"
+        )
+    return np.clip(arr, 0.0, 1.0)
+
+
+def masked_sample_reward(mean, rng):
+    p = float(masked_check_mean(mean))
+    return float(rng.random() < p)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the text of the MeanOutOfRange it raises."""
+    try:
+        return fn(*args)
+    except MeanOutOfRange as exc:
+        return str(exc)
+
+
+BERNOULLI_MEANS = [
+    0.0, -0.0, 0.3, 1.0, 1.0 - 1e-17,
+    # edges of the NORM_SLACK band
+    -NORM_SLACK, 1.0 + NORM_SLACK,
+    np.nextafter(-NORM_SLACK, -1.0), np.nextafter(1.0 + NORM_SLACK, 2.0),
+    -0.5 * NORM_SLACK, 1.0 + 0.5 * NORM_SLACK,
+    # out of range
+    -0.2, 1.2, -np.inf, np.inf,
+    float("nan"),
+]
+
+
+def test_bernoulli_mean_check_matches_the_masked_form_bit_for_bit():
+    noise = BernoulliMeanNoise()
+    means = [float(m) for m in BERNOULLI_MEANS]
+    arrays = [np.array(m) for m in means] + [np.array(means[:11])]
+    arrays += [np.array([0.5, m, 1.5, -1.0]) for m in means]
+    for arr in arrays:
+        got, want = _outcome(noise._check_mean, arr), _outcome(masked_check_mean, arr)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        for y in (0.0, 1.0):
+            lik = noise.likelihood(y, arr)
+            assert np.array_equal(lik, want if y else 1.0 - want, equal_nan=True)
+    for mean in means:
+        ours, ref = np.random.default_rng(SEED), np.random.default_rng(SEED)
+        got = _outcome(noise.sample_reward, mean, ours)
+        want = _outcome(masked_sample_reward, mean, ref)
+        assert got == want
+        assert ours.random() == ref.random()
 
 
 def test_bernoulli_sampling_is_binary_with_right_rate():

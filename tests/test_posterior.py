@@ -258,6 +258,45 @@ def test_enumerate_outcomes_rejects_particle_state():
         enumerate_posterior_outcomes(state, np.array([1.0]))
 
 
+@pytest.mark.parametrize("n", [1, 8, 20_000])
+def test_finite_support_sample_reproduces_generator_choice(n):
+    """The inline draw picks the index rng.choice(n, p=weights) picks and
+    leaves the generator where choice leaves it, zero weights included."""
+    rng = np.random.default_rng(SEED + n)
+    weights = rng.random(n) * (rng.random(n) > 0.3)
+    weights[[0, -1]] = 0.0
+    weights[n // 2] = 1.0
+    # atom i is (i / n, 0), so a drawn row names its index
+    atoms = np.column_stack([np.arange(n) / n, np.zeros(n)])
+    prior = FiniteSupportPrior(atoms=atoms, weights=weights / weights.sum())
+    state = FiniteSupportState(prior, GaussianNoise(sd=0.5))
+    ours, ref = np.random.default_rng(SEED), np.random.default_rng(SEED)
+    for step in range(40):
+        got = state.sample(ours)
+        want = ref.choice(n, p=state.weights)
+        assert state.weights[want] > 0.0
+        assert np.array_equal(got, atoms[want])
+        assert ours.random() == ref.random()
+        if step % 10 == 9:
+            state.update(np.array([1.0, 0.0]), float(rng.random()))
+
+
+def test_particle_clone_is_a_plain_finite_support_state():
+    prior, noise = gaussian_pair(dim=2, sd=0.1)
+    state = ParticleState(prior, noise, np.random.default_rng(SEED), n_particles=200)
+    weights = state.weights.copy()
+    child = state.clone()
+    assert type(child) is FiniteSupportState
+    rng = np.random.default_rng(SEED + 1)
+    for _ in range(5):
+        action = rng.standard_normal(2)
+        action /= np.linalg.norm(action)
+        child.update(action, float(action @ state.atoms[0]))
+    assert np.array_equal(state.weights, weights)
+    assert not np.array_equal(child.weights, weights)
+    assert child.atoms is state.atoms
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     w0=st.floats(0.05, 0.95),

@@ -9,6 +9,7 @@ with it.
 """
 import ast
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,11 +52,13 @@ from ellipsim.potential import (
     gamma1_eigs,
     logdet_growth,
     potential_bound,
+    regret_bound,
+    regret_bound_identity_cap,
     ridge_excess,
     ridge_potential_bound,
     sigma_factor,
 )
-from ellipsim.tolerances import EIGEN_TIE_REL
+from ellipsim.tolerances import EIGEN_TIE_REL, NORM_SLACK
 
 SEED = 1789
 
@@ -121,6 +124,32 @@ def test_classical_rejects_long_actions_and_small_lambda():
         tracker.step(np.array([1.1, 0.0]))
     with pytest.raises(ValueError):
         ClassicalPotential(dim=2, lam=0.5)
+
+
+def test_classical_rejects_over_norm_actions_where_linalg_norm_does():
+    """The threshold is NORM_SLACK past 1 on np.linalg.norm's own bits, for
+    contiguous and strided actions alike."""
+    rng = np.random.default_rng(SEED)
+    limit = 1.0 + NORM_SLACK
+    actions = [np.array([limit, 0.0]), np.array([np.nextafter(limit, 2.0), 0.0])]
+    for dim in (1, 2, 3, 7, 40):
+        for k in range(-6, 7):
+            a = rng.standard_normal(dim)
+            actions.append(a / np.linalg.norm(a) * limit * (1.0 + k * 2.0**-52))
+    matrix = rng.standard_normal((3, 4))
+    matrix /= np.linalg.norm(matrix, axis=0) / limit
+    actions += [matrix[:, j] for j in range(4)]
+    rejected = 0
+    for a in actions:
+        tracker = ClassicalPotential(dim=a.shape[0])
+        norm = float(np.linalg.norm(a))
+        if norm > limit:
+            with pytest.raises(ValueError, match=re.escape(f"got {norm}") + "$"):
+                tracker.step(a)
+            rejected += 1
+        else:
+            tracker.step(a)
+    assert 0 < rejected < len(actions)
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,6 +253,46 @@ def test_trace_bound_matches_dense_logdet():
     assert potential_bound(horizon, sigma_factor(0.5), eigs) == pytest.approx(
         2.0 * ref, abs=1e-9
     )
+
+
+def scalar_bounds(t, dim, factor, eigs):
+    """Theorem 2.3, eq. 4 and remark 3.3 at one t, written out in floats."""
+    growth = float(np.sum(np.log1p(t * np.asarray(eigs))))
+    return (
+        2.0 * factor * growth,
+        float(np.sqrt(2.0 * factor * dim * t * growth)),
+        float(dim * np.sqrt(2.0 * factor * t * np.log1p(t))),
+    )
+
+
+@pytest.mark.parametrize("horizon", [300, 54_321], ids=["every-t", "subsampled"])
+def test_bound_curves_match_per_t_calls_bit_for_bit(horizon):
+    """An int array of t gives, entry for entry, the bits of the scalar call."""
+    rng = np.random.default_rng(SEED)
+    ts = harness._curve_ts(horizon)
+    assert (ts.size == horizon) == (horizon <= harness.CURVE_POINT_LIMIT)
+    for dim in range(1, 101):
+        eigs = rng.exponential(size=dim) * rng.choice([1e-3, 0.25, 1.0, 30.0])
+        eigs[: rng.integers(0, 2)] = 0.0
+        eigs = list(eigs) if dim % 2 else eigs
+        factor = sigma_factor(float(rng.choice([0.25, 1.0, 2.5])))
+        curves = (
+            potential_bound(ts, factor, eigs),
+            regret_bound(ts, dim, factor, eigs),
+            regret_bound_identity_cap(ts, dim, factor),
+        )
+        # every t at d <= 3, a spread of t beyond, to keep the loop short
+        stride = 1 if dim <= 3 else 11
+        for i in range(dim % stride, ts.size, stride):
+            t = int(ts[i])
+            scalar = (
+                potential_bound(t, factor, eigs),
+                regret_bound(t, dim, factor, eigs),
+                regret_bound_identity_cap(t, dim, factor),
+            )
+            assert all(type(v) is float for v in scalar)
+            assert scalar == scalar_bounds(t, dim, factor, eigs)
+            assert tuple(float(curve[i]) for curve in curves) == scalar, (dim, t)
 
 
 def test_trace_sigma_factor_above_one():
