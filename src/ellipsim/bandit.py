@@ -134,7 +134,8 @@ class KArmedGaussianGenerator:
         z = rng.standard_normal((self.k, self.dim))
         if self.nonnegative:
             z = np.abs(z)
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        # np.linalg.norm's own arithmetic for axis=1, so the same bits
+        norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
         norms[norms == 0] = 1.0
         return FiniteActionSet.unchecked(z / norms)
 

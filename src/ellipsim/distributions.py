@@ -218,20 +218,20 @@ class BernoulliMeanNoise(Noise):
     def _out_of_range(value: float) -> MeanOutOfRange:
         return MeanOutOfRange(f"Bernoulli mean must lie in [0, 1], got {value}")
 
-    # means within NORM_SLACK of [0, 1] are clipped into it; a NaN mean
-    # fails neither comparison and passes on as NaN
+    # means within NORM_SLACK of [0, 1] are clipped into it; each test is
+    # written so that a NaN fails it: min and max carry a NaN through, and
+    # every comparison with NaN is false
     def _check_mean(self, mean: ArrayLike) -> Array:
         arr = np.asarray(mean, dtype=np.float64)
-        outside = (arr < -NORM_SLACK) | (arr > 1.0 + NORM_SLACK)
-        if outside.any():
-            bad = arr if arr.ndim == 0 else arr[outside]
-            raise self._out_of_range(float(np.atleast_1d(bad)[0]))
+        if not (-NORM_SLACK <= arr.min() and arr.max() <= 1.0 + NORM_SLACK):
+            outside = ~((arr >= -NORM_SLACK) & (arr <= 1.0 + NORM_SLACK))
+            raise self._out_of_range(float(arr[outside][0]))
         return arr.clip(0.0, 1.0)
 
     def sample_reward(self, mean: float, rng: np.random.Generator) -> float:
         # the check of _check_mean on one float, without building an array
         mean = float(mean)
-        if mean < -NORM_SLACK or mean > 1.0 + NORM_SLACK:
+        if not -NORM_SLACK <= mean <= 1.0 + NORM_SLACK:
             raise self._out_of_range(mean)
         return float(rng.random() < min(max(mean, 0.0), 1.0))
 

@@ -10,16 +10,12 @@ parameter given the observed (action, reward) pairs:
   finite-support engine run on prior draws, which it resamples.
 
 All engines share the same surface: ``mean``, ``covariance``,
-``quad_form``, ``sample`` and ``update``; updates mutate in place. Only
-the exact finite-support engine has ``clone``: outcome enumeration
-branches a state per outcome with it. It refuses particle states, whose
-inherited ``clone`` returns a plain finite-support state on the current
-particles and weights.
+``quad_form``, ``sample`` and ``update``; updates mutate in place.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -183,25 +179,6 @@ class FiniteSupportState:
     def update(self, action: ArrayLike, y: float) -> None:
         self._reweight(action, y)
 
-    def outcome_probability(self, action: ArrayLike, y: float) -> float:
-        """Predictive mass of outcome y under the current state."""
-        a = np.asarray(action, dtype=np.float64)
-        lik = self.noise.likelihood(y, self.atoms @ a)
-        return float(self.weights @ lik)
-
-    def clone(self) -> "FiniteSupportState":
-        """An independent exact state on the same atoms and weights.
-
-        Always a plain :class:`FiniteSupportState`, also for a particle
-        state, whose clone is its particles as fixed support.
-        """
-        # atoms are shared: nothing writes into them in place
-        other = FiniteSupportState.__new__(FiniteSupportState)
-        other.noise = self.noise
-        other.atoms = self.atoms
-        other.weights = self.weights.copy()
-        return other
-
 
 class ParticleState(FiniteSupportState):
     """Sequential importance resampling: finite support with resampled points.
@@ -304,38 +281,6 @@ def make_posterior(
     return ParticleState(prior, noise, rng, n_particles=engine.particles)
 
 
-def enumerate_posterior_outcomes(
-    state: PosteriorState, action: ArrayLike
-) -> List[Tuple[float, float, PosteriorState]]:
-    """Branch a state over every possible next outcome.
-
-    Only available when the noise has a finite outcome set and the state
-    supports exact predictive probabilities (finite support). Returns
-    (outcome, predictive probability, updated clone) triples for outcomes
-    with positive mass.
-    """
-    outcomes = state.noise.finite_outcomes
-    if outcomes is None:
-        raise IncompatibleEngine(
-            "outcome enumeration needs a noise family with finitely many outcomes"
-        )
-    # a particle state is a finite-support state too, but resampling makes
-    # its branch probabilities approximate
-    if not isinstance(state, FiniteSupportState) or isinstance(state, ParticleState):
-        raise IncompatibleEngine(
-            "outcome enumeration needs a finite_support posterior state"
-        )
-    branches: List[Tuple[float, float, PosteriorState]] = []
-    for y in outcomes:
-        prob = state.outcome_probability(action, y)
-        if prob <= 0.0:
-            continue
-        child = state.clone()
-        child.update(action, y)
-        branches.append((float(y), prob, child))
-    return branches
-
-
 # ---------------------------------------------------------------------------
 # one-dimensional variance inflation example
 # ---------------------------------------------------------------------------
@@ -383,7 +328,7 @@ def counterexample_report(p: float, outcome: float = 1.0) -> InflationReport:
     state = FiniteSupportState(prior, noise)
     action = np.array([1.0])
     prior_var = state.quad_form(action)
-    prob = state.outcome_probability(action, outcome)
+    prob = float(state.weights @ noise.likelihood(outcome, prior.atoms @ action))
     state.update(action, outcome)
     post_var = state.quad_form(action)
     w = state.weights

@@ -26,7 +26,11 @@ in which paths with the same (action, outcome) counts, and so the same
 posterior, merge into one node carrying their summed probability. Each
 depth of the lattice is one frontier, a matrix of posterior weights with
 a vector of path probabilities, advanced by array operations over all its
-nodes at once. The verifier that chooses between this and a Monte Carlo
+nodes at once. The one-step branch, a finite-support posterior reweighted
+by every outcome's likelihood, is written once, as
+:func:`enumerate_posterior_outcomes`: the lattice branches each frontier
+through it and :func:`ellipsim.verify.check_variance_reduction` one
+posterior. The verifier that chooses between this and a Monte Carlo
 estimate over episodes lives in :mod:`ellipsim.harness`.
 """
 from __future__ import annotations
@@ -41,9 +45,6 @@ from numpy.typing import ArrayLike
 from .distributions import FiniteSupportPrior, Noise, Prior, atom_moments
 from .linalg import Array, PsdMatrix
 from .posterior import DegenerateWeights, EngineConfig, make_posterior
-# the lattice no longer branches through it; kept bound here as a tracer
-# patch point until observability moves into the package (ROADMAP item 5)
-from .posterior import enumerate_posterior_outcomes  # noqa: F401
 from .tolerances import (
     EIGEN_TIE_REL,
     MONTE_CARLO_SLACK_SE,
@@ -266,6 +267,32 @@ def exact_path_applies(
     return nodes <= EXACT_NODE_LIMIT
 
 
+def outcome_likelihoods(noise: Noise, proj: Array) -> Array:
+    """The ``(k, n)`` likelihood rows of a finite-outcome noise: one row per
+    outcome, one entry per atom, from the atoms' projections ``proj``."""
+    return np.array([noise.likelihood(y, proj) for y in noise.finite_outcomes])
+
+
+def enumerate_posterior_outcomes(
+    weights: Array, likelihoods: Array
+) -> Tuple[Array, Array]:
+    """Branch finite-support posteriors over every next outcome.
+
+    Takes an ``(N, n)`` weight matrix and the ``(N, k, n)`` likelihood rows
+    of the k outcomes under each row's action. Returns the unnormalized
+    children ``raw``, ``(N, k, n)``, and their masses, the outcome
+    probabilities ``raw.sum(axis=2)``, ``(N, k)``. A child's weights are
+    its row over its mass: the bits :meth:`FiniteSupportState.update`
+    gives. A zero-mass outcome has no child; a non-finite mass is
+    :class:`DegenerateWeights`.
+    """
+    raw = weights[:, None, :] * likelihoods
+    mass = raw.sum(axis=2)
+    if not np.isfinite(mass).all():
+        raise DegenerateWeights("posterior weights vanished in outcome enumeration")
+    return raw, mass
+
+
 def _with_pair(key: Tuple, pair: Tuple[int, int]) -> Tuple:
     """A merge key one (action id, outcome index) pair later: the sorted
     ``(pair, count)`` items of the path."""
@@ -326,16 +353,10 @@ def _exact_potential(
         if t + 1 == horizon:
             break
         for proj_a in projections[len(likelihoods):]:
-            likelihoods.append(
-                np.array([noise.likelihood(y, proj_a) for y in noise.finite_outcomes])
-            )
-        # multiply, then divide by the row sum, as FiniteSupportState.update
-        # does: each weight row keeps the engine's bits, so d >= 2 directions
-        # and the merges they key do not move
-        raw = W[:, None, :] * np.array(likelihoods)[acts]
-        mass = raw.sum(axis=2)
-        if not np.isfinite(mass).all():
-            raise DegenerateWeights("posterior weights vanished in the exact lattice")
+            likelihoods.append(outcome_likelihoods(noise, proj_a))
+        # children keep the engine's bits, so d >= 2 directions and the
+        # merges they key do not move
+        raw, mass = enumerate_posterior_outcomes(W, np.array(likelihoods)[acts])
         # zero-mass outcomes have no child; np.nonzero walks parent-major
         parents, ys = np.nonzero(mass > 0.0)
         nxt: Dict[Tuple, int] = {}

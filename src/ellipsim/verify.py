@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .bandit import trace_cauchy_schwarz_check
-from .distributions import BernoulliMeanNoise, FiniteSupportPrior
+from .distributions import BernoulliMeanNoise, FiniteSupportPrior, Noise, atom_moments
 from .linalg import (
     PsdMatrix,
     logdet_potential,
@@ -25,8 +25,12 @@ from .linalg import (
     rank_one_shrink,
     symmetrize,
 )
-from .posterior import FiniteSupportState, enumerate_posterior_outcomes
-from .potential import ClassicalPotential, ridge_excess
+from .potential import (
+    ClassicalPotential,
+    enumerate_posterior_outcomes,
+    outcome_likelihoods,
+    ridge_excess,
+)
 from .tolerances import INEQUALITY_SLACK, RIDGE_POTENTIAL_SLACK
 
 
@@ -194,6 +198,18 @@ def _random_mean_bounded_prior(rng: np.random.Generator) -> FiniteSupportPrior:
     return FiniteSupportPrior(atoms=atoms, weights=weights)
 
 
+def _live_branches(
+    atoms: np.ndarray, weights: np.ndarray, noise: Noise, action: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The outcome probabilities and child weights of one finite-support
+    posterior, for the outcomes of positive probability."""
+    raw, mass = enumerate_posterior_outcomes(
+        weights[None, :], outcome_likelihoods(noise, atoms @ action)[None]
+    )
+    live = mass[0] > 0.0
+    return mass[0, live], raw[0, live] / mass[0, live, None]
+
+
 def check_variance_reduction(
     instances: int, seed: int = 0, tol: float = INEQUALITY_SLACK
 ) -> FuzzReport:
@@ -216,37 +232,34 @@ def check_variance_reduction(
     worst = -np.inf
     for _ in range(instances):
         prior = _random_mean_bounded_prior(rng)
-        state = FiniteSupportState(prior, noise)
-        dim = prior.dim
+        atoms, weights, dim = prior.atoms, prior.weights, prior.dim
         broken = False
         # a couple of warmup updates so non-prior filtrations are covered
         for _ in range(int(rng.integers(0, 3))):
             direction = np.abs(rng.standard_normal(dim))
             direction /= max(float(np.linalg.norm(direction)), 1e-12)
-            branches = enumerate_posterior_outcomes(state, direction)
-            probs = np.array([b[1] for b in branches])
+            probs, children = _live_branches(atoms, weights, noise, direction)
             if abs(float(probs.sum()) - 1.0) > tol:
                 worst = max(worst, abs(float(probs.sum()) - 1.0))
                 broken = True
                 break
-            pick = int(rng.choice(len(branches), p=probs / probs.sum()))
-            state = branches[pick][2]
+            weights = children[int(rng.choice(len(probs), p=probs / probs.sum()))]
         if broken:
             continue
         action = np.abs(rng.standard_normal(dim))
         action /= max(float(np.linalg.norm(action)), 1e-12)
-        gamma = state.covariance().mat
-        quad = state.quad_form(action)
-        branches = enumerate_posterior_outcomes(state, action)
-        prob_total = float(sum(prob for _, prob, _ in branches))
+        gamma = atom_moments(atoms, weights)[1].mat
+        means = atoms @ action
+        quad = float(weights @ (means - float(weights @ means)) ** 2)
+        probs, children = _live_branches(atoms, weights, noise, action)
+        prob_total = float(probs.sum())
         if abs(prob_total - 1.0) > tol:
             worst = max(worst, abs(prob_total - 1.0))
             continue
         expected_next = np.zeros((dim, dim))
-        for _, prob, child in branches:
-            expected_next += prob * child.covariance().mat
-        means = state.atoms @ action
-        live = state.weights > 0
+        for prob, child in zip(probs, children):
+            expected_next += prob * atom_moments(atoms, child)[1].mat
+        live = weights > 0
         tight_var = float(np.max(means[live] * (1.0 - means[live])))
         ga = gamma @ action
         for sigma_sq in (max(tight_var, 1e-12), noise.sigma_sq_bound):

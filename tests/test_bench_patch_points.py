@@ -1,14 +1,22 @@
-"""The benchmark's tracer can still patch every name it wraps.
+"""The benchmark's tracer can still patch and read every name it uses.
 
 ``perfbench/bench_trace.py`` replaces package functions and methods by
 name while a traced run is active. A renamed or deleted name would only
 show when the benchmark runs; entering and leaving its ``instrument``
-block here makes it fail the test suite instead, with a ``KeyError``.
+block here makes it fail the test suite instead, with a ``KeyError``. The
+tests below also pin what the tracer reads besides the patched names, and
+that a patched function is still called through the name it patches.
 """
 import importlib
 import importlib.util
 import pathlib
 import types
+
+import numpy as np
+
+from ellipsim import potential
+from ellipsim.distributions import BernoulliMeanNoise, FiniteSupportPrior
+from ellipsim.posterior import ParticleState
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH_TRACE = ROOT / "perfbench" / "bench_trace.py"
@@ -45,3 +53,34 @@ def test_instrument_patches_and_restores_every_target():
             assert vars(owner)[attr] is not original, attr
     for owner, attr, original in originals:
         assert vars(owner)[attr] is original, attr
+
+
+def test_particle_state_exposes_its_particles():
+    # the tracer's episode hook counts distinct rows of state.particles
+    prior = FiniteSupportPrior(
+        atoms=np.array([[0.2], [0.8]]), weights=np.array([0.5, 0.5])
+    )
+    state = ParticleState(
+        prior, BernoulliMeanNoise(), np.random.default_rng(0), n_particles=10
+    )
+    assert state.particles is state.atoms
+    assert state.particles.shape == (10, 1)
+
+
+def test_exact_lattice_branches_through_the_module_level_helper(monkeypatch):
+    # the tracer patches potential.enumerate_posterior_outcomes, so the
+    # lattice must look it up there on every branching depth: H - 1 calls
+    calls = []
+    original = potential.enumerate_posterior_outcomes
+
+    def counted(weights, likelihoods):
+        calls.append(weights.shape[0])
+        return original(weights, likelihoods)
+
+    monkeypatch.setattr(potential, "enumerate_posterior_outcomes", counted)
+    prior = FiniteSupportPrior(
+        atoms=np.array([[0.3, 0.3], [0.6, 0.6], [0.3, 0.6], [0.6, 0.3]]),
+        weights=np.full(4, 0.25),
+    )
+    nodes = potential._exact_potential(prior, BernoulliMeanNoise(), 6)[2]
+    assert calls == nodes[:-1]

@@ -173,10 +173,11 @@ def test_bernoulli_noise_mean_range():
 
 
 def masked_check_mean(mean):
-    """The Bernoulli mean check written with np.any, np.clip and a mask."""
+    """The Bernoulli mean check written with np.any, np.clip and a mask;
+    a NaN mean lies outside [0, 1]."""
     arr = np.asarray(mean, dtype=np.float64)
-    if np.any(arr < -NORM_SLACK) or np.any(arr > 1.0 + NORM_SLACK):
-        outside = (arr < -NORM_SLACK) | (arr > 1.0 + NORM_SLACK)
+    outside = ~((arr >= -NORM_SLACK) & (arr <= 1.0 + NORM_SLACK))
+    if np.any(outside):
         bad = arr if arr.ndim == 0 else arr[outside]
         raise MeanOutOfRange(
             f"Bernoulli mean must lie in [0, 1], got {float(np.atleast_1d(bad)[0])}"

@@ -27,8 +27,12 @@ from ellipsim.posterior import (
     ParticleState,
     counterexample_prior,
     counterexample_report,
-    enumerate_posterior_outcomes,
     make_posterior,
+)
+from ellipsim.potential import (
+    _exact_potential,
+    enumerate_posterior_outcomes,
+    outcome_likelihoods,
 )
 
 SEED = 4242
@@ -197,11 +201,18 @@ def test_finite_support_gaussian_update_matches_manual_bayes():
     assert np.allclose(state.weights, ref, atol=1e-12)
 
 
+def branch_one(state, action):
+    """The outcome masses and unnormalized children of one engine state."""
+    lik = outcome_likelihoods(state.noise, state.atoms @ action)
+    raw, mass = enumerate_posterior_outcomes(state.weights[None, :], lik[None])
+    return raw[0], mass[0]
+
+
 def test_finite_support_outcome_probability():
     state = two_atom_state()
-    # P(y=1) = 0.5*0.2 + 0.5*0.8
-    assert state.outcome_probability(np.array([1.0]), 1.0) == pytest.approx(0.5)
-    assert state.outcome_probability(np.array([1.0]), 0.0) == pytest.approx(0.5)
+    _, mass = branch_one(state, np.array([1.0]))
+    # P(y=0) = 0.5*0.8 + 0.5*0.2 and P(y=1) = 0.5*0.2 + 0.5*0.8
+    assert mass.tolist() == pytest.approx([0.5, 0.5])
 
 
 def test_finite_support_degenerate_update_raises():
@@ -227,35 +238,68 @@ def test_finite_support_quad_form_matches_covariance():
 
 
 def test_enumerate_outcomes_is_a_martingale():
-    """Tower property: predictive-weighted child means reproduce the mean."""
+    """Tower property: outcome-weighted child means reproduce the mean."""
+    noise = BernoulliMeanNoise()
+    weights = np.array([[0.25, 0.35, 0.4], [0.6, 0.1, 0.3], [0.0, 0.5, 0.5]])
+    for atoms, action in (
+        ([[0.1], [0.6], [0.3]], [1.0]),
+        ([[0.1, 0.3], [0.6, 0.2], [0.3, 0.7]], [0.8, 0.2]),
+    ):
+        atoms, action = np.array(atoms), np.array(action)
+        lik = outcome_likelihoods(noise, atoms @ action)
+        raw, mass = enumerate_posterior_outcomes(
+            weights, np.broadcast_to(lik, (3, *lik.shape))
+        )
+        np.testing.assert_allclose(mass.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        child_means = (raw / mass[:, :, None]) @ atoms
+        mixed = (mass[:, :, None] * child_means).sum(axis=1)
+        np.testing.assert_allclose(mixed, weights @ atoms, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 8, 20, 200])
+def test_enumerate_outcomes_children_are_engine_updates_bit_for_bit(n):
+    """A frontier of states with one action each, branched at once: every
+    child row over its mass is the weights FiniteSupportState.update gives."""
+    rng = np.random.default_rng(SEED + n)
+    noise = BernoulliMeanNoise()
+    atoms = rng.uniform(0.0, 0.5, size=(n, 3))
+    prior = FiniteSupportPrior(atoms=atoms, weights=rng.dirichlet(np.ones(n)))
+    states, actions = [], []
+    for row in range(5):
+        state = FiniteSupportState(prior, noise)
+        for _ in range(row):
+            state.update(np.full(3, 3.0**-0.5), float(rng.random() < 0.4))
+        action = rng.random(3)
+        states.append(state)
+        actions.append(action / np.linalg.norm(action))
+    raw, mass = enumerate_posterior_outcomes(
+        np.array([s.weights for s in states]),
+        np.array([outcome_likelihoods(noise, atoms @ a) for a in actions]),
+    )
+    for i, (state, action) in enumerate(zip(states, actions)):
+        for j, y in enumerate(noise.finite_outcomes):
+            child = copy.copy(state)
+            child.update(action, y)
+            assert np.array_equal(raw[i, j] / mass[i, j], child.weights)
+
+
+def test_enumerate_outcomes_gives_no_child_at_zero_mass():
+    noise = BernoulliMeanNoise()
     prior = FiniteSupportPrior(
-        atoms=np.array([[0.1, 0.3], [0.6, 0.2], [0.3, 0.7]]),
-        weights=np.array([0.25, 0.35, 0.4]),
+        atoms=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.5])
     )
-    state = FiniteSupportState(prior, BernoulliMeanNoise())
-    action = np.array([0.8, 0.2])
-    branches = enumerate_posterior_outcomes(state, action)
-    probs = np.array([p for _, p, _ in branches])
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    mixed = sum(p * child.mean() for _, p, child in branches)
-    assert np.allclose(mixed, state.mean(), atol=1e-12)
-
-
-def test_enumerate_outcomes_rejects_continuous_noise():
-    state = two_atom_state(GaussianNoise(sd=1.0))
-    with pytest.raises(IncompatibleEngine):
-        enumerate_posterior_outcomes(state, np.array([1.0]))
-
-
-def test_enumerate_outcomes_rejects_particle_state():
-    # a particle state is a finite-support state, but not an exact one
-    prior = counterexample_prior(0.05)
-    state = ParticleState(
-        prior, BernoulliMeanNoise(), np.random.default_rng(SEED), n_particles=50
-    )
-    assert isinstance(state, FiniteSupportState)
-    with pytest.raises(IncompatibleEngine, match="finite_support posterior state"):
-        enumerate_posterior_outcomes(state, np.array([1.0]))
+    state = FiniteSupportState(prior, noise)
+    raw, mass = branch_one(state, np.array([1.0]))
+    assert mass.tolist() == [0.5, 0.5]
+    state.update(np.array([1.0]), 1.0)
+    # all mass on the atom of mean 1, so a failure cannot happen
+    raw, mass = branch_one(state, np.array([1.0]))
+    assert mass.tolist() == [0.0, 1.0]
+    assert raw[0].tolist() == [0.0, 0.0]
+    # so the lattice keeps one child per point mass: two nodes a depth
+    per_round, total, nodes = _exact_potential(prior, noise, 4)
+    assert nodes == [1, 2, 2, 2]
+    assert per_round.tolist() == [0.25, 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("n", [1, 8, 20_000])
@@ -279,22 +323,6 @@ def test_finite_support_sample_reproduces_generator_choice(n):
         assert ours.random() == ref.random()
         if step % 10 == 9:
             state.update(np.array([1.0, 0.0]), float(rng.random()))
-
-
-def test_particle_clone_is_a_plain_finite_support_state():
-    prior, noise = gaussian_pair(dim=2, sd=0.1)
-    state = ParticleState(prior, noise, np.random.default_rng(SEED), n_particles=200)
-    weights = state.weights.copy()
-    child = state.clone()
-    assert type(child) is FiniteSupportState
-    rng = np.random.default_rng(SEED + 1)
-    for _ in range(5):
-        action = rng.standard_normal(2)
-        action /= np.linalg.norm(action)
-        child.update(action, float(action @ state.atoms[0]))
-    assert np.array_equal(state.weights, weights)
-    assert not np.array_equal(child.weights, weights)
-    assert child.atoms is state.atoms
 
 
 @settings(max_examples=50, deadline=None)
