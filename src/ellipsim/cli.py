@@ -139,7 +139,7 @@ def cmd_run_bandit(args: argparse.Namespace) -> int:
         f"+- {summary.final_stderr_regret:.3g} stderr"
     )
     for name, value in summary.checks.items():
-        shown = "skipped" if value is None else str(value).lower()
+        shown = "not applicable" if value is None else str(value).lower()
         print(f"{name}: {shown}")
     return EXIT_OK if summary.all_checks_pass else EXIT_CHECK_FAILED
 

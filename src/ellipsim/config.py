@@ -290,10 +290,6 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
     exp, prior, noise, engine = _parse_sections(doc, "experiment", _EXPERIMENT_KEYS)
     actions = build_actions(_section(doc, "actions"), prior.dim)
 
-    checks = exp.get("bound_checks", ExperimentConfig.bound_checks)
-    if not isinstance(checks, Sequence) or isinstance(checks, str):
-        raise ConfigError("experiment.bound_checks", "expected a list of check names")
-    checks = tuple(_as_str(c, "experiment.bound_checks") for c in checks)
     # the episode loop also plays the verifier's adversarial rule, but a
     # regret experiment takes only these two
     policy = _as_str(exp.get("policy", ExperimentConfig.policy), "experiment.policy")
@@ -316,7 +312,6 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
         ),
         policy=policy,
         lam=_as_float(exp.get("lam", ExperimentConfig.lam), "experiment.lam"),
-        bound_checks=checks,
     )
 
 
@@ -408,7 +403,6 @@ def experiment_to_dict(cfg: ExperimentConfig) -> Dict:
     # workers is an execution detail, not semantics: leaving it out keeps
     # serialized summaries identical across worker counts
     exp = {key: getattr(cfg, key) for key in _EXPERIMENT_KEYS if key != "workers"}
-    exp["bound_checks"] = list(cfg.bound_checks)
     return {
         "experiment": exp,
         "prior": _to_dict(_PRIORS, cfg.prior),

@@ -59,7 +59,6 @@ from .tolerances import (
 CURVE_POINT_LIMIT = 10_000
 CURVE_POINTS_WHEN_SUBSAMPLED = 1000
 
-KNOWN_CHECKS = ("eq1", "thm23", "eq4", "remark33")
 # the Monte Carlo standard error needs at least two replications
 MONTE_CARLO_MIN_REPLICATIONS = 2
 
@@ -88,7 +87,6 @@ class ExperimentConfig:
     workers: int = 1
     policy: str = "lints"
     lam: float = 1.0
-    bound_checks: Tuple[str, ...] = KNOWN_CHECKS
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -103,9 +101,6 @@ class ExperimentConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not self.lam >= 1.0:
             raise ValueError(f"lam must be >= 1, got {self.lam}")
-        unknown = set(self.bound_checks) - set(KNOWN_CHECKS)
-        if unknown:
-            raise ValueError(f"unknown bound checks: {sorted(unknown)}")
         check_episode(self.prior, self.noise, self.actions, self.policy)
 
 
@@ -143,7 +138,7 @@ class RunSummary:
     checks: Dict[str, Optional[bool]]
     wall_time_seconds: float = field(default=0.0, compare=False)
 
-    FORMAT = "ellipsim-summary-v2"
+    FORMAT = "ellipsim-summary-v3"
 
     def to_dict(self) -> Dict:
         # shallow: the fields are JSON-ready already, and asdict's deep copy
@@ -154,6 +149,9 @@ class RunSummary:
 
     @property
     def all_checks_pass(self) -> bool:
+        """No verdict is ``False``. Every run computes all four; the one
+        ``None`` is ``pass_remark33`` when ``Gamma_1 <= I`` does not hold,
+        where remark 3.3 is not applicable."""
         return all(v is not False for v in self.checks.values())
 
 
@@ -299,27 +297,21 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
 
     final_mean = float(mean_regret[-1])
     final_stderr = float(stderr_regret[-1])
-    checks: Dict[str, Optional[bool]] = {}
-    for name in KNOWN_CHECKS:
-        key = f"pass_{name}"
-        if name not in cfg.bound_checks:
-            checks[key] = None
-        elif name == "eq1":
-            checks[key] = bool(eq1_violation <= RIDGE_POTENTIAL_SLACK)
-        elif name == "thm23":
-            margin = monte_carlo_margin(
-                potential_mean, potential_stderr, bounds["thm23_rhs"]
-            )
-            checks[key] = bool(margin >= 0.0)
-        elif name == "eq4":
-            margin = monte_carlo_margin(final_mean, final_stderr, bounds["eq4_rhs"])
-            checks[key] = bool(margin >= 0.0)
-        else:
-            checks[key] = (
-                bool(identity_cap_excess(horizon, eigs) <= INEQUALITY_SLACK)
-                if within_identity
-                else None
-            )
+    checks: Dict[str, Optional[bool]] = {
+        "pass_eq1": bool(eq1_violation <= RIDGE_POTENTIAL_SLACK),
+        "pass_thm23": bool(
+            monte_carlo_margin(potential_mean, potential_stderr, bounds["thm23_rhs"])
+            >= 0.0
+        ),
+        "pass_eq4": bool(
+            monte_carlo_margin(final_mean, final_stderr, bounds["eq4_rhs"]) >= 0.0
+        ),
+        "pass_remark33": (
+            bool(identity_cap_excess(horizon, eigs) <= INEQUALITY_SLACK)
+            if within_identity
+            else None
+        ),
+    }
 
     return RunSummary(
         config=config_echo,

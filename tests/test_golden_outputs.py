@@ -8,11 +8,16 @@ The sha256 of each output file is compared with
 ``tests/data/golden_digests.json``, so a speed-up or refactor that moves a
 single output bit fails here. Floating-point results can differ across
 numpy and scipy releases, so the test skips when either version differs
-from the one the digests were recorded with.
+from the one the digests were recorded with. The record also holds the
+``summary.json`` schema tag, ``RunSummary.FORMAT``, it was made under.
 
 To record the digests again, at a commit whose outputs are known good:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+The recorder refuses to replace a ``summary.json`` digest under the same
+schema tag and the same numpy and scipy versions: a change to the summary's
+bytes bumps the tag first.
 """
 import hashlib
 import json
@@ -25,6 +30,7 @@ import pytest
 import scipy
 
 from ellipsim.cli import EXIT_OK, main
+from ellipsim.harness import RunSummary
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 DIGESTS = DATA / "golden_digests.json"
@@ -72,6 +78,38 @@ def test_every_config_has_recorded_digests():
         assert sorted(record[key]) == [c.name for c in configs(key)]
 
 
+def test_digests_were_recorded_under_the_current_summary_format():
+    assert recorded()["summary_format"] == RunSummary.FORMAT
+
+
+def unbumped_summary_changes(old, new):
+    """Configs whose ``summary.json`` digest differs between two records
+    made with the same schema tag and library versions."""
+    same = ("summary_format", "versions")
+    if any(old.get(k) != new[k] for k in same):
+        return []
+    return sorted(
+        name
+        for name, files in new["digests"].items()
+        if name in old["digests"]
+        and old["digests"][name]["summary.json"] != files["summary.json"]
+    )
+
+
+def test_recorder_refuses_a_summary_change_under_the_same_tag():
+    old = recorded()
+    new = json.loads(json.dumps(old))
+    name = sorted(new["digests"])[0]
+    new["digests"][name]["summary.json"] = "0" * 64
+    assert unbumped_summary_changes(old, new) == [name]
+    new["summary_format"] = old["summary_format"] + "-next"
+    assert unbumped_summary_changes(old, new) == []
+    new = json.loads(json.dumps(old))
+    new["versions"] = {**old["versions"], "numpy": "0.0"}
+    new["digests"][name]["summary.json"] = "0" * 64
+    assert unbumped_summary_changes(old, new) == []
+
+
 def check_digests(key, config, tmp_path, capsys):
     record = recorded()
     if record["versions"] != versions():
@@ -97,12 +135,18 @@ def test_potential_trace_outputs_match_recorded_digests(config, tmp_path, capsys
 
 
 if __name__ == "__main__":
-    record = {"versions": versions()}
+    record = {"summary_format": RunSummary.FORMAT, "versions": versions()}
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp)
         for key in COMMANDS:
             record[key] = {
                 c.name: output_digests(key, c, out / key / c.stem) for c in configs(key)
             }
+    changed = unbumped_summary_changes(recorded(), record)
+    if changed:
+        sys.exit(
+            f"summary.json changed under {RunSummary.FORMAT} for {', '.join(changed)}: "
+            "bump RunSummary.FORMAT before recording"
+        )
     DIGESTS.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
     sys.stdout.write(f"wrote {DIGESTS}\n")
