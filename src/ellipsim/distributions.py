@@ -169,7 +169,12 @@ class UniformBallPrior(Prior):
 
 class Noise:
     """A noise family; subclasses supply ``sigma_sq_bound``, ``sample_reward``
-    and ``likelihood``."""
+    and ``likelihood``.
+
+    For an array of means, ``likelihood(y, mean)`` returns a fresh array
+    of the same shape, which the caller may overwrite, and never changes
+    ``mean``: the posterior engines reweight in place in that array.
+    """
 
     # the conditional mean must lie in [0, 1]
     requires_unit_interval_mean: bool = False
@@ -303,10 +308,18 @@ class StudentTNoise(Noise):
         )
 
     def likelihood(self, y: float, mean: ArrayLike) -> Array:
+        # exp(log_const - (dof + 1) / 2 * log1p(z * z / dof)) with
+        # z = (y - mean) / scale, in that operation order, in one array
         mean = np.asarray(mean, dtype=np.float64)
-        z = (y - mean) / self.scale
-        log_pdf = self._log_const - (self.dof + 1.0) / 2.0 * np.log1p(z * z / self.dof)
-        return np.exp(log_pdf)
+        out = np.empty_like(mean)
+        np.subtract(y, mean, out=out)
+        out /= self.scale
+        out *= out
+        out /= self.dof
+        np.log1p(out, out=out)
+        out *= (self.dof + 1.0) / 2.0
+        np.subtract(self._log_const, out, out=out)
+        return np.exp(out, out=out)
 
 
 def sample_reward(noise: Noise, mean: float, rng: np.random.Generator) -> float:

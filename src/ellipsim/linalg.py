@@ -118,8 +118,11 @@ def jittered_cholesky(mat: ArrayLike) -> Array:
     1e-12 * trace(M)/dim to the diagonal and retries, multiplying the
     jitter by 10 on each subsequent attempt, up to ``JITTER_RETRIES`` retries.
     Raises :class:`CholeskyFailure` if every attempt fails.
+
+    ``mat`` must be symmetric: only its lower triangle is read, as
+    ``np.linalg.cholesky`` reads it, so no symmetrized copy is made.
     """
-    arr = symmetrize(mat)
+    arr = np.asarray(mat, dtype=np.float64)
     dim = arr.shape[0]
     try:
         return np.linalg.cholesky(arr)

@@ -11,6 +11,14 @@ parameter given the observed (action, reward) pairs:
 
 All engines share the same surface: ``mean``, ``covariance``,
 ``quad_form``, ``sample`` and ``update``; updates mutate in place.
+
+A bandit round asks for ``quad_form(a)`` and then ``update(a, y)`` on the
+same action. The two weighted-atom engines project their atoms on ``a``
+once per round: ``quad_form`` keeps the action with its projection
+``atoms @ a``, and ``update`` reuses that projection when it is handed the
+same array object holding the same bytes, so an action changed in between
+is projected afresh. The reweight then works in the likelihood array, and
+a particle resample drops the kept projection with the old atoms.
 """
 from __future__ import annotations
 
@@ -134,6 +142,8 @@ class FiniteSupportState:
         self.noise = noise
         self.atoms = prior.atoms
         self.weights = prior.weights.copy()
+        # (action, its bytes, atoms @ action) from the last quad_form
+        self._kept: Optional[tuple] = None
 
     @property
     def dim(self) -> int:
@@ -146,7 +156,9 @@ class FiniteSupportState:
         return atom_moments(self.atoms, self.weights)[1]
 
     def quad_form(self, v: ArrayLike) -> float:
-        proj = self.atoms @ np.asarray(v, dtype=np.float64)
+        a = np.asarray(v, dtype=np.float64)
+        proj = self.atoms @ a
+        self._kept = (a, a.tobytes(), proj)
         m = float(self.weights @ proj)
         return float(self.weights @ (proj - m) ** 2)
 
@@ -167,14 +179,23 @@ class FiniteSupportState:
 
     def _reweight(self, action: ArrayLike, y: float) -> None:
         a = np.asarray(action, dtype=np.float64)
-        lik = self.noise.likelihood(y, self.atoms @ a)
-        raw = self.weights * lik
+        kept = self._kept
+        if kept is not None and kept[0] is a and kept[1] == a.tobytes():
+            proj = kept[2]
+        else:
+            proj = self.atoms @ a
+        # the likelihood is a fresh array (Noise's contract), so the
+        # product and the normalization are formed in it; multiplication
+        # commutes, so the bits are those of weights * likelihood
+        raw = self.noise.likelihood(y, proj)
+        raw *= self.weights
         total = float(raw.sum())
         if total <= 0.0 or not np.isfinite(total):
             raise DegenerateWeights(
                 f"{self._label} weights vanished for outcome y={y!r}"
             )
-        self.weights = raw / total
+        raw /= total
+        self.weights = raw
 
     def update(self, action: ArrayLike, y: float) -> None:
         self._reweight(action, y)
@@ -190,6 +211,14 @@ class ParticleState(FiniteSupportState):
     sample size drops below half the particle count. The generator passed
     at construction drives initialization and all resampling, keeping
     replays deterministic.
+
+    Like the finite-support engine, a round projects the particles on its
+    action once: ``update`` reuses the projection ``quad_form`` kept, and
+    a resample drops it along with the old particles. The resample finds
+    each systematic position's particle by one stable merge of the sorted
+    positions with the cumulative weights, positions first, which picks
+    the indices ``np.searchsorted(cumulative, positions)`` picks, and
+    gathers the rows with ``take``.
     """
 
     _label = "particle"
@@ -206,6 +235,7 @@ class ParticleState(FiniteSupportState):
         self.atoms = prior.sample_many(rng, n_particles)
         self.weights = np.full(n_particles, 1.0 / n_particles)
         self.resample_count = 0
+        self._kept = None
 
     @property
     def particles(self) -> Array:
@@ -230,10 +260,15 @@ class ParticleState(FiniteSupportState):
         positions = (np.arange(n) + self.rng.random()) / n
         cumulative = np.cumsum(self.weights)
         cumulative[-1] = 1.0
-        idx = np.searchsorted(cumulative, positions)
-        self.atoms = self.atoms[idx]
+        # a position's rank in the merged order, less the positions before
+        # it, counts the cumulative weights below it: searchsorted's
+        # side="left" index, since a tie puts the position first
+        order = np.concatenate([positions, cumulative]).argsort(kind="stable")
+        idx = np.flatnonzero(order < n) - np.arange(n)
+        self.atoms = self.atoms.take(idx, axis=0)
         self.weights = np.full(n, 1.0 / n)
         self.resample_count += 1
+        self._kept = None
 
 
 PosteriorState = GaussianConjugateState | FiniteSupportState | ParticleState

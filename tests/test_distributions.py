@@ -272,6 +272,46 @@ def test_student_t_requires_finite_variance():
 
 
 @pytest.mark.parametrize(
+    "noise,y",
+    [
+        (GaussianNoise(sd=0.8), 0.3),
+        (BernoulliMeanNoise(), 1.0),
+        (BernoulliMeanNoise(), 0.0),
+        (UniformCenteredNoise(half_width=0.4), 0.5),
+        (StudentTNoise(dof=3.0, scale=0.5), 0.3),
+    ],
+)
+def test_likelihood_returns_a_fresh_array_and_leaves_the_means(noise, y):
+    """The posterior engines reweight in place in the returned array."""
+    means = np.linspace(0.05, 0.95, 7)
+    means.flags.writeable = False
+    before = means.copy()
+    out = noise.likelihood(y, means)
+    assert isinstance(out, np.ndarray)
+    assert out.shape == means.shape and out.flags.writeable
+    assert not np.shares_memory(out, means)
+    assert np.array_equal(means, before)
+    expected = out.copy()
+    out *= 2.0
+    again = noise.likelihood(y, means)
+    assert again is not out
+    assert np.array_equal(again, expected)
+
+
+@pytest.mark.parametrize("dof,scale", [(3.0, 1.0), (4.0, 0.5), (7.5, 2.3)])
+def test_student_t_likelihood_is_the_one_line_expression_bit_for_bit(dof, scale):
+    noise = StudentTNoise(dof=dof, scale=scale)
+    rng = np.random.default_rng(SEED)
+    means = np.concatenate(
+        [rng.standard_normal(500), rng.standard_normal(50) * 1e3, [0.0, -0.0, 1e-300]]
+    )
+    for y in (-1.3, 0.0, 0.8, 250.0):
+        z = (y - means) / scale
+        ref = np.exp(noise._log_const - (dof + 1.0) / 2.0 * np.log1p(z * z / dof))
+        assert np.array_equal(noise.likelihood(y, means), ref)
+
+
+@pytest.mark.parametrize(
     "noise,lo,hi,points",
     [
         (GaussianNoise(sd=0.8), -np.inf, np.inf, None),

@@ -119,6 +119,17 @@ def test_jittered_cholesky_rejects_indefinite():
         jittered_cholesky(np.diag([1.0, -1.0]))
 
 
+def test_jittered_cholesky_reads_only_the_lower_triangle():
+    rng = np.random.default_rng(RNG_SEED)
+    v = np.array([1.0, 2.0, 3.0])
+    # a plain factorization and one that needs the jitter path
+    for m in (make_spd(6, rng), np.outer(v, v)):
+        scrambled = m.copy()
+        upper = np.triu_indices(m.shape[0], 1)
+        scrambled[upper] = rng.standard_normal(upper[0].size) * 1e3
+        assert np.array_equal(jittered_cholesky(scrambled), jittered_cholesky(m))
+
+
 def test_logdet_psd_matches_slogdet():
     rng = np.random.default_rng(RNG_SEED)
     for dim in (1, 3, 7):

@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipsim import bandit
-from ellipsim.bandit import KArmedGaussianGenerator, run_episode
+from ellipsim.bandit import (
+    FixedActionsGenerator,
+    KArmedGaussianGenerator,
+    run_episode,
+)
 from ellipsim.distributions import (
     BernoulliMeanNoise,
     FiniteSupportPrior,
@@ -17,7 +21,7 @@ from ellipsim.distributions import (
     StudentTNoise,
     UniformCenteredNoise,
 )
-from ellipsim.linalg import PsdMatrix
+from ellipsim.linalg import PsdMatrix, random_psd, symmetrize
 from ellipsim.posterior import (
     DegenerateWeights,
     EngineConfig,
@@ -120,6 +124,24 @@ def test_conjugate_agrees_with_dense_inverse_after_many_updates():
     assert rel_err(state.mean(), cov_ref @ shift) < 1e-12
     for v in rng.standard_normal((5, dim)):
         assert rel_err(state.quad_form(v), v @ cov_ref @ v) < 1e-12
+
+
+def test_conjugate_precision_stays_exactly_symmetric():
+    """The factorization reads only the lower triangle of the precision,
+    which rank-one updates keep exactly symmetric."""
+    dim = 6
+    rng = np.random.default_rng(SEED)
+    cov = random_psd(dim, 2.0, rng).mat + 0.1 * np.eye(dim)
+    assert np.count_nonzero(cov - np.diag(np.diag(cov))) > 0
+    prior = GaussianPrior(mean=np.zeros(dim), cov=PsdMatrix(cov))
+    state = GaussianConjugateState(prior, GaussianNoise(sd=0.37))
+    for _ in range(1000):
+        state.update(rng.standard_normal(dim) * 0.4, float(rng.standard_normal()))
+        assert np.array_equal(state.precision, state.precision.T)
+    # so the factor is the one of the symmetrized copy the factorization
+    # used to make
+    want = np.linalg.cholesky(symmetrize(state.precision))
+    assert np.array_equal(state._factor(), want)
 
 
 def test_conjugate_sample_is_mean_plus_inverse_transpose_factor_draw():
@@ -386,6 +408,154 @@ def test_particle_tracks_conjugate_posterior():
     )
 
 
+class FixedDraw:
+    """Stands in for the generator: ``random()`` returns a set value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def uniform(n):
+    return np.full(n, 1.0 / n)
+
+
+@pytest.mark.parametrize(
+    "weights,u",
+    [
+        # 1/8 is exact, so every position k/8 ties with a cumulative weight
+        (uniform(8), 0.0),
+        (uniform(10), 0.0),
+        (uniform(1000), 0.0),
+        (np.array([0.0, 0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0, 0.0]), 0.0),
+        (np.array([0.0, 0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0, 0.0]), 0.5),
+        (np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]), 0.0),
+        (np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]), 0.999),
+        (np.array([1.0, 0.0, 0.0]), 0.3),
+        (np.array([0.0, 0.0, 1.0]), 0.3),
+        (np.array([0.3, 0.7]), 0.0),
+        (np.array([0.5, 0.5]), 0.0),
+        (np.array([0.7, 0.3]), 0.999),
+    ],
+    ids=[
+        "uniform8-u0",
+        "uniform10-u0",
+        "uniform1000-u0",
+        "zero-runs-u0",
+        "zero-runs-u0.5",
+        "one-mass-u0",
+        "one-mass-u0.999",
+        "first-mass",
+        "last-mass",
+        "n2-u0",
+        "n2-even-u0",
+        "n2-u0.999",
+    ],
+)
+def test_systematic_resample_picks_the_searchsorted_indices(weights, u):
+    """The merge-based resample picks ``np.searchsorted(cumulative,
+    positions)``: a position that ties with a cumulative weight goes to
+    that weight's particle."""
+    n = weights.shape[0]
+    prior, noise = gaussian_pair(dim=1)
+    state = ParticleState(prior, noise, np.random.default_rng(SEED), n_particles=n)
+    # particle i is (i,), so a resampled row names its index
+    state.atoms = np.arange(n, dtype=np.float64)[:, None]
+    state.weights = weights.copy()
+    state.rng = FixedDraw(u)
+    state._systematic_resample()
+    positions = (np.arange(n) + u) / n
+    cumulative = np.cumsum(weights)
+    cumulative[-1] = 1.0
+    want = np.searchsorted(cumulative, positions)
+    assert np.array_equal(state.atoms[:, 0], want.astype(np.float64))
+    assert np.array_equal(state.weights, uniform(n))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_systematic_resample_matches_searchsorted_on_random_weights(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 3000))
+    weights = rng.random(n) ** 8 * (rng.random(n) > 0.5)
+    weights[rng.integers(n)] = 1.0
+    weights /= weights.sum()
+    prior, noise = gaussian_pair(dim=2)
+    state = ParticleState(prior, noise, np.random.default_rng(seed), n_particles=n)
+    atoms, u = state.atoms.copy(), rng.random()
+    state.weights = weights
+    state.rng = FixedDraw(u)
+    state._systematic_resample()
+    cumulative = np.cumsum(weights)
+    cumulative[-1] = 1.0
+    assert np.array_equal(
+        state.atoms, atoms[np.searchsorted(cumulative, (np.arange(n) + u) / n)]
+    )
+
+
+def finite_and_particle_states():
+    prior = FiniteSupportPrior(
+        atoms=np.array([[0.2, 0.1], [0.5, -0.2], [-0.1, 0.4], [0.3, 0.3]]),
+        weights=np.array([0.4, 0.3, 0.2, 0.1]),
+    )
+    noise = GaussianNoise(sd=0.5)
+    gauss, _ = gaussian_pair(dim=2)
+    return [
+        lambda: FiniteSupportState(prior, noise),
+        lambda: ParticleState(
+            gauss, noise, np.random.default_rng(SEED), n_particles=500
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "make", finite_and_particle_states(), ids=["finite_support", "particle"]
+)
+def test_action_changed_after_quad_form_is_projected_afresh(make):
+    state, fresh = make(), make()
+    action = np.array([0.6, 0.8])
+    state.quad_form(action)
+    action[1] = -0.3
+    state.update(action, 0.4)
+    fresh.update(np.array([0.6, -0.3]), 0.4)
+    assert np.array_equal(state.weights, fresh.weights)
+
+
+class RecordingNoise:
+    """Passes ``likelihood`` through and records the means it was given."""
+
+    def __init__(self, noise):
+        self.noise = noise
+        self.means = []
+
+    def likelihood(self, y, mean):
+        self.means.append(mean)
+        return self.noise.likelihood(y, mean)
+
+
+@pytest.mark.parametrize(
+    "make", finite_and_particle_states(), ids=["finite_support", "particle"]
+)
+def test_kept_projection_is_reused_only_for_the_same_unchanged_action(make):
+    state = make()
+    state.noise = recorder = RecordingNoise(state.noise)
+    action = np.array([0.6, 0.8])
+    action.flags.writeable = False
+    state.quad_form(action)
+    kept = state._kept[2]
+    state.update(action.copy(), 0.4)
+    assert recorder.means[-1] is not kept
+    assert np.array_equal(recorder.means[-1], kept)
+    state.quad_form(action)
+    kept = state._kept[2]
+    state.update(action, 0.4)
+    assert recorder.means[-1] is kept
+    if isinstance(state, ParticleState):
+        state._systematic_resample()
+        assert state._kept is None
+
+
 class ReferenceFiniteSupportState:
     """Standalone finite-support engine: the reads and the reweight that a
     bandit episode uses, written out as the reference to reproduce."""
@@ -473,6 +643,38 @@ def test_particle_episode_matches_standalone_reference(monkeypatch):
         prior,
         noise,
         KArmedGaussianGenerator(k=8, dim=3),
+        engine,
+        100,
+        lambda prior, noise, rng: ReferenceParticleState(
+            prior, noise, rng, engine.particles
+        ),
+    )
+    assert isinstance(merged, ParticleState)
+    assert ref.resample_count > 0
+    assert merged.resample_count == ref.resample_count
+    assert np.array_equal(merged.particles, ref.particles)
+
+
+def test_particle_fixed_actions_episode_matches_standalone_reference(monkeypatch):
+    """The same action rows every round: the projection kept by quad_form
+    serves update, across resamples."""
+    prior = GaussianPrior(mean=np.zeros(3), cov=PsdMatrix(0.5 * np.eye(3)))
+    noise = StudentTNoise(dof=4.0, scale=0.5)
+    engine = EngineConfig(kind="particle", particles=3000)
+    vectors = np.array(
+        [
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.6, 0.8, 0.0],
+            [0.0, -0.6, 0.8],
+        ]
+    )
+    merged, ref = _replay_against(
+        monkeypatch,
+        prior,
+        noise,
+        FixedActionsGenerator(vectors),
         engine,
         100,
         lambda prior, noise, rng: ReferenceParticleState(
