@@ -285,16 +285,6 @@ def monte_carlo_criterion(seed: int = 0) -> Verdict:
     )
 
 
-def _regret_check(cfg: ExperimentConfig) -> Tuple[bool, Dict[str, float]]:
-    summary = run_experiment(cfg)
-    measured = {
-        "final_mean_regret": summary.final_mean_regret,
-        "final_stderr": summary.final_stderr_regret,
-        "bound": summary.bounds["eq4_rhs"] or float("nan"),
-    }
-    return bool(summary.checks["pass_eq4"]), measured
-
-
 def regret_bounds_criterion(seed: int = 0) -> Verdict:
     """Mean regret + 3 stderr below the square-root bound, three setups."""
     problems: List[str] = []
@@ -304,14 +294,16 @@ def regret_bounds_criterion(seed: int = 0) -> Verdict:
         ("bernoulli_d3", config_bernoulli_d3(seed)),
         ("student_t_d3", config_student_t_d3(seed)),
     ):
-        ok, values = _regret_check(cfg)
-        for key, val in values.items():
-            measured[f"{label}_{key}"] = val
-        if not ok:
+        summary = run_experiment(cfg)
+        mean, stderr = summary.final_mean_regret, summary.final_stderr_regret
+        bound = summary.bounds["eq4_rhs"]
+        measured[f"{label}_final_mean_regret"] = mean
+        measured[f"{label}_final_stderr"] = stderr
+        measured[f"{label}_bound"] = bound
+        if not summary.checks["pass_eq4"]:
             problems.append(
-                f"{label}: regret {values['final_mean_regret']:.4g} "
-                f"+ {MONTE_CARLO_SLACK_SE:g} x {values['final_stderr']:.4g} "
-                f"exceeds {values['bound']:.4g}"
+                f"{label}: regret {mean:.4g} "
+                f"+ {MONTE_CARLO_SLACK_SE:g} x {stderr:.4g} exceeds {bound:.4g}"
             )
     return not problems, measured, "; ".join(problems)
 

@@ -5,16 +5,18 @@ an action set, let the policy pick, observe a noisy reward and update the
 posterior. The policy of interest samples a parameter from the posterior
 and plays its argmax; a greedy comparator plays the argmax of the
 posterior mean; the adversarial rule plays the top eigendirection of the
-posterior covariance over the unit sphere. Per-round posterior quadratic
-forms are recorded in a :class:`~ellipsim.potential.PotentialTrace`.
-:func:`run_episode` is the one episode loop, run by both the regret
-experiments and the Monte Carlo potential verifier in :mod:`ellipsim.harness`;
-the regret job replays eq. 1's ridge tracker over the actions it returns.
+posterior covariance over the unit sphere. Each policy's pick, and the
+optimal action, is one ``argmax`` call on the round's action set inside
+:func:`run_episode`. Per-round posterior quadratic forms are recorded in a
+:class:`~ellipsim.potential.PotentialTrace`. :func:`run_episode` is the
+one episode loop, run by both the regret experiments and the Monte Carlo
+potential verifier in :mod:`ellipsim.harness`; the regret job replays
+eq. 1's ridge tracker over the actions it returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -160,32 +162,9 @@ class UnitSphereGenerator:
         return vec / norm
 
 
-ActionSet = Union[FiniteActionSet, UnitSphereGenerator]
 ActionSetGenerator = Union[
     FixedActionsGenerator, KArmedGaussianGenerator, UnitSphereGenerator
 ]
-
-
-def lints_step(
-    state: PosteriorState, action_set: ActionSet, rng: np.random.Generator
-) -> Tuple[Array, Array]:
-    """Posterior-sampling step: draw a parameter, play its argmax.
-
-    Returns (chosen action, sampled parameter). Invariant to positive
-    rescaling of the sampled parameter because only the argmax is used.
-    """
-    theta_tilde = state.sample(rng)
-    return action_set.argmax(theta_tilde), theta_tilde
-
-
-def greedy_step(state: PosteriorState, action_set: ActionSet) -> Array:
-    """Comparator step: play the argmax of the posterior mean."""
-    return action_set.argmax(state.mean())
-
-
-def optimal_action(theta_star: ArrayLike, action_set: ActionSet) -> Array:
-    """Best action in the set for the true parameter."""
-    return action_set.argmax(theta_star)
 
 
 class EpisodeFailure(RuntimeError):
@@ -296,12 +275,14 @@ def run_episode(
         try:
             aset = generator.sample_round(rng)
             if aset is not last_set:
-                best = optimal_action(theta_star, aset)
+                best = aset.argmax(theta_star)
                 last_set = aset
             if policy == "lints":
-                chosen, _ = lints_step(state, aset, rng)
+                # only the argmax of the draw is played, so the policy is
+                # invariant to positive rescaling of the sampled parameter
+                chosen = aset.argmax(state.sample(rng))
             elif policy == "greedy":
-                chosen = greedy_step(state, aset)
+                chosen = aset.argmax(state.mean())
             else:
                 chosen = adversarial_action(state.covariance())
             quad = state.quad_form(chosen)

@@ -51,13 +51,7 @@ def _resolve_workers(flag: Optional[int], config_value: int) -> int:
 
 
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:
-    if args.config:
-        run_cfg = build_lemma_run(load_yaml(args.config))
-        sizes = dict(run_cfg.sizes)
-        seed = run_cfg.seed
-    else:
-        sizes = {}
-        seed = 0
+    sizes, seed = build_lemma_run(load_yaml(args.config)) if args.config else ({}, 0)
     seed = _resolve_seed(args.seed, seed)
     if args.instances is not None:
         if args.instances < 1:

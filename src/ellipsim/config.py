@@ -15,7 +15,7 @@ of ``potential-trace`` share one section parser, and both build a
 from __future__ import annotations
 
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 from typing import Any, Callable, Collection, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -315,14 +315,9 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
     )
 
 
-@dataclass(frozen=True)
-class LemmaRunConfig:
-    sizes: Dict[str, int]
-    seed: int
-
-
-def build_lemma_run(doc: Mapping) -> LemmaRunConfig:
-    """Sizes and seed for the inequality checks; all fields optional."""
+def build_lemma_run(doc: Mapping) -> Tuple[Dict[str, int], int]:
+    """``(sizes, seed)`` for the inequality checks: the instance count of
+    each check the document names, and the seed. All fields optional."""
     _check_keys(doc, ("lemmas",), "<root>")
     sec = _section(doc, "lemmas", required=False) or {}
     allowed = ("seed",) + tuple(DEFAULT_SIZES)
@@ -336,7 +331,7 @@ def build_lemma_run(doc: Mapping) -> LemmaRunConfig:
                     f"lemmas.{name}", f"instance count must be >= 1, got {count}"
                 )
             sizes[name] = count
-    return LemmaRunConfig(sizes=sizes, seed=_seed(sec, "seed", "lemmas"))
+    return sizes, _seed(sec, "seed", "lemmas")
 
 
 def build_potential_run(doc: Mapping) -> ExperimentConfig:

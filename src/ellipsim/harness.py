@@ -37,7 +37,6 @@ from .distributions import Noise, Prior
 from .linalg import CholeskyFailure, PsdMatrix, psd_order_holds
 from .posterior import DegenerateWeights, EngineConfig
 from .potential import (
-    ClassicalPotential,
     _exact_potential,
     exact_path_applies,
     gamma1_eigs,
@@ -46,8 +45,8 @@ from .potential import (
     potential_bound,
     regret_bound,
     regret_bound_identity_cap,
-    ridge_excess,
     ridge_potential_bound,
+    ridge_replay_excess,
     sigma_factor,
 )
 from .tolerances import (
@@ -193,15 +192,10 @@ def _potential_record(cfg: ExperimentConfig, episode: EpisodeResult) -> Dict:
 def _regret_record(cfg: ExperimentConfig, episode: EpisodeResult) -> Dict:
     """The regret job's record, with eq. 1's excess from a ridge tracker
     replayed over the episode's actions."""
-    horizon, dim = episode.actions.shape
-    ridge = ClassicalPotential(dim, lam=cfg.lam)
-    quad_sum = float(np.sum([ridge.step(a) for a in episode.actions]))
     return {
         **_potential_record(cfg, episode),
         "cumulative_regret": episode.cumulative_regret,
-        "eq1_excess": ridge_excess(
-            quad_sum, ridge.logdet_bound(), horizon, dim, cfg.lam
-        ),
+        "eq1_excess": ridge_replay_excess(episode.actions, cfg.lam),
     }
 
 
@@ -230,13 +224,21 @@ def _run_replications(
     return successes, failures
 
 
+def _stderr(samples: np.ndarray) -> np.ndarray:
+    """Monte Carlo standard error of the mean over axis 0,
+    ``std(ddof=1) / sqrt(n)``; zero for a single sample, which has no
+    spread estimate."""
+    n = samples.shape[0]
+    if n == 1:
+        return np.zeros_like(samples[0])
+    return samples.std(axis=0, ddof=1) / np.sqrt(n)
+
+
 def _potential_stats(successes: List[Dict]) -> Tuple[np.ndarray, float, float]:
     """Per-round mean quad form, mean per-replication total and its stderr."""
     gammas = np.stack([r["gamma_quads"] for r in successes])
     totals = gammas.sum(axis=1)
-    n = len(successes)
-    stderr = float(totals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return gammas.mean(axis=0), float(totals.mean()), stderr
+    return gammas.mean(axis=0), float(totals.mean()), float(_stderr(totals))
 
 
 def _curve_ts(horizon: int) -> np.ndarray:
@@ -262,16 +264,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     config_echo = experiment_to_dict(cfg)
     successes, failures = _run_replications(cfg, _regret_record)
     regret = np.stack([r["cumulative_regret"] for r in successes])
-    n = regret.shape[0]
 
     ts = _curve_ts(cfg.horizon)
     idx = ts - 1
     mean_regret = regret.mean(axis=0)
-    # a singleton run has no spread estimate; report zero rather than nan
-    if n > 1:
-        stderr_regret = regret.std(axis=0, ddof=1) / np.sqrt(n)
-    else:
-        stderr_regret = np.zeros_like(mean_regret)
+    stderr_regret = _stderr(regret)
     mean_gamma, potential_mean, potential_stderr = _potential_stats(successes)
     running_gamma = np.cumsum(mean_gamma)
 

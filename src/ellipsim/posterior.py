@@ -215,10 +215,14 @@ class ParticleState(FiniteSupportState):
     Like the finite-support engine, a round projects the particles on its
     action once: ``update`` reuses the projection ``quad_form`` kept, and
     a resample drops it along with the old particles. The resample finds
-    each systematic position's particle by one stable merge of the sorted
-    positions with the cumulative weights, positions first, which picks
-    the indices ``np.searchsorted(cumulative, positions)`` picks, and
-    gathers the rows with ``take``.
+    each systematic position's particle by one stable merge of the
+    cumulative weights with the sorted positions, cumulative weights
+    first, which picks the indices ``np.searchsorted(cumulative,
+    positions, side="right")`` picks, and gathers the rows with ``take``.
+    A position that ties with a cumulative weight goes to the next
+    particle, and the last particle of positive weight takes every
+    position past the sum before it, so no zero-weight particle gets an
+    offspring.
     """
 
     _label = "particle"
@@ -259,12 +263,19 @@ class ParticleState(FiniteSupportState):
         n = self.n_particles
         positions = (np.arange(n) + self.rng.random()) / n
         cumulative = np.cumsum(self.weights)
-        cumulative[-1] = 1.0
+        # the last particle of positive weight (reweighting leaves one) owns
+        # every position past the sum before it, so neither a sum that
+        # rounds below 1 nor a last position that rounds up to 1.0 lands on
+        # a zero-weight tail or past the end
+        last = n - 1
+        while self.weights[last] == 0.0:
+            last -= 1
+        cumulative[last:] = np.inf
         # a position's rank in the merged order, less the positions before
-        # it, counts the cumulative weights below it: searchsorted's
-        # side="left" index, since a tie puts the position first
-        order = np.concatenate([positions, cumulative]).argsort(kind="stable")
-        idx = np.flatnonzero(order < n) - np.arange(n)
+        # it, counts the cumulative weights at or below it: searchsorted's
+        # side="right" index, since a tie puts the cumulative weight first
+        order = np.concatenate([cumulative, positions]).argsort(kind="stable")
+        idx = np.flatnonzero(order >= n) - np.arange(n)
         self.atoms = self.atoms.take(idx, axis=0)
         self.weights = np.full(n, 1.0 / n)
         self.resample_count += 1

@@ -13,8 +13,9 @@ Two related quantities are tracked along an action sequence:
 * the classical ridge potential, where the design covariance
   (lam * I + sum of a a.T)^{-1} shrinks deterministically and the summed
   quadratic forms are controlled by a log-det telescope; it depends only
-  on the actions, so :class:`ClassicalPotential` is replayed over them
-  after an episode;
+  on the actions, so :func:`ridge_replay_excess` replays
+  :class:`ClassicalPotential` over them after an episode, and over the
+  random sequences of :func:`ellipsim.verify.check_classical_potential`;
 * the general posterior potential, where the quadratic form is taken in
   the posterior covariance of the parameter, which is random and need not
   shrink on any single round; :class:`PotentialTrace` records it as the
@@ -144,14 +145,13 @@ class ClassicalPotential:
     def __init__(self, dim: int, lam: float = 1.0):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        if lam < 1.0:
+        if not lam >= 1.0:
             raise ValueError(f"lam must be >= 1 for the dimension bound, got {lam}")
         self.dim = dim
         self.lam = lam
         self.cov = np.eye(dim) / lam
         self.logdet_cov0 = -dim * np.log(lam)
         self.logdet_cov = self.logdet_cov0
-        self.quad_sum = 0.0
 
     def step(self, action: ArrayLike) -> float:
         """Absorb one action; returns the quadratic form a.T Sigma_t a.
@@ -171,7 +171,6 @@ class ClassicalPotential:
         shrink /= 1.0 + quad
         self.cov -= shrink
         self.logdet_cov -= np.log1p(quad)
-        self.quad_sum += quad
         return quad
 
     def logdet_bound(self) -> float:
@@ -179,12 +178,23 @@ class ClassicalPotential:
         return 2.0 * (self.logdet_cov0 - self.logdet_cov)
 
 
+def ridge_replay_excess(actions: Array, lam: float) -> float:
+    """Eq. 1's :func:`ridge_excess` after a :class:`ClassicalPotential`
+    with ridge ``lam`` replays the ``(T, d)`` rows of ``actions``; the
+    quadratic forms are summed by ``np.sum``."""
+    horizon, dim = actions.shape
+    ridge = ClassicalPotential(dim, lam=lam)
+    quad_sum = float(np.sum([ridge.step(a) for a in actions]))
+    return ridge_excess(quad_sum, ridge.logdet_bound(), horizon, dim, lam)
+
+
 @dataclass
 class PotentialTrace:
     """The posterior quadratic forms a.T Gamma_t a along one run, by round.
 
     Eq. 1's ridge potential depends only on the actions, so the regret job
-    replays :class:`ClassicalPotential` over an episode's actions after it.
+    replays it over an episode's actions after it, by
+    :func:`ridge_replay_excess`.
     """
 
     gamma_quads: List[float] = field(default_factory=list)

@@ -1,11 +1,13 @@
 """Randomized numerical verification of the core inequalities.
 
 Each check draws many random instances and records the worst violation of
-one analytic inequality. All checks are exact in the sense that no Monte
-Carlo slack enters the inequality itself: expectations over outcomes are
-enumerated, and the sample-based checks hold for the empirical law of the
-drawn samples. A violation beyond rounding tolerance therefore indicates
-a real defect, not an unlucky draw.
+one analytic inequality: it hands a one-instance function to one driver,
+which seeds the check's generator from (seed, check id), runs the
+instances and keeps the worst. All checks are exact in the sense that no
+Monte Carlo slack enters the inequality itself: expectations over
+outcomes are enumerated, and the sample-based checks hold for the
+empirical law of the drawn samples. A violation beyond rounding
+tolerance therefore indicates a real defect, not an unlucky draw.
 """
 from __future__ import annotations
 
@@ -26,10 +28,9 @@ from .linalg import (
     symmetrize,
 )
 from .potential import (
-    ClassicalPotential,
     enumerate_posterior_outcomes,
     outcome_likelihoods,
-    ridge_excess,
+    ridge_replay_excess,
 )
 from .tolerances import INEQUALITY_SLACK, RIDGE_POTENTIAL_SLACK
 
@@ -55,10 +56,6 @@ class FuzzReport:
         )
 
 
-def _check_rng(seed: int, check_id: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, check_id]))
-
-
 CLASSICAL_DIMS = (1, 2, 4, 8)
 CLASSICAL_HORIZONS = (50, 500)
 CLASSICAL_LAMBDAS = (1.0, 2.0, 10.0)
@@ -71,6 +68,28 @@ PRIOR_DIM_MAX = 3
 PRIOR_ATOMS_MAX = 8
 
 
+def _fuzz(
+    check_id: int,
+    name: str,
+    instance: Callable[[np.random.Generator], float],
+    instances: int,
+    seed: int,
+    tol: float,
+) -> FuzzReport:
+    """Run one check: ``instances`` calls of ``instance``, which draws one
+    instance from the check's generator, seeded from (seed, check_id), and
+    returns its worst violation; the report holds the worst of them all."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, check_id]))
+    worst = -np.inf
+    for _ in range(instances):
+        worst = max(worst, instance(rng))
+    return FuzzReport(name, instances, worst, tol)
+
+
+def _log_uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    return float(np.exp(rng.uniform(np.log(low), np.log(high))))
+
+
 def check_classical_potential(
     instances: int, seed: int = 0, tol: float = RIDGE_POTENTIAL_SLACK
 ) -> FuzzReport:
@@ -81,47 +100,41 @@ def check_classical_potential(
     quadratic forms are at most twice the log-det drop, which is at most
     2 * d * log(1 + T / (lam * d)).
     """
-    rng = _check_rng(seed, 1)
-    worst = -np.inf
-    for _ in range(instances):
+
+    def instance(rng: np.random.Generator) -> float:
         dim = int(rng.choice(CLASSICAL_DIMS))
         lam = float(rng.choice(CLASSICAL_LAMBDAS))
         horizon = int(rng.choice(CLASSICAL_HORIZONS))
-        tracker = ClassicalPotential(dim, lam=lam)
         dirs = rng.standard_normal((horizon, dim))
         norms = np.linalg.norm(dirs, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         scales = np.where(rng.random(horizon) < 0.5, 1.0, rng.random(horizon))
-        actions = dirs / norms * scales[:, None]
-        for a in actions:
-            tracker.step(a)
-        logdet = tracker.logdet_bound()
-        worst = max(worst, ridge_excess(tracker.quad_sum, logdet, horizon, dim, lam))
-    return FuzzReport("classical-potential", instances, worst, tol)
+        return ridge_replay_excess(dirs / norms * scales[:, None], lam)
+
+    return _fuzz(1, "classical-potential", instance, instances, seed, tol)
 
 
 def check_logdet_concavity(
     instances: int, seed: int = 0, tol: float = INEQUALITY_SLACK
 ) -> FuzzReport:
     """Concavity of Sigma -> log det(I + x Sigma) along random chords."""
-    rng = _check_rng(seed, 2)
-    worst = -np.inf
-    for _ in range(instances):
+
+    def instance(rng: np.random.Generator) -> float:
         dim = int(rng.integers(1, DIM_MAX + 1))
-        scale = float(np.exp(rng.uniform(np.log(1e-2), np.log(10.0))))
+        scale = _log_uniform(rng, 1e-2, 10.0)
         rank_a = int(rng.integers(1, dim + 1))
         rank_b = int(rng.integers(1, dim + 1))
         sig_a = random_psd(dim, scale, rng, rank=rank_a)
         sig_b = random_psd(dim, scale, rng, rank=rank_b)
         alpha = float(rng.random())
-        x = float(np.exp(rng.uniform(np.log(1e-3), np.log(100.0))))
+        x = _log_uniform(rng, 1e-3, 100.0)
         blend = alpha * sig_a.mat + (1.0 - alpha) * sig_b.mat
         lhs = alpha * logdet_potential(sig_a, x) + (1.0 - alpha) * logdet_potential(
             sig_b, x
         )
-        rhs = logdet_potential(blend, x)
-        worst = max(worst, lhs - rhs)
-    return FuzzReport("logdet-concavity", instances, worst, tol)
+        return lhs - logdet_potential(blend, x)
+
+    return _fuzz(2, "logdet-concavity", instance, instances, seed, tol)
 
 
 def check_logdet_variational(
@@ -134,17 +147,17 @@ def check_logdet_variational(
     potential at x, with equality at Lambda = x I. Each instance draws
     many dominated Lambda and also checks the equality case.
     """
-    rng = _check_rng(seed, 3)
-    worst = -np.inf
-    for _ in range(instances):
+
+    def instance(rng: np.random.Generator) -> float:
         dim = int(rng.integers(1, DIM_MAX + 1))
-        scale = float(np.exp(rng.uniform(np.log(1e-2), np.log(10.0))))
+        scale = _log_uniform(rng, 1e-2, 10.0)
         base = random_psd(dim, scale, rng)
         # floor the spectrum so Sigma is safely invertible
         sigma = PsdMatrix.unchecked(base.mat + 1e-6 * scale * np.eye(dim))
-        x = float(np.exp(rng.uniform(np.log(1e-3), np.log(100.0))))
+        x = _log_uniform(rng, 1e-3, 100.0)
         root = psd_sqrt(sigma)
         potential = logdet_potential(sigma, x)
+        worst = -np.inf
         for _ in range(VARIATIONAL_LAMBDAS):
             lam_mat = random_psd(dim, x, rng)
             inner = np.eye(dim) + root @ lam_mat.mat @ root
@@ -153,8 +166,9 @@ def check_logdet_variational(
         # equality at the top of the feasible set
         top = np.eye(dim) + x * root @ root
         _, top_logdet = np.linalg.slogdet(symmetrize(top))
-        worst = max(worst, abs(top_logdet - potential))
-    return FuzzReport("logdet-variational", instances, worst, tol)
+        return max(worst, abs(top_logdet - potential))
+
+    return _fuzz(3, "logdet-variational", instance, instances, seed, tol)
 
 
 def check_logdet_shift(
@@ -166,24 +180,23 @@ def check_logdet_shift(
     logdet_potential(Sigma, x + v.T v), where the shrink conditions Sigma
     on one unit-noise observation along v.
     """
-    rng = _check_rng(seed, 4)
-    worst = -np.inf
-    for _ in range(instances):
+
+    def instance(rng: np.random.Generator) -> float:
         dim = int(rng.integers(1, DIM_MAX + 1))
-        scale = float(np.exp(rng.uniform(np.log(1e-2), np.log(10.0))))
+        scale = _log_uniform(rng, 1e-2, 10.0)
         rank = int(rng.integers(1, dim + 1))
         sigma = random_psd(dim, scale, rng, rank=rank)
         v = rng.standard_normal(dim)
         norm = float(np.linalg.norm(v))
         if norm > 0:
             v = v / norm * float(rng.random())
-        x = float(np.exp(rng.uniform(np.log(1e-3), np.log(100.0))))
+        x = _log_uniform(rng, 1e-3, 100.0)
         quad = sigma.quad_form(v)
         shrunk = rank_one_shrink(sigma, v)
         lhs = np.log1p(quad) + logdet_potential(shrunk, x)
-        rhs = logdet_potential(sigma, x + float(v @ v))
-        worst = max(worst, lhs - rhs)
-    return FuzzReport("logdet-shift", instances, worst, tol)
+        return lhs - logdet_potential(sigma, x + float(v @ v))
+
+    return _fuzz(4, "logdet-shift", instance, instances, seed, tol)
 
 
 def _random_mean_bounded_prior(rng: np.random.Generator) -> FiniteSupportPrior:
@@ -227,25 +240,19 @@ def check_variance_reduction(
     violation, so a corrupted likelihood cannot hide by emptying or
     inflating the outcome tree.
     """
-    rng = _check_rng(seed, 5)
     noise = BernoulliMeanNoise()
-    worst = -np.inf
-    for _ in range(instances):
+
+    def instance(rng: np.random.Generator) -> float:
         prior = _random_mean_bounded_prior(rng)
         atoms, weights, dim = prior.atoms, prior.weights, prior.dim
-        broken = False
         # a couple of warmup updates so non-prior filtrations are covered
         for _ in range(int(rng.integers(0, 3))):
             direction = np.abs(rng.standard_normal(dim))
             direction /= max(float(np.linalg.norm(direction)), 1e-12)
             probs, children = _live_branches(atoms, weights, noise, direction)
             if abs(float(probs.sum()) - 1.0) > tol:
-                worst = max(worst, abs(float(probs.sum()) - 1.0))
-                broken = True
-                break
+                return abs(float(probs.sum()) - 1.0)
             weights = children[int(rng.choice(len(probs), p=probs / probs.sum()))]
-        if broken:
-            continue
         action = np.abs(rng.standard_normal(dim))
         action /= max(float(np.linalg.norm(action)), 1e-12)
         gamma = atom_moments(atoms, weights)[1].mat
@@ -254,28 +261,29 @@ def check_variance_reduction(
         probs, children = _live_branches(atoms, weights, noise, action)
         prob_total = float(probs.sum())
         if abs(prob_total - 1.0) > tol:
-            worst = max(worst, abs(prob_total - 1.0))
-            continue
+            return abs(prob_total - 1.0)
         expected_next = np.zeros((dim, dim))
         for prob, child in zip(probs, children):
             expected_next += prob * atom_moments(atoms, child)[1].mat
         live = weights > 0
         tight_var = float(np.max(means[live] * (1.0 - means[live])))
         ga = gamma @ action
+        worst = -np.inf
         for sigma_sq in (max(tight_var, 1e-12), noise.sigma_sq_bound):
             contraction = gamma - np.outer(ga, ga) / (sigma_sq + quad)
             margin = min_eigenvalue(symmetrize(contraction - expected_next))
             worst = max(worst, -margin)
-    return FuzzReport("variance-reduction", instances, worst, tol)
+        return worst
+
+    return _fuzz(5, "variance-reduction", instance, instances, seed, tol)
 
 
 def check_trace_cauchy_schwarz(
     instances: int, seed: int = 0, tol: float = INEQUALITY_SLACK
 ) -> FuzzReport:
     """Paired-moment trace inequality on random correlated samples."""
-    rng = _check_rng(seed, 6)
-    worst = -np.inf
-    for _ in range(instances):
+
+    def instance(rng: np.random.Generator) -> float:
         dim = int(rng.integers(1, DIM_MAX + 1))
         n = int(rng.integers(10, 400))
         x = rng.standard_normal((n, dim)) @ rng.standard_normal((dim, dim))
@@ -288,8 +296,9 @@ def check_trace_cauchy_schwarz(
             mix = rng.standard_normal((dim, dim))
             z = x @ mix + rng.standard_normal((n, dim)) * rng.uniform(0.0, 2.0)
         report = trace_cauchy_schwarz_check(x, z, tol=tol)
-        worst = max(worst, report.lhs - report.rhs)
-    return FuzzReport("trace-cauchy-schwarz", instances, worst, tol)
+        return report.lhs - report.rhs
+
+    return _fuzz(6, "trace-cauchy-schwarz", instance, instances, seed, tol)
 
 
 # every check by name, with the instance count it runs at by default

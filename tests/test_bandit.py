@@ -11,9 +11,6 @@ from ellipsim.bandit import (
     FixedActionsGenerator,
     KArmedGaussianGenerator,
     UnitSphereGenerator,
-    greedy_step,
-    lints_step,
-    optimal_action,
     run_episode,
     trace_cauchy_schwarz_check,
 )
@@ -90,28 +87,48 @@ def test_unit_sphere_generator():
 # ---------------------------------------------------------------------------
 
 
-def test_policy_steps_pick_argmax_of_their_parameter():
+ARMS = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+
+
+def fixed_arm_episode(policy):
     prior = GaussianPrior(mean=np.array([1.0, 0.0]), cov=PsdMatrix.identity(2))
-    state = GaussianConjugateState(prior, GaussianNoise(sd=1.0))
-    aset = FiniteActionSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    noise = GaussianNoise(sd=1.0)
+    result = run_episode(
+        prior, noise, FixedActionsGenerator(ARMS),
+        EngineConfig(kind="gaussian_conjugate"),
+        horizon=20, rng=np.random.default_rng(SEED), policy=policy,
+    )
+    return prior, noise, result
 
-    assert np.allclose(greedy_step(state, aset), [1.0, 0.0])
 
+def test_policy_steps_pick_argmax_of_their_parameter():
+    """Greedy plays the argmax of the posterior mean, replayed on a fresh
+    posterior, and each round's optimal action is the argmax of theta*."""
+    prior, noise, result = fixed_arm_episode("greedy")
+    aset = FiniteActionSet(ARMS)
+    state = GaussianConjugateState(prior, noise)
+    for t in range(result.horizon):
+        assert np.array_equal(result.actions[t], aset.argmax(state.mean()))
+        assert np.array_equal(
+            result.optimal_actions[t], aset.argmax(result.theta_star)
+        )
+        state.update(result.actions[t], result.rewards[t])
+
+
+def test_lints_plays_the_argmax_of_its_seeded_draw():
+    """Replaying the episode's generator (theta*, then per round the
+    posterior draw and the reward) gives its actions and rewards."""
+    prior, noise, result = fixed_arm_episode("lints")
+    aset = FiniteActionSet(ARMS)
     rng = np.random.default_rng(SEED)
-    chosen, theta_tilde = lints_step(state, aset, rng)
-    assert np.allclose(chosen, aset.argmax(theta_tilde))
-
-    assert np.allclose(optimal_action([0.2, 0.9], aset), [0.0, 1.0])
-
-
-def test_lints_step_is_seed_deterministic():
-    prior = GaussianPrior(mean=np.zeros(2), cov=PsdMatrix.identity(2))
-    state = GaussianConjugateState(prior, GaussianNoise(sd=1.0))
-    aset = FiniteActionSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    a1, t1 = lints_step(state, aset, np.random.default_rng(99))
-    a2, t2 = lints_step(state, aset, np.random.default_rng(99))
-    assert np.allclose(a1, a2)
-    assert np.allclose(t1, t2)
+    assert np.array_equal(prior.sample(rng), result.theta_star)
+    state = GaussianConjugateState(prior, noise)
+    for t in range(result.horizon):
+        chosen = aset.argmax(state.sample(rng))
+        assert np.array_equal(result.actions[t], chosen)
+        y = noise.sample_reward(float(chosen.dot(result.theta_star)), rng)
+        assert y == result.rewards[t]
+        state.update(chosen, y)
 
 
 # ---------------------------------------------------------------------------

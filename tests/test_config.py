@@ -471,17 +471,17 @@ def test_experiment_serialization_omits_workers():
 
 
 def test_lemma_run_defaults():
-    run = build_lemma_run({})
-    assert run.sizes == {}
-    assert run.seed == 0
+    sizes, seed = build_lemma_run({})
+    assert sizes == {}
+    assert seed == 0
 
 
 def test_lemma_run_explicit_sizes():
-    run = build_lemma_run(
+    sizes, seed = build_lemma_run(
         {"lemmas": {"seed": 3, "classical-potential": 40, "trace-cauchy-schwarz": 10}}
     )
-    assert run.seed == 3
-    assert run.sizes == {"classical-potential": 40, "trace-cauchy-schwarz": 10}
+    assert seed == 3
+    assert sizes == {"classical-potential": 40, "trace-cauchy-schwarz": 10}
 
 
 def test_lemma_run_rejects_zero_count():

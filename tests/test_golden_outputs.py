@@ -4,12 +4,14 @@ Three tiny configs in ``tests/data/golden/`` run ``run-bandit`` on one each
 of the finite-support, Gaussian conjugate and particle engines. Two in
 ``tests/data/golden_potential/`` run ``potential-trace`` on the exact
 outcome lattice, a scalar prior and a d = 2 prior under Bernoulli noise.
-The sha256 of each output file is compared with
-``tests/data/golden_digests.json``, so a speed-up or refactor that moves a
-single output bit fails here. Floating-point results can differ across
-numpy and scipy releases, so the test skips when either version differs
-from the one the digests were recorded with. The record also holds the
-``summary.json`` schema tag, ``RunSummary.FORMAT``, it was made under.
+One in ``tests/data/golden_lemmas/`` runs ``verify-lemmas``, whose table
+on standard output is its only output. The sha256 of each output file, and
+of the printed table, is compared with ``tests/data/golden_digests.json``,
+so a speed-up or refactor that moves a single output bit fails here.
+Floating-point results can differ across numpy and scipy releases, so the
+test skips when either version differs from the one the digests were
+recorded with. The record also holds the ``summary.json`` schema tag,
+``RunSummary.FORMAT``, it was made under.
 
 To record the digests again, at a commit whose outputs are known good:
 
@@ -19,7 +21,9 @@ The recorder refuses to replace a ``summary.json`` digest under the same
 schema tag and the same numpy and scipy versions: a change to the summary's
 bytes bumps the tag first.
 """
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 import sys
@@ -34,7 +38,10 @@ from ellipsim.harness import RunSummary
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 DIGESTS = DATA / "golden_digests.json"
-# record key: (subcommand, extra flags, config directory, output files)
+# record key: (subcommand, extra flags, config directory, output files);
+# STDOUT names what the command prints, and a command with no output file
+# takes no --out
+STDOUT = "stdout"
 COMMANDS = {
     "digests": (
         "run-bandit",
@@ -48,6 +55,7 @@ COMMANDS = {
         DATA / "golden_potential",
         ("verification.json", "potential.csv"),
     ),
+    "lemma_table_digests": ("verify-lemmas", [], DATA / "golden_lemmas", (STDOUT,)),
 }
 
 
@@ -61,10 +69,17 @@ def versions():
 
 def output_digests(key: str, config: pathlib.Path, out: pathlib.Path):
     command, flags, _, outputs = COMMANDS[key]
-    argv = [command, "--config", str(config), "--out", str(out), *flags]
-    assert main(argv) == EXIT_OK
+    argv = [command, "--config", str(config), *flags]
+    if outputs != (STDOUT,):
+        argv += ["--out", str(out)]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main(argv) == EXIT_OK
     return {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in outputs
+        name: hashlib.sha256(
+            printed.getvalue().encode() if name == STDOUT else (out / name).read_bytes()
+        ).hexdigest()
+        for name in outputs
     }
 
 
@@ -110,28 +125,31 @@ def test_recorder_refuses_a_summary_change_under_the_same_tag():
     assert unbumped_summary_changes(old, new) == []
 
 
-def check_digests(key, config, tmp_path, capsys):
+def check_digests(key, config, tmp_path):
     record = recorded()
     if record["versions"] != versions():
         pytest.skip(
             f"digests recorded with {record['versions']}, running {versions()}: "
             "floating-point results may differ across releases"
         )
-    got = output_digests(key, config, tmp_path)
-    capsys.readouterr()
-    assert got == record[key][config.name]
+    assert output_digests(key, config, tmp_path) == record[key][config.name]
 
 
 @pytest.mark.parametrize("config", configs("digests"), ids=lambda c: c.stem)
-def test_run_bandit_outputs_match_recorded_digests(config, tmp_path, capsys):
-    check_digests("digests", config, tmp_path, capsys)
+def test_run_bandit_outputs_match_recorded_digests(config, tmp_path):
+    check_digests("digests", config, tmp_path)
 
 
 @pytest.mark.parametrize(
     "config", configs("potential_trace_digests"), ids=lambda c: c.stem
 )
-def test_potential_trace_outputs_match_recorded_digests(config, tmp_path, capsys):
-    check_digests("potential_trace_digests", config, tmp_path, capsys)
+def test_potential_trace_outputs_match_recorded_digests(config, tmp_path):
+    check_digests("potential_trace_digests", config, tmp_path)
+
+
+@pytest.mark.parametrize("config", configs("lemma_table_digests"), ids=lambda c: c.stem)
+def test_verify_lemmas_table_matches_recorded_digest(config, tmp_path):
+    check_digests("lemma_table_digests", config, tmp_path)
 
 
 if __name__ == "__main__":

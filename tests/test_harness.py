@@ -46,6 +46,8 @@ def test_config_validation():
         small_config(workers=0)
     with pytest.raises(ValueError, match="lam must be >= 1"):
         small_config(lam=0.5)
+    with pytest.raises(ValueError, match="lam must be >= 1, got nan"):
+        small_config(lam=float("nan"))
 
 
 def test_config_describes_the_verifier_episodes():

@@ -422,6 +422,20 @@ def uniform(n):
     return np.full(n, 1.0 / n)
 
 
+def resampled_indices(weights, u):
+    """The particle indices a systematic resample at offset ``u`` draws."""
+    n = weights.shape[0]
+    prior, noise = gaussian_pair(dim=1)
+    state = ParticleState(prior, noise, np.random.default_rng(SEED), n_particles=n)
+    # particle i is (i,), so a resampled row names its index
+    state.atoms = np.arange(n, dtype=np.float64)[:, None]
+    state.weights = weights.copy()
+    state.rng = FixedDraw(u)
+    state._systematic_resample()
+    assert np.array_equal(state.weights, uniform(n))
+    return state.atoms[:, 0].astype(int)
+
+
 @pytest.mark.parametrize(
     "weights,u",
     [
@@ -456,22 +470,38 @@ def uniform(n):
 )
 def test_systematic_resample_picks_the_searchsorted_indices(weights, u):
     """The merge-based resample picks ``np.searchsorted(cumulative,
-    positions)``: a position that ties with a cumulative weight goes to
-    that weight's particle."""
+    positions, side="right")``: a position that ties with a cumulative
+    weight goes to the next particle, so no zero-weight particle is drawn."""
     n = weights.shape[0]
-    prior, noise = gaussian_pair(dim=1)
-    state = ParticleState(prior, noise, np.random.default_rng(SEED), n_particles=n)
-    # particle i is (i,), so a resampled row names its index
-    state.atoms = np.arange(n, dtype=np.float64)[:, None]
-    state.weights = weights.copy()
-    state.rng = FixedDraw(u)
-    state._systematic_resample()
     positions = (np.arange(n) + u) / n
     cumulative = np.cumsum(weights)
     cumulative[-1] = 1.0
-    want = np.searchsorted(cumulative, positions)
-    assert np.array_equal(state.atoms[:, 0], want.astype(np.float64))
-    assert np.array_equal(state.weights, uniform(n))
+    want = np.searchsorted(cumulative, positions, side="right")
+    assert np.array_equal(resampled_indices(weights, u), want)
+    assert np.all(weights[want] > 0.0)
+
+
+def test_systematic_resample_of_uniform_weights_at_u0_is_the_identity():
+    # 1/8 is exact, so each position k/8 ties with particle k - 1's
+    # cumulative weight and belongs to particle k
+    assert np.array_equal(resampled_indices(uniform(8), 0.0), np.arange(8))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [np.array([0.25, 0.5, 0.25, 0.0]), np.append(np.full(10, 0.1), 0.0)],
+    ids=["exact-sum", "sum-rounds-below-1"],
+)
+def test_systematic_resample_gives_a_position_rounded_to_1_a_positive_weight(
+    weights,
+):
+    """At u just below 1 the last position, (n - 1 + u) / n, rounds to 1.0;
+    it goes to the last particle of positive weight, not to the zero-weight
+    one after it nor past the end. In the second case the running sum also
+    stops short of 1 before the zero-weight particle."""
+    picked = resampled_indices(weights, np.nextafter(1.0, 0.0))
+    assert np.all(weights[picked] > 0.0)
+    assert picked[-1] == np.flatnonzero(weights)[-1]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -489,9 +519,9 @@ def test_systematic_resample_matches_searchsorted_on_random_weights(seed):
     state._systematic_resample()
     cumulative = np.cumsum(weights)
     cumulative[-1] = 1.0
-    assert np.array_equal(
-        state.atoms, atoms[np.searchsorted(cumulative, (np.arange(n) + u) / n)]
-    )
+    want = np.searchsorted(cumulative, (np.arange(n) + u) / n, side="right")
+    assert np.array_equal(state.atoms, atoms[want])
+    assert np.all(weights[want] > 0.0)
 
 
 def finite_and_particle_states():

@@ -124,6 +124,9 @@ def test_classical_rejects_long_actions_and_small_lambda():
         tracker.step(np.array([1.1, 0.0]))
     with pytest.raises(ValueError):
         ClassicalPotential(dim=2, lam=0.5)
+    # a NaN ridge would give NaN quadratic forms
+    with pytest.raises(ValueError, match="got nan"):
+        ClassicalPotential(dim=2, lam=float("nan"))
 
 
 def test_classical_rejects_over_norm_actions_where_linalg_norm_does():
@@ -650,7 +653,7 @@ def test_monte_carlo_path_builds_no_ridge_tracker(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("ridge tracker built")
 
-    monkeypatch.setattr(harness, "ClassicalPotential", refuse)
+    monkeypatch.setattr(harness, "ridge_replay_excess", refuse)
     case = MONTE_CARLO_CASES["lints_conjugate"]
     report = verify(
         case["prior"],
