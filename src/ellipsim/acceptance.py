@@ -2,8 +2,8 @@
 
 :data:`CRITERIA` is the one place a criterion's number and name are
 written. Each criterion function takes the seed and returns
-``(passed, measured, message)``; :func:`run_criterion` times it and builds
-the :class:`CriterionResult`, so the same registry backs both the pytest
+``(passed, message)``; :func:`run_criterion` times it and builds the
+:class:`CriterionResult`, so the same registry backs both the pytest
 suite and the ``acceptance`` CLI subcommand. Where the package has a
 verdict or margin, a criterion reads it rather than restating it.
 Criteria are independent: each builds its own configuration and seeds,
@@ -16,7 +16,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .posterior import (
     counterexample_prior,
     counterexample_report,
 )
-from .potential import gamma1_eigs, identity_cap_excess, monte_carlo_margin
+from .potential import gamma1_eigs, identity_cap_excess
 from .reporting import (
     write_potential_csv_from_summary,
     write_regret_curve_csv,
@@ -47,8 +47,8 @@ from .reporting import (
 from .tolerances import INEQUALITY_SLACK, MONTE_CARLO_SLACK_SE
 from .verify import run_check
 
-# what a criterion function returns: (passed, measured values, message)
-Verdict = Tuple[bool, Dict[str, float], str]
+# what a criterion function returns: (passed, message)
+Verdict = Tuple[bool, str]
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,6 @@ class CriterionResult:
     name: str
     passed: bool
     runtime_seconds: float
-    measured: Dict[str, float]
     message: str = ""
 
     def summary_line(self) -> str:
@@ -66,21 +65,6 @@ class CriterionResult:
         if self.message and not self.passed:
             line += f"\n        {self.message}"
         return line
-
-
-@dataclass(frozen=True)
-class SuiteReport:
-    results: Tuple[CriterionResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def summary_text(self) -> str:
-        lines = [r.summary_line() for r in self.results]
-        verdict = "ALL PASS" if self.all_passed else "FAILURES PRESENT"
-        lines.append(f"acceptance: {verdict}")
-        return "\n".join(lines)
 
 
 def _eight_atom_prior(seed_key: int, nonnegative: bool) -> FiniteSupportPrior:
@@ -143,14 +127,12 @@ def _fuzz(*names: str) -> Callable[[int], Verdict]:
 
     def criterion(seed: int) -> Verdict:
         reports = [run_check(name, seed) for name in names]
-        measured = {f"{r.name}_max_violation": r.max_violation for r in reports}
-        measured["worst_violation"] = max(r.max_violation for r in reports)
         message = "; ".join(
             f"{r.name} violated by {r.max_violation:.3e} (tol {r.tolerance:.1e})"
             for r in reports
             if not r.passed
         )
-        return all(r.passed for r in reports), measured, message
+        return all(r.passed for r in reports), message
 
     return criterion
 
@@ -211,13 +193,7 @@ def counterexample_criterion(seed: int = 0) -> Verdict:
         )
     if not report.variance_inflated:
         problems.append("variance inflation flag is not set")
-    measured = {
-        "prior_variance": report.prior_variance,
-        "posterior_variance": report.posterior_variance,
-        "posterior_ratio": report.posterior_ratio,
-        "variance_inflated": float(report.variance_inflated),
-    }
-    return not problems, measured, "; ".join(problems)
+    return not problems, "; ".join(problems)
 
 
 def exact_tree_criterion(seed: int = 0) -> Verdict:
@@ -253,7 +229,7 @@ def exact_tree_criterion(seed: int = 0) -> Verdict:
         worst = max(worst, report.mean_total - report.bound)
         passed = passed and report.holds
     message = "" if passed else f"expectation exceeded the bound by {worst:.3e}"
-    return passed, {"worst_violation": worst}, message
+    return passed, message
 
 
 def monte_carlo_criterion(seed: int = 0) -> Verdict:
@@ -271,15 +247,7 @@ def monte_carlo_criterion(seed: int = 0) -> Verdict:
             policy="adversarial",
         )
     )
-    measured = {
-        "mean_total": report.mean_total,
-        "stderr_total": report.stderr_total,
-        "bound": report.bound,
-        "margin": monte_carlo_margin(
-            report.mean_total, report.stderr_total, report.bound
-        ),
-    }
-    return report.holds, measured, "" if report.holds else (
+    return report.holds, "" if report.holds else (
         f"mean {report.mean_total:.6g} exceeds bound {report.bound:.6g} "
         f"+ {MONTE_CARLO_SLACK_SE:g} stderr {report.stderr_total:.3g}"
     )
@@ -288,7 +256,6 @@ def monte_carlo_criterion(seed: int = 0) -> Verdict:
 def regret_bounds_criterion(seed: int = 0) -> Verdict:
     """Mean regret + 3 stderr below the square-root bound, three setups."""
     problems: List[str] = []
-    measured: Dict[str, float] = {}
     for label, cfg in (
         ("gaussian_d5", config_gaussian_d5(seed)),
         ("bernoulli_d3", config_bernoulli_d3(seed)),
@@ -297,15 +264,12 @@ def regret_bounds_criterion(seed: int = 0) -> Verdict:
         summary = run_experiment(cfg)
         mean, stderr = summary.final_mean_regret, summary.final_stderr_regret
         bound = summary.bounds["eq4_rhs"]
-        measured[f"{label}_final_mean_regret"] = mean
-        measured[f"{label}_final_stderr"] = stderr
-        measured[f"{label}_bound"] = bound
         if not summary.checks["pass_eq4"]:
             problems.append(
                 f"{label}: regret {mean:.4g} "
                 f"+ {MONTE_CARLO_SLACK_SE:g} x {stderr:.4g} exceeds {bound:.4g}"
             )
-    return not problems, measured, "; ".join(problems)
+    return not problems, "; ".join(problems)
 
 
 def identity_cap_criterion(seed: int = 0) -> Verdict:
@@ -328,8 +292,7 @@ def identity_cap_criterion(seed: int = 0) -> Verdict:
             continue
         worst = max(worst, identity_cap_excess(horizon, gamma1_eigs(gamma)))
     passed = worst <= INEQUALITY_SLACK
-    measured = {"worst_violation": worst, "cases": float(len(cases))}
-    return passed, measured, "" if passed else f"cap violated by {worst:.3e}"
+    return passed, "" if passed else f"cap violated by {worst:.3e}"
 
 
 def engine_cross_validation_criterion(seed: int = 0) -> Verdict:
@@ -370,8 +333,7 @@ def engine_cross_validation_criterion(seed: int = 0) -> Verdict:
         worst_mean = max(worst_mean, mean_err)
         worst_cov = max(worst_cov, cov_err)
     passed = worst_mean <= 0.02 and worst_cov <= 0.05
-    measured = {"worst_mean_l2": worst_mean, "worst_cov_frobenius": worst_cov}
-    return passed, measured, "" if passed else (
+    return passed, "" if passed else (
         f"worst mean error {worst_mean:.4g} (limit 0.02), "
         f"worst covariance error {worst_cov:.4g} (limit 0.05)"
     )
@@ -395,8 +357,7 @@ def determinism_criterion(seed: int = 0) -> Verdict:
             second = os.path.join(dirs[1], name)
             if not filecmp.cmp(first, second, shallow=False):
                 mismatched.append(name)
-    measured = {"files_compared": 3.0, "files_mismatched": float(len(mismatched))}
-    return not mismatched, measured, (
+    return not mismatched, (
         "" if not mismatched else f"files differ: {', '.join(mismatched)}"
     )
 
@@ -425,19 +386,12 @@ def run_criterion(number: int, seed: int = 0) -> CriterionResult:
     for num, name, func in CRITERIA:
         if num == number:
             start = time.perf_counter()
-            passed, measured, message = func(seed)
+            passed, message = func(seed)
             return CriterionResult(
                 number=num,
                 name=name,
                 passed=passed,
                 runtime_seconds=time.perf_counter() - start,
-                measured=measured,
                 message=message,
             )
     raise ValueError(f"no criterion numbered {number}")
-
-
-def run_acceptance_suite(seed: int = 0) -> SuiteReport:
-    return SuiteReport(
-        results=tuple(run_criterion(num, seed) for num, _, _ in CRITERIA)
-    )

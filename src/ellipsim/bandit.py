@@ -50,67 +50,55 @@ class EmptyActionSet(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteActionSet:
-    """A finite menu of unit-ball actions, one per row."""
+class FixedActionsGenerator:
+    """A finite menu of unit-ball actions, one per row, and its own action
+    set every round."""
 
-    actions: Array
+    vectors: Array
 
     def __post_init__(self):
-        arr = np.asarray(self.actions, dtype=np.float64)
+        arr = np.asarray(self.vectors, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"actions must be (k, d), got shape {arr.shape}")
         if arr.shape[0] == 0:
             raise EmptyActionSet("action set has no actions")
         norms = np.linalg.norm(arr, axis=1)
         worst = float(norms.max())
-        if worst > 1.0 + NORM_SLACK:
+        # written so that a NaN fails it
+        if not worst <= 1.0 + NORM_SLACK:
             raise ValueError(f"action norms must be <= 1, max is {worst}")
         arr = arr.copy()
         arr.flags.writeable = False
-        object.__setattr__(self, "actions", arr)
+        object.__setattr__(self, "vectors", arr)
 
     @classmethod
-    def unchecked(cls, actions: Array) -> "FiniteActionSet":
+    def unchecked(cls, vectors: Array) -> "FixedActionsGenerator":
         """Wrap a (k, d) float64 array, k >= 1, whose rows have norm <= 1.
 
         Skips the validation for generators that guarantee it by
         construction; the array is taken over and frozen, not copied.
         """
         obj = cls.__new__(cls)
-        actions.flags.writeable = False
-        object.__setattr__(obj, "actions", actions)
+        vectors.flags.writeable = False
+        object.__setattr__(obj, "vectors", vectors)
         return obj
 
     @property
     def dim(self) -> int:
-        return self.actions.shape[1]
+        return self.vectors.shape[1]
+
+    @property
+    def nonnegative(self) -> bool:
+        return bool(np.all(self.vectors >= -NORM_SLACK))
+
+    def sample_round(self, rng: np.random.Generator) -> "FixedActionsGenerator":
+        return self
 
     def argmax(self, theta: ArrayLike) -> Array:
         """Best action for the given parameter; ties go to the lowest index,
         as ``ndarray.argmax`` breaks them."""
-        scores = self.actions @ np.asarray(theta, dtype=np.float64)
-        return self.actions[scores.argmax()]
-
-
-@dataclass(frozen=True, eq=False)
-class FixedActionsGenerator:
-    """Presents the same finite action set every round."""
-
-    vectors: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "_set", FiniteActionSet(self.vectors))
-
-    @property
-    def dim(self) -> int:
-        return self._set.dim
-
-    @property
-    def nonnegative(self) -> bool:
-        return bool(np.all(self._set.actions >= -NORM_SLACK))
-
-    def sample_round(self, rng: np.random.Generator) -> FiniteActionSet:
-        return self._set
+        scores = self.vectors @ np.asarray(theta, dtype=np.float64)
+        return self.vectors[scores.argmax()]
 
 
 @dataclass(frozen=True)
@@ -132,14 +120,14 @@ class KArmedGaussianGenerator:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
 
-    def sample_round(self, rng: np.random.Generator) -> FiniteActionSet:
+    def sample_round(self, rng: np.random.Generator) -> FixedActionsGenerator:
         z = rng.standard_normal((self.k, self.dim))
         if self.nonnegative:
             z = np.abs(z)
         # np.linalg.norm's own arithmetic for axis=1, so the same bits
         norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
         norms[norms == 0] = 1.0
-        return FiniteActionSet.unchecked(z / norms)
+        return FixedActionsGenerator.unchecked(z / norms)
 
 
 @dataclass(frozen=True)
@@ -224,7 +212,7 @@ def check_episode(
             return
         actions, label = np.ones((1, 1)), "the adversarial action [1]"
     elif isinstance(generator, FixedActionsGenerator):
-        actions, label = generator._set.actions, "fixed action set"
+        actions, label = generator.vectors, "fixed action set"
     else:
         atoms_nonneg = bool(np.all(prior.atoms >= -NORM_SLACK))
         if atoms_nonneg and generator.nonnegative:
@@ -321,7 +309,6 @@ class TraceCauchySchwarzReport:
     lhs: float
     rhs: float
     holds: bool
-    margin: float
 
 
 def trace_cauchy_schwarz_check(
@@ -342,6 +329,4 @@ def trace_cauchy_schwarz_check(
     second_x = x.T @ x / n
     second_z = z.T @ z / n
     rhs = d * float(np.trace(second_x @ second_z))
-    return TraceCauchySchwarzReport(
-        lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + tol), margin=rhs - lhs
-    )
+    return TraceCauchySchwarzReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + tol))

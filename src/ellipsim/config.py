@@ -97,7 +97,8 @@ def load_yaml(path: str) -> Dict:
 
 
 def _check_keys(section: Mapping, allowed: Collection[str], path: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
+    # YAML keys need not be strings, and mixed types do not compare
+    unknown = sorted(set(section) - set(allowed), key=str)
     if unknown:
         raise ConfigError(
             f"{path}.{unknown[0]}",

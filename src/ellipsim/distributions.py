@@ -62,6 +62,8 @@ class GaussianPrior(Prior):
             raise ValueError(
                 f"mean dim {mean.shape[0]} does not match cov dim {self.cov.dim}"
             )
+        if not np.all(np.isfinite(mean)):
+            raise ValueError(f"mean must be finite, got {mean.tolist()}")
         mean = mean.copy()
         mean.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -103,14 +105,15 @@ class FiniteSupportPrior(Prior):
             )
         if atoms.shape[0] == 0:
             raise ValueError("need at least one support point")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
+        # each test below is written so that a NaN fails it
+        if not np.all(weights >= 0):
+            raise ValueError(f"weights must be nonnegative, got {weights.tolist()}")
         total = float(weights.sum())
-        if abs(total - 1.0) > PRIOR_WEIGHT_SUM_ABS:
+        if not abs(total - 1.0) <= PRIOR_WEIGHT_SUM_ABS:
             raise ValueError(f"weights must sum to 1, got {total!r}")
         norms = np.linalg.norm(atoms, axis=1)
         worst = float(norms.max())
-        if worst > 1.0 + NORM_SLACK:
+        if not worst <= 1.0 + NORM_SLACK:
             raise ValueError(f"support points must lie in the unit ball, max norm {worst}")
         atoms = atoms.copy()
         weights = weights.copy()
@@ -189,8 +192,8 @@ class GaussianNoise(Noise):
     sd: float
 
     def __post_init__(self):
-        if self.sd <= 0:
-            raise ValueError(f"sd must be positive, got {self.sd}")
+        if not 0 < self.sd < np.inf:
+            raise ValueError(f"sd must be positive and finite, got {self.sd}")
 
     @property
     def sigma_sq_bound(self) -> float:
@@ -256,8 +259,10 @@ class UniformCenteredNoise(Noise):
     half_width: float
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError(
+                f"half_width must be positive and finite, got {self.half_width}"
+            )
 
     @property
     def sigma_sq_bound(self) -> float:
@@ -284,10 +289,12 @@ class StudentTNoise(Noise):
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.dof <= 2:
-            raise ValueError(f"dof must exceed 2 for finite variance, got {self.dof}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 2 < self.dof < np.inf:
+            raise ValueError(
+                f"dof must exceed 2 for finite variance and be finite, got {self.dof}"
+            )
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         object.__setattr__(self, "_log_const", self._log_norm_const())
 
     @property

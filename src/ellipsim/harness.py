@@ -357,15 +357,12 @@ class VerificationReport:
     stderr_total: float
     bound: float
     holds: bool
-    per_round_mean: Tuple[float, ...]
-    gamma1_eigs: Tuple[float, ...]
+    per_round_mean: List[float]
+    gamma1_eigs: List[float]
     failed_replications: int = 0
 
     def to_dict(self) -> dict:
-        # tuples as lists, as JSON reads them back
-        return {
-            k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()
-        }
+        return asdict(self)
 
 
 def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
@@ -396,7 +393,7 @@ def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
         sigma_sq=noise.sigma_sq_bound,
         sigma_factor=factor,
         bound=bound,
-        gamma1_eigs=tuple(float(v) for v in eigs),
+        gamma1_eigs=eigs.tolist(),
     )
 
     if exact_path_applies(prior, noise, horizon, cfg.policy):
@@ -407,7 +404,7 @@ def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
             mean_total=total,
             stderr_total=0.0,
             holds=bool(total <= bound + INEQUALITY_SLACK),
-            per_round_mean=tuple(per_round),
+            per_round_mean=per_round.tolist(),
         )
 
     if cfg.replications < MONTE_CARLO_MIN_REPLICATIONS:
@@ -423,6 +420,6 @@ def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
         mean_total=mean_total,
         stderr_total=stderr_total,
         holds=bool(monte_carlo_margin(mean_total, stderr_total, bound) >= 0.0),
-        per_round_mean=tuple(per_round),
+        per_round_mean=per_round.tolist(),
         failed_replications=len(failures),
     )

@@ -11,6 +11,7 @@ tolerance therefore indicates a real defect, not an unlucky draw.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -78,11 +79,15 @@ def _fuzz(
 ) -> FuzzReport:
     """Run one check: ``instances`` calls of ``instance``, which draws one
     instance from the check's generator, seeded from (seed, check_id), and
-    returns its worst violation; the report holds the worst of them all."""
+    returns its worst violation; the report holds the worst of them all.
+    A NaN or infinite instance value counts as an ``inf`` violation:
+    ``max`` would drop a NaN, and no instance of a working check is
+    infinite."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, check_id]))
     worst = -np.inf
     for _ in range(instances):
-        worst = max(worst, instance(rng))
+        value = instance(rng)
+        worst = max(worst, value if math.isfinite(value) else np.inf)
     return FuzzReport(name, instances, worst, tol)
 
 

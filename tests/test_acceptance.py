@@ -2,8 +2,8 @@
 
 Each test prints the criterion's one-line verdict and then asserts it.
 No tolerances are loosened here; a criterion that cannot reach its
-pinned reference value fails loudly with the measured numbers in the
-assertion message.
+pinned reference value fails loudly, its message naming the numbers
+it found.
 """
 import ast
 import inspect

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from ellipsim.bandit import (
     EmptyActionSet,
     EpisodeFailure,
-    FiniteActionSet,
     FixedActionsGenerator,
     KArmedGaussianGenerator,
     UnitSphereGenerator,
@@ -32,7 +31,7 @@ SEED = 333
 
 
 def test_finite_action_set_argmax_and_ties():
-    aset = FiniteActionSet(np.array([[1.0, 0.0], [0.0, 1.0], [0.6, -0.8]]))
+    aset = FixedActionsGenerator(np.array([[1.0, 0.0], [0.0, 1.0], [0.6, -0.8]]))
     assert np.allclose(aset.argmax([2.0, 0.1]), [1.0, 0.0])
     # exact tie between the first two rows goes to the lower index
     assert np.allclose(aset.argmax([1.0, 1.0]), [1.0, 0.0])
@@ -41,11 +40,11 @@ def test_finite_action_set_argmax_and_ties():
 
 def test_finite_action_set_validation():
     with pytest.raises(ValueError, match="norms"):
-        FiniteActionSet(np.array([[1.2, 0.0]]))
+        FixedActionsGenerator(np.array([[1.2, 0.0]]))
     with pytest.raises(EmptyActionSet):
-        FiniteActionSet(np.zeros((0, 2)))
+        FixedActionsGenerator(np.zeros((0, 2)))
     with pytest.raises(ValueError):
-        FiniteActionSet(np.zeros(3))
+        FixedActionsGenerator(np.zeros(3))
 
 
 def test_sphere_action_set_normalizes():
@@ -68,10 +67,10 @@ def test_karmed_generator_shapes_and_folding():
     gen = KArmedGaussianGenerator(k=7, dim=4, nonnegative=True)
     rng = np.random.default_rng(SEED)
     aset = gen.sample_round(rng)
-    assert aset.actions.shape == (7, 4)
-    assert np.all(aset.actions >= 0)
-    assert np.allclose(np.linalg.norm(aset.actions, axis=1), 1.0)
-    assert not aset.actions.flags.writeable
+    assert aset.vectors.shape == (7, 4)
+    assert np.all(aset.vectors >= 0)
+    assert np.allclose(np.linalg.norm(aset.vectors, axis=1), 1.0)
+    assert not aset.vectors.flags.writeable
 
 
 def test_unit_sphere_generator():
@@ -105,7 +104,7 @@ def test_policy_steps_pick_argmax_of_their_parameter():
     """Greedy plays the argmax of the posterior mean, replayed on a fresh
     posterior, and each round's optimal action is the argmax of theta*."""
     prior, noise, result = fixed_arm_episode("greedy")
-    aset = FiniteActionSet(ARMS)
+    aset = FixedActionsGenerator(ARMS)
     state = GaussianConjugateState(prior, noise)
     for t in range(result.horizon):
         assert np.array_equal(result.actions[t], aset.argmax(state.mean()))
@@ -119,7 +118,7 @@ def test_lints_plays_the_argmax_of_its_seeded_draw():
     """Replaying the episode's generator (theta*, then per round the
     posterior draw and the reward) gives its actions and rewards."""
     prior, noise, result = fixed_arm_episode("lints")
-    aset = FiniteActionSet(ARMS)
+    aset = FixedActionsGenerator(ARMS)
     rng = np.random.default_rng(SEED)
     assert np.array_equal(prior.sample(rng), result.theta_star)
     state = GaussianConjugateState(prior, noise)

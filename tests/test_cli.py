@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+import ellipsim.acceptance as acceptance_mod
 from ellipsim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 from ellipsim.config import build_experiment, build_potential_run, load_yaml
 from ellipsim.harness import ExperimentConfig
@@ -590,6 +591,78 @@ def test_bernoulli_noise_needs_a_finite_support_prior(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "mean-restricted noise needs a finite-support prior" in err
     assert not (tmp_path / "out").exists()
+
+
+# a run-bandit config by section; a family field's case replaces the
+# section that holds it, with {v} where its value goes
+BASE_SECTIONS = {
+    "experiment": "experiment:\n  horizon: 5\n  replications: 2\n",
+    "prior": (
+        "prior:\n  kind: finite_support\n  atoms: [[0.5], [0.5]]\n"
+        "  weights: [0.5, 0.5]\n"
+    ),
+    "noise": "noise:\n  kind: gaussian\n  sd: 1.0\n",
+    "actions": "actions:\n  kind: karmed_gaussian\n  k: 3\n",
+}
+FAMILY_FIELDS = {
+    "prior.atoms": (
+        "prior:\n  kind: finite_support\n  atoms: [[0.5], [{v}]]\n"
+        "  weights: [0.5, 0.5]\n"
+    ),
+    "prior.weights": (
+        "prior:\n  kind: finite_support\n  atoms: [[0.5], [0.5]]\n"
+        "  weights: [{v}, 0.5]\n"
+    ),
+    "prior.mean": "prior:\n  kind: gaussian\n  mean: [{v}]\n  cov: [[1.0]]\n",
+    "actions.vectors": "actions:\n  kind: fixed\n  vectors: [[1.0], [{v}]]\n",
+    "noise.sd": "noise:\n  kind: gaussian\n  sd: {v}\n",
+    "noise.dof": "noise:\n  kind: student_t\n  dof: {v}\n",
+    "noise.scale": "noise:\n  kind: student_t\n  scale: {v}\n",
+    "noise.half_width": "noise:\n  kind: uniform_centered\n  half_width: {v}\n",
+}
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf"])
+@pytest.mark.parametrize("field", sorted(FAMILY_FIELDS))
+def test_non_finite_family_parameter_is_a_config_error(tmp_path, capsys, field, value):
+    section = field.split(".")[0]
+    sections = {**BASE_SECTIONS, section: FAMILY_FIELDS[field].format(v=value)}
+    cfg = write(tmp_path, "run.yaml", "".join(sections.values()))
+    code = main(["run-bandit", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {section}: ")
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# acceptance
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("second_passes", [True, False], ids=["all-pass", "failing"])
+def test_acceptance_prints_each_verdict_and_the_suite_verdict(
+    capsys, monkeypatch, second_passes
+):
+    stand_ins = (
+        (1, "instant-pass", lambda seed: (True, "")),
+        (2, "instant-second", lambda seed: (second_passes, f"seed was {seed}")),
+    )
+    monkeypatch.setattr(acceptance_mod, "CRITERIA", stand_ins)
+    monkeypatch.setattr(acceptance_mod.time, "perf_counter", lambda: 0.0)
+    code = main(["acceptance", "--seed", "4"])
+    lines = [
+        "[ 1/11] instant-pass               PASS  (0.0 s)",
+        "[ 2/11] instant-second             PASS  (0.0 s)",
+        "acceptance: ALL PASS",
+    ]
+    if not second_passes:
+        lines[1:] = [
+            "[ 2/11] instant-second             FAIL  (0.0 s)",
+            "        seed was 4",
+            "acceptance: FAILURES PRESENT",
+        ]
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    assert code == (EXIT_OK if second_passes else EXIT_CHECK_FAILED)
 
 
 # ---------------------------------------------------------------------------

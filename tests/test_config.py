@@ -437,6 +437,14 @@ def test_build_experiment_unknown_experiment_key():
             build_experiment(doc)
 
 
+def test_unknown_keys_of_mixed_types_are_a_config_error():
+    # YAML keys need not be strings, and 1 and "foo" do not compare
+    doc = full_doc()
+    doc["experiment"].update({1: 10, "foo": 10})
+    with pytest.raises(ConfigError, match="experiment.1: unknown key"):
+        build_experiment(doc)
+
+
 def test_build_experiment_missing_section():
     doc = full_doc()
     del doc["noise"]

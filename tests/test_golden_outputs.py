@@ -1,9 +1,11 @@
 """CLI outputs stay byte-identical to recorded digests.
 
-Three tiny configs in ``tests/data/golden/`` run ``run-bandit`` on one each
-of the finite-support, Gaussian conjugate and particle engines. Two in
+Tiny configs in ``tests/data/golden/`` run ``run-bandit`` on one each of
+the finite-support, Gaussian conjugate and particle engines, and the
+greedy policy over a fixed action menu. Those in
 ``tests/data/golden_potential/`` run ``potential-trace`` on the exact
-outcome lattice, a scalar prior and a d = 2 prior under Bernoulli noise.
+outcome lattice, a scalar prior and a d = 2 prior under Bernoulli noise,
+and on the Monte Carlo path, a uniform-ball prior under Gaussian noise.
 One in ``tests/data/golden_lemmas/`` runs ``verify-lemmas``, whose table
 on standard output is its only output. The sha256 of each output file, and
 of the printed table, is compared with ``tests/data/golden_digests.json``,

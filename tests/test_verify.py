@@ -7,6 +7,7 @@ import pytest
 
 import ellipsim.verify as verify
 from ellipsim.distributions import BernoulliMeanNoise
+from ellipsim.linalg import PsdMatrix
 from ellipsim.verify import (
     DEFAULT_SIZES,
     check_classical_potential,
@@ -71,6 +72,18 @@ def test_shift_check_catches_a_missing_shrink(monkeypatch):
     report = check_logdet_shift(instances=100, seed=0)
     assert not report.passed
     assert report.max_violation > 0.01
+
+
+def test_a_nan_instance_is_an_infinite_violation(monkeypatch):
+    # max(worst, nan) keeps worst, so the driver must count a NaN itself
+    monkeypatch.setattr(
+        verify,
+        "rank_one_shrink",
+        lambda sigma, v: PsdMatrix.unchecked(np.full_like(sigma.mat, np.nan)),
+    )
+    report = check_logdet_shift(instances=50, seed=0)
+    assert report.max_violation == np.inf
+    assert not report.passed
 
 
 def test_variance_reduction_catches_a_corrupted_likelihood(monkeypatch):
