@@ -9,6 +9,7 @@ mean-range restriction, no finite outcome set) that
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -305,11 +306,11 @@ class StudentTNoise(Noise):
         return float(mean + self.scale * rng.standard_t(self.dof))
 
     def _log_norm_const(self) -> float:
-        from scipy.special import gammaln
-
+        # math.lgamma, not scipy.special.gammaln: as accurate, and a run
+        # on this noise then imports no scipy
         return float(
-            gammaln((self.dof + 1.0) / 2.0)
-            - gammaln(self.dof / 2.0)
+            math.lgamma((self.dof + 1.0) / 2.0)
+            - math.lgamma(self.dof / 2.0)
             - 0.5 * np.log(self.dof * np.pi)
             - np.log(self.scale)
         )

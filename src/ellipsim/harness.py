@@ -17,7 +17,6 @@ Carlo.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -38,6 +37,7 @@ from .linalg import CholeskyFailure, PsdMatrix, psd_order_holds
 from .posterior import DegenerateWeights, EngineConfig
 from .potential import (
     _exact_potential,
+    check_ridge,
     exact_path_applies,
     gamma1_eigs,
     identity_cap_excess,
@@ -98,8 +98,7 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not self.lam >= 1.0:
-            raise ValueError(f"lam must be >= 1, got {self.lam}")
+        check_ridge(self.lam)
         check_episode(self.prior, self.noise, self.actions, self.policy)
 
 
@@ -137,7 +136,7 @@ class RunSummary:
     checks: Dict[str, Optional[bool]]
     wall_time_seconds: float = field(default=0.0, compare=False)
 
-    FORMAT = "ellipsim-summary-v3"
+    FORMAT = "ellipsim-summary-v4"
 
     def to_dict(self) -> Dict:
         # shallow: the fields are JSON-ready already, and asdict's deep copy
@@ -209,6 +208,9 @@ def _run_replications(
     reps = range(cfg.replications)
     job = partial(_replicate, cfg, record)
     if cfg.workers > 1:
+        # imported here: a one-worker run never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, cfg.replications // (cfg.workers * 4))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             raw = list(pool.map(job, reps, chunksize=chunk))

@@ -50,9 +50,10 @@ def min_eigenvalue(mat: ArrayLike) -> float:
 class PsdMatrix:
     """A validated positive semidefinite matrix.
 
-    Construction checks squareness, symmetry (up to tolerance) and that the
-    smallest eigenvalue is >= -psd_slack. The stored array is the
-    symmetrized copy, marked read-only so shared references cannot drift.
+    Construction checks squareness, finite entries, symmetry (up to
+    tolerance) and that the smallest eigenvalue is >= -psd_slack. The
+    stored array is the symmetrized copy, marked read-only so shared
+    references cannot drift.
 
     Use :meth:`unchecked` on hot paths where the producer already
     guarantees the invariants; it only symmetrizes and freezes.
@@ -64,6 +65,14 @@ class PsdMatrix:
         arr = np.asarray(mat, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            bad = np.argwhere(~finite)
+            i, j = bad[0]
+            more = f" and {len(bad) - 1} more" if len(bad) > 1 else ""
+            raise ValueError(
+                f"matrix entries must be finite, got {arr[i, j]} at ({i}, {j}){more}"
+            )
         if not is_symmetric(arr):
             raise ValueError("matrix is not symmetric within tolerance")
         sym = symmetrize(arr)

@@ -133,6 +133,15 @@ def ridge_excess(
     return max(quad_sum - logdet_rhs, logdet_rhs - ridge_potential_bound(t, dim, lam))
 
 
+def check_ridge(lam: float) -> None:
+    """Refuse an eq. 1 ridge outside ``1 <= lam < inf``: the dimension
+    bound needs ``lam >= 1``, and an infinite ridge has no log det."""
+    if not lam >= 1.0:
+        raise ValueError(f"lam must be >= 1, got {lam}")
+    if lam == math.inf:
+        raise ValueError(f"lam must be finite, got {lam}")
+
+
 class ClassicalPotential:
     """Deterministic ridge-covariance potential tracker.
 
@@ -145,8 +154,7 @@ class ClassicalPotential:
     def __init__(self, dim: int, lam: float = 1.0):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        if not lam >= 1.0:
-            raise ValueError(f"lam must be >= 1 for the dimension bound, got {lam}")
+        check_ridge(lam)
         self.dim = dim
         self.lam = lam
         self.cov = np.eye(dim) / lam

@@ -357,7 +357,7 @@ def test_run_bandit_writes_all_outputs(tmp_path, capsys):
     assert "pass_eq1: true" in printed
 
     summary = json.loads((out_dir / "summary.json").read_text())
-    assert summary["format"] == "ellipsim-summary-v3"
+    assert summary["format"] == "ellipsim-summary-v4"
     assert summary["checks"]["pass_eq4"] is True
     assert "wall_time_seconds" not in summary
 
@@ -483,6 +483,34 @@ def test_run_bandit_lam_below_one_is_a_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "config error: experiment: lam must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_run_bandit_infinite_lam_is_a_config_error(tmp_path, capsys):
+    text = BANDIT_YAML.replace("master_seed: 3\n", "master_seed: 3\n  lam: .inf\n")
+    cfg = write(tmp_path, "run.yaml", text)
+    code = main(["run-bandit", "--config", cfg, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "config error: experiment: lam must be finite, got inf" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "value, shown", [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")]
+)
+def test_run_bandit_non_finite_prior_cov_is_a_config_error(
+    tmp_path, capsys, value, shown
+):
+    text = BANDIT_YAML.replace("[[1.0, 0.0]", f"[[{value}, 0.0]")
+    cfg = write(tmp_path, "run.yaml", text)
+    code = main(["run-bandit", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: prior: matrix entries must be finite, got {shown} at (0, 0)"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_bandit_incompatible_engine_is_a_config_error(tmp_path, capsys):

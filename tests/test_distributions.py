@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 
 from ellipsim import config as config_mod
@@ -309,6 +310,22 @@ def test_student_t_likelihood_is_the_one_line_expression_bit_for_bit(dof, scale)
         z = (y - means) / scale
         ref = np.exp(noise._log_const - (dof + 1.0) / 2.0 * np.log1p(z * z / dof))
         assert np.array_equal(noise.likelihood(y, means), ref)
+
+
+@pytest.mark.parametrize("scale", [0.01, 0.5, 1.0, 2.3, 100.0])
+def test_student_t_log_constant_matches_scipy_gammaln(scale):
+    # the constant cancels lgamma terms near 70 down to about 0.23, so
+    # both sides round at the scale of the terms, not of the result
+    for dof in np.linspace(2.0, 60.0, 581)[1:]:
+        terms = [
+            scipy.special.gammaln((dof + 1.0) / 2.0),
+            -scipy.special.gammaln(dof / 2.0),
+            -0.5 * np.log(dof * np.pi),
+            -np.log(scale),
+        ]
+        ref = sum(terms)
+        got = StudentTNoise(dof=dof, scale=scale)._log_const
+        assert abs(got - ref) <= 1e-14 * sum(abs(t) for t in terms), dof
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,8 @@ def test_config_validation():
         small_config(lam=0.5)
     with pytest.raises(ValueError, match="lam must be >= 1, got nan"):
         small_config(lam=float("nan"))
+    with pytest.raises(ValueError, match="lam must be finite, got inf"):
+        small_config(lam=float("inf"))
 
 
 def test_config_describes_the_verifier_episodes():

@@ -68,6 +68,15 @@ class TestPsdMatrix:
         with pytest.raises(ValueError, match="symmetric"):
             PsdMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    # named as non-finite, not as asymmetric, and without a RuntimeWarning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries_before_symmetry(self, bad):
+        with pytest.raises(ValueError, match=rf"must be finite, got {bad} at \(0, 1\)$"):
+            PsdMatrix(np.array([[1.0, bad], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match=rf"got {bad} at \(1, 0\) and 1 more$"):
+            PsdMatrix(np.array([[1.0, 0.0], [bad, bad]]))
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             PsdMatrix(np.diag([1.0, -1e-3]))

@@ -127,6 +127,9 @@ def test_classical_rejects_long_actions_and_small_lambda():
     # a NaN ridge would give NaN quadratic forms
     with pytest.raises(ValueError, match="got nan"):
         ClassicalPotential(dim=2, lam=float("nan"))
+    # nor has an infinite ridge a log det
+    with pytest.raises(ValueError, match="lam must be finite, got inf"):
+        ClassicalPotential(dim=2, lam=float("inf"))
 
 
 def test_classical_rejects_over_norm_actions_where_linalg_norm_does():
