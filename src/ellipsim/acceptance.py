@@ -39,11 +39,7 @@ from .posterior import (
     counterexample_report,
 )
 from .potential import gamma1_eigs, identity_cap_excess
-from .reporting import (
-    write_potential_csv_from_summary,
-    write_regret_curve_csv,
-    write_summary_json,
-)
+from .reporting import write_bandit_outputs
 from .tolerances import INEQUALITY_SLACK, MONTE_CARLO_SLACK_SE
 from .verify import run_check
 
@@ -340,26 +336,19 @@ def engine_cross_validation_criterion(seed: int = 0) -> Verdict:
 
 
 def determinism_criterion(seed: int = 0) -> Verdict:
-    """Identical seeds must give byte-identical CSV/JSON artifacts."""
+    """Identical seeds must give byte-identical artifacts: two runs, each
+    written by ``run-bandit``'s own writer, must write the same files with
+    the same bytes."""
     cfg = config_bernoulli_d3(seed)
-    mismatched: List[str] = []
     with tempfile.TemporaryDirectory() as tmp:
-        dirs = [os.path.join(tmp, "first"), os.path.join(tmp, "second")]
-        for out in dirs:
-            summary = run_experiment(cfg)
-            write_summary_json(os.path.join(out, "summary.json"), summary)
-            write_regret_curve_csv(os.path.join(out, "regret_curve.csv"), summary)
-            write_potential_csv_from_summary(
-                os.path.join(out, "potential.csv"), summary
-            )
-        for name in ("summary.json", "regret_curve.csv", "potential.csv"):
-            first = os.path.join(dirs[0], name)
-            second = os.path.join(dirs[1], name)
-            if not filecmp.cmp(first, second, shallow=False):
-                mismatched.append(name)
-    return not mismatched, (
-        "" if not mismatched else f"files differ: {', '.join(mismatched)}"
-    )
+        first, second = os.path.join(tmp, "first"), os.path.join(tmp, "second")
+        for out in (first, second):
+            write_bandit_outputs(out, run_experiment(cfg))
+        names = sorted(set(os.listdir(first)) | set(os.listdir(second)))
+        # a file missing on one side cannot be compared, and differs
+        _, mismatched, missing = filecmp.cmpfiles(first, second, names, shallow=False)
+    differ = sorted(mismatched + missing)
+    return not differ, "" if not differ else f"files differ: {', '.join(differ)}"
 
 
 CRITERIA: Tuple[Tuple[int, str, Callable[[int], Verdict]], ...] = (

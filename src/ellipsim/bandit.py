@@ -156,7 +156,8 @@ ActionSetGenerator = Union[
 
 
 class EpisodeFailure(RuntimeError):
-    """An engine or noise error occurred inside an episode."""
+    """The posterior engine degraded at ``round_index``; ``cause`` is its
+    ``DegenerateWeights`` or ``CholeskyFailure``."""
 
     def __init__(self, round_index: int, cause: Exception):
         super().__init__(f"round {round_index}: {cause}")
@@ -241,8 +242,9 @@ def run_episode(
 
     The draw order per round is fixed (action set, then policy sample,
     then reward), so a single generator yields reproducible episodes.
-    Engine and noise errors are re-raised as :class:`EpisodeFailure`
-    carrying the offending round index.
+    A degraded engine is re-raised as :class:`EpisodeFailure` carrying the
+    offending round index; every other error, such as a reward mean out of
+    range or a negative regret, propagates as itself.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -278,12 +280,12 @@ def run_episode(
             # the same BLAS dot as @, without the matmul dispatch's overhead
             y = sample_reward(noise, float(chosen.dot(theta_star)), rng)
             state.update(chosen, y)
-        except (DegenerateWeights, MeanOutOfRange, CholeskyFailure) as exc:
+        except (DegenerateWeights, CholeskyFailure) as exc:
             raise EpisodeFailure(t, exc) from exc
         gap = float(theta_star.dot(best - chosen))
         if gap < -REGRET_SLACK:
-            raise EpisodeFailure(
-                t, RuntimeError(f"negative regret {gap} against the optimal action")
+            raise RuntimeError(
+                f"round {t}: negative regret {gap} against the optimal action"
             )
         actions[t] = chosen
         optimal[t] = best

@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import os
 import sys
+import time
 from typing import List, Optional
 
 from . import acceptance as acceptance_mod
@@ -94,13 +94,7 @@ def cmd_potential_trace(args: argparse.Namespace) -> int:
         cfg, master_seed=_resolve_seed(args.seed, cfg.master_seed)
     )
     report = verify_expected_potential(cfg)
-    out = args.out
-    reporting.write_potential_csv_from_report(
-        os.path.join(out, "potential.csv"), report
-    )
-    reporting.write_verification_json(
-        os.path.join(out, "verification.json"), report
-    )
+    reporting.write_trace_outputs(args.out, report)
     mode = "exact" if report.exact else f"{report.replications} replications"
     print(f"expected potential sum ({mode}): {report.mean_total:.6g}")
     print(f"bound 2*max(sigma^2,1)*logdet  : {report.bound:.6g}")
@@ -115,18 +109,13 @@ def cmd_run_bandit(args: argparse.Namespace) -> int:
         master_seed=_resolve_seed(args.seed, cfg.master_seed),
         workers=_resolve_workers(args.workers, cfg.workers),
     )
+    start = time.perf_counter()
     summary = run_experiment(cfg)
-    out = args.out
-    reporting.write_summary_json(os.path.join(out, "summary.json"), summary)
-    reporting.write_regret_curve_csv(
-        os.path.join(out, "regret_curve.csv"), summary
-    )
-    reporting.write_potential_csv_from_summary(
-        os.path.join(out, "potential.csv"), summary
-    )
+    seconds = time.perf_counter() - start
+    reporting.write_bandit_outputs(args.out, summary)
     print(
         f"completed {summary.completed}/{summary.replications} replications "
-        f"in {summary.wall_time_seconds:.1f} s ({summary.failed} failed)"
+        f"in {seconds:.1f} s ({summary.failed} failed)"
     )
     print(
         f"final mean regret {summary.final_mean_regret:.6g} "

@@ -43,7 +43,7 @@ from .distributions import (
 )
 from .harness import MONTE_CARLO_MIN_REPLICATIONS, ExperimentConfig
 from .linalg import PsdMatrix
-from .posterior import EngineConfig, IncompatibleEngine, check_engine_compatible
+from .posterior import EngineConfig, IncompatibleEngine
 from .potential import exact_path_applies
 from .verify import DEFAULT_SIZES
 
@@ -259,17 +259,13 @@ _EXPERIMENT_KEYS = tuple(
 def _parse_sections(
     doc: Mapping, job: str, job_keys: Sequence[str]
 ) -> Tuple[Mapping, Prior, Noise, EngineConfig]:
-    """The job section, prior, noise and an engine that can represent them."""
+    """The job section, prior, noise and engine."""
     _check_keys(doc, (job,) + _FAMILY_SECTIONS, "<root>")
     sec = _section(doc, job)
     _check_keys(sec, job_keys, job)
     prior = build_prior(_section(doc, "prior"))
     noise = build_noise(_section(doc, "noise"))
     engine = build_engine(_section(doc, "engine", required=False))
-    try:
-        check_engine_compatible(prior, noise, engine)
-    except IncompatibleEngine as exc:
-        raise ConfigError("engine", str(exc)) from exc
     return sec, prior, noise, engine
 
 
@@ -277,9 +273,13 @@ def _experiment_config(
     path: str, mean_path: Optional[str] = None, **values: Any
 ) -> ExperimentConfig:
     """``ExperimentConfig(**values)``, refused as a :class:`ConfigError` on
-    ``path``, or on ``mean_path`` when a reward mean range is uncertified."""
+    ``engine`` when the engine cannot represent the prior and noise, on
+    ``mean_path`` (default ``path``) when a reward mean range is
+    uncertified, and otherwise on ``path``."""
     try:
         return ExperimentConfig(**values)
+    except IncompatibleEngine as exc:
+        raise ConfigError("engine", str(exc)) from exc
     except MeanOutOfRange as exc:
         raise ConfigError(mean_path or path, str(exc)) from exc
     except ValueError as exc:

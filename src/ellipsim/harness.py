@@ -16,8 +16,7 @@ Carlo.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -33,8 +32,8 @@ from .bandit import (
     run_episode,
 )
 from .distributions import Noise, Prior
-from .linalg import CholeskyFailure, PsdMatrix, psd_order_holds
-from .posterior import DegenerateWeights, EngineConfig
+from .linalg import PsdMatrix, psd_order_holds
+from .posterior import EngineConfig, check_engine_compatible
 from .potential import (
     _exact_potential,
     check_ridge,
@@ -70,7 +69,9 @@ class ExcessiveFailures(RuntimeError):
 class ExperimentConfig:
     """Everything needed to reproduce one experiment.
 
-    Any episode :func:`~ellipsim.bandit.run_episode` plays.
+    Any episode :func:`~ellipsim.bandit.run_episode` plays, on an engine
+    that can represent its prior and noise (checked first, raising
+    :class:`~ellipsim.posterior.IncompatibleEngine`).
     :func:`run_experiment` and :func:`verify_expected_potential` both take
     one; for the verifier ``policy`` is the action rule. ``lam`` is eq. 1's
     ridge, which only the regret job replays.
@@ -88,6 +89,7 @@ class ExperimentConfig:
     lam: float = 1.0
 
     def __post_init__(self):
+        check_engine_compatible(self.prior, self.noise, self.engine)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.replications < 1:
@@ -104,10 +106,9 @@ class ExperimentConfig:
 
 @dataclass
 class RunSummary:
-    """Reduced results of one experiment.
+    """Reduced results of one experiment; every field is serialized.
 
-    ``wall_time_seconds`` is informational only and deliberately left out
-    of :meth:`to_dict`, so serialized summaries from identical configs are
+    It holds no timing, so summaries from identical configs are
     byte-identical across reruns.
     """
 
@@ -134,7 +135,6 @@ class RunSummary:
     eq1_max_violation: float
     bounds: Dict[str, Optional[float]]
     checks: Dict[str, Optional[bool]]
-    wall_time_seconds: float = field(default=0.0, compare=False)
 
     FORMAT = "ellipsim-summary-v4"
 
@@ -142,7 +142,6 @@ class RunSummary:
         # shallow: the fields are JSON-ready already, and asdict's deep copy
         # of the config echo costs milliseconds at d = 100
         data = {f.name: getattr(self, f.name) for f in fields(self)}
-        del data["wall_time_seconds"]
         return {"format": self.FORMAT, **data}
 
     @property
@@ -157,8 +156,8 @@ def _replicate(cfg: ExperimentConfig, record: Callable[..., Dict], rep: int) -> 
     """Run one replication; returns ``record(cfg, episode)``, the arrays
     a job keeps of it, or an error record.
 
-    Only a degraded engine gives an error record; other episode errors
-    are raised.
+    An :class:`~ellipsim.bandit.EpisodeFailure`, a degraded engine, gives
+    the error record; every other episode error propagates as itself.
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, rep]))
     try:
@@ -172,8 +171,6 @@ def _replicate(cfg: ExperimentConfig, record: Callable[..., Dict], rep: int) -> 
             policy=cfg.policy,
         )
     except EpisodeFailure as exc:
-        if not isinstance(exc.cause, (DegenerateWeights, CholeskyFailure)):
-            raise exc.cause from None
         return {
             "replication": rep,
             "round": exc.round_index,
@@ -203,16 +200,19 @@ def _run_replications(
 ) -> Tuple[List[Dict], List[Dict]]:
     """Run every replication in index order; returns (successes, failures).
 
-    Past ``REPLICATION_FAILURE_SHARE`` failures raise :class:`ExcessiveFailures`.
+    The pool has ``min(cfg.workers, cfg.replications)`` processes, and a
+    pool of one is no pool: those replications run in this process. Past
+    ``REPLICATION_FAILURE_SHARE`` failures raise :class:`ExcessiveFailures`.
     """
     reps = range(cfg.replications)
     job = partial(_replicate, cfg, record)
-    if cfg.workers > 1:
-        # imported here: a one-worker run never loads the pool machinery
+    workers = min(cfg.workers, cfg.replications)
+    if workers > 1:
+        # imported here: an in-process run never loads the pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, cfg.replications // (cfg.workers * 4))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        chunk = max(1, cfg.replications // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(job, reps, chunksize=chunk))
     else:
         raw = [job(rep) for rep in reps]
@@ -259,7 +259,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     """
     if cfg.policy not in REGRET_POLICIES:
         raise ValueError(f"unknown policy {cfg.policy!r}")
-    start = time.perf_counter()
     # config imports this module
     from .config import experiment_to_dict
 
@@ -336,7 +335,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
         eq1_max_violation=float(eq1_violation),
         bounds=bounds,
         checks=checks,
-        wall_time_seconds=time.perf_counter() - start,
     )
 
 

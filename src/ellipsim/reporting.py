@@ -107,6 +107,21 @@ def write_verification_json(path: str, report: VerificationReport) -> None:
     _write_lines(path, [dump_json(report.to_dict()).rstrip("\n")])
 
 
+def write_bandit_outputs(out: str, summary: RunSummary) -> None:
+    """``run-bandit``'s files in directory ``out``: summary.json,
+    regret_curve.csv and potential.csv."""
+    write_summary_json(os.path.join(out, "summary.json"), summary)
+    write_regret_curve_csv(os.path.join(out, "regret_curve.csv"), summary)
+    write_potential_csv_from_summary(os.path.join(out, "potential.csv"), summary)
+
+
+def write_trace_outputs(out: str, report: VerificationReport) -> None:
+    """``potential-trace``'s files in directory ``out``: potential.csv and
+    verification.json."""
+    write_potential_csv_from_report(os.path.join(out, "potential.csv"), report)
+    write_verification_json(os.path.join(out, "verification.json"), report)
+
+
 def lemma_table(reports: List[FuzzReport]) -> str:
     header = (
         f"{'check':<28} {'instances':>8} {'max violation':>14} "

@@ -6,7 +6,9 @@ pinned reference value fails loudly, its message naming the numbers
 it found.
 """
 import ast
+import dataclasses
 import inspect
+import os
 
 import pytest
 
@@ -60,6 +62,30 @@ def test_criterion_facts_are_written_once():
             args = func.args.args
             defaulted = [a.arg for a in args[len(args) - len(func.args.defaults):]]
             assert "instances" not in defaulted, func.name
+
+
+@pytest.mark.parametrize("first_call_only", [False, True], ids=["bytes", "missing"])
+def test_determinism_compares_every_file_the_writer_writes(monkeypatch, first_call_only):
+    # a writer that adds one file, with new bytes on each call or on the
+    # first call only, must fail criterion 11 on that file, with no name
+    # list kept by the criterion
+    tiny = dataclasses.replace(
+        acceptance_mod.config_bernoulli_d3(), horizon=5, replications=2
+    )
+    monkeypatch.setattr(acceptance_mod, "config_bernoulli_d3", lambda seed: tiny)
+    calls = []
+    write_bandit_outputs = acceptance_mod.write_bandit_outputs
+
+    def writes_one_more(out, summary):
+        write_bandit_outputs(out, summary)
+        calls.append(out)
+        if len(calls) == 1 or not first_call_only:
+            with open(os.path.join(out, "stamp.txt"), "w") as fh:
+                fh.write(str(len(calls)))
+
+    monkeypatch.setattr(acceptance_mod, "write_bandit_outputs", writes_one_more)
+    assert acceptance_mod.determinism_criterion() == (False, "files differ: stamp.txt")
+    assert len(calls) == 2
 
 
 def test_unknown_criterion_number():

@@ -235,6 +235,28 @@ def test_mean_range_validation_rejects_signed_action_sets():
         )
 
 
+def test_adversarial_mean_out_of_range_is_raised_as_itself():
+    # the 4-atom d=3 prior of the benchmark's design notes: the top
+    # eigendirection of the prior covariance has a negative entry, so the
+    # first reward mean leaves [0, 1]; no engine degraded, so the error is
+    # not wrapped in EpisodeFailure
+    from ellipsim.distributions import MeanOutOfRange
+
+    prior = FiniteSupportPrior(
+        atoms=np.array(
+            [[0.2, 0.1, 0.3], [0.5, 0.2, 0.1], [0.1, 0.4, 0.2], [0.3, 0.3, 0.3]]
+        ),
+        weights=np.full(4, 0.25),
+    )
+    with pytest.raises(MeanOutOfRange) as info:
+        run_episode(
+            prior, BernoulliMeanNoise(), UnitSphereGenerator(3),
+            EngineConfig(kind="finite_support"), horizon=4,
+            rng=np.random.default_rng(SEED), policy="adversarial",
+        )
+    assert type(info.value) is MeanOutOfRange
+
+
 def test_episode_rejects_bad_arguments():
     prior = GaussianPrior(mean=np.zeros(2), cov=PsdMatrix.identity(2))
     gen = KArmedGaussianGenerator(k=3, dim=2)

@@ -1,10 +1,14 @@
 import ast
+import concurrent.futures
+import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import ellipsim.harness as harness_mod
-from ellipsim.bandit import EpisodeFailure, KArmedGaussianGenerator, UnitSphereGenerator
+from ellipsim.bandit import KArmedGaussianGenerator, UnitSphereGenerator
+from ellipsim.cli import main
 from ellipsim.distributions import (
     FiniteSupportPrior,
     GaussianNoise,
@@ -17,7 +21,7 @@ from ellipsim.harness import (
     run_experiment,
 )
 from ellipsim.linalg import PsdMatrix
-from ellipsim.posterior import EngineConfig
+from ellipsim.posterior import EngineConfig, IncompatibleEngine
 from ellipsim.reporting import format_float, write_potential_csv_from_summary
 
 
@@ -50,6 +54,12 @@ def test_config_validation():
         small_config(lam=float("nan"))
     with pytest.raises(ValueError, match="lam must be finite, got inf"):
         small_config(lam=float("inf"))
+
+
+def test_config_refuses_an_engine_that_cannot_represent_its_prior():
+    # refused at construction, not inside the first replication
+    with pytest.raises(IncompatibleEngine, match="finite_support requires"):
+        small_config(engine=EngineConfig(kind="finite_support"))
 
 
 def test_config_describes_the_verifier_episodes():
@@ -114,11 +124,53 @@ def test_worker_count_never_changes_results():
     assert one.to_dict() == two.to_dict()
 
 
-def test_wall_time_not_serialized():
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records the pool size asked
+    for and maps in this process, so no process is started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("replications, pools", [(3, [3]), (1, [])])
+def test_pool_is_never_larger_than_the_run(monkeypatch, replications, pools):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    in_process = run_experiment(small_config(replications=replications, horizon=5))
+    pooled = run_experiment(
+        small_config(replications=replications, horizon=5, workers=64)
+    )
+    assert RecordingPool.sizes == pools
+    assert pooled.to_dict() == in_process.to_dict()
+
+
+def test_wall_time_not_serialized(tmp_path, capsys):
+    # the summary holds no timing; run-bandit times the run itself
     summary = run_experiment(small_config(replications=2, horizon=5))
-    payload = summary.to_dict()
-    assert "wall_time_seconds" not in payload
-    assert summary.wall_time_seconds > 0
+    assert not any("time" in f.name for f in dataclasses.fields(summary))
+    assert not any("time" in key for key in summary.to_dict())
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        "experiment: {horizon: 5, replications: 2}\n"
+        "prior: {kind: gaussian, mean: [0.0, 0.0], cov: [[1.0, 0.0], [0.0, 1.0]]}\n"
+        "noise: {kind: gaussian, sd: 1.0}\n"
+        "engine: {kind: gaussian_conjugate}\n"
+        "actions: {kind: karmed_gaussian, k: 4}\n"
+    )
+    assert main(["run-bandit", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    timing = r"^completed 2/2 replications in \d+\.\d s \(0 failed\)$"
+    assert re.search(timing, capsys.readouterr().out, re.M)
 
 
 def test_single_replication_singleton_prior_has_zero_regret():
@@ -189,8 +241,10 @@ def test_failure_budget_aborts_run(monkeypatch):
 def test_episode_error_other_than_engine_degradation_is_raised_as_itself(
     monkeypatch,
 ):
+    # run_episode raises MeanOutOfRange itself; only a degraded engine is
+    # wrapped in EpisodeFailure
     def out_of_range(*args, **kwargs):
-        raise EpisodeFailure(3, MeanOutOfRange("Bernoulli mean must lie in [0, 1]"))
+        raise MeanOutOfRange("Bernoulli mean must lie in [0, 1]")
 
     monkeypatch.setattr(harness_mod, "run_episode", out_of_range)
     with pytest.raises(MeanOutOfRange) as info:

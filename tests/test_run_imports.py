@@ -4,7 +4,8 @@ Each case runs ``ellipsim.cli.main`` in a fresh interpreter and lists what
 it left in ``sys.modules``. Finite-support, particle and exact-lattice
 runs on one worker need no scipy, since the Student-t constant is
 ``math.lgamma``, and no process pool, which ``harness`` imports only for
-more than one worker. The conjugate engine's solves still load
+a pool of more than one process; a one-replication run has none at any
+worker count. The conjugate engine's solves still load
 ``scipy.linalg``; that case shows the probe sees a lazy import.
 """
 import json
@@ -14,6 +15,7 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -57,6 +59,16 @@ def heavy_modules_after(argv, out):
 )
 def test_a_one_worker_run_imports_no_scipy_and_no_pool(argv, tmp_path):
     assert heavy_modules_after([str(a) for a in argv], tmp_path) == (0, [])
+
+
+def test_a_one_replication_run_starts_no_pool_at_any_worker_count(tmp_path):
+    # the pool is sized by the run: one replication needs no pool at all
+    doc = yaml.safe_load((GOLDEN / "finite_bernoulli_d3.yaml").read_text())
+    doc["experiment"]["replications"] = 1
+    config = tmp_path / "one_replication.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    argv = ["run-bandit", "--config", str(config), "--workers", "4"]
+    assert heavy_modules_after(argv, tmp_path) == (0, [])
 
 
 def test_the_conjugate_engine_still_loads_scipy_linalg(tmp_path):
