@@ -4,10 +4,15 @@ Six checks, each fuzzing one inequality over random instances:
 
   classical-potential   quadratic-form sum vs the log-det telescoping
   logdet-concavity      Jensen gap of log det on PSD mixtures
-  logdet-variational    log det x <= log det y + tr(y^-1 x) - d
-  logdet-shift          one observation never raises log det
+  logdet-variational    log det(I + S^1/2 L S^1/2) <= log det(I + x S) for
+                        every PSD L <= x I, with equality at L = x I
+  logdet-shift          log(1 + v'S v) + log det(I + x S_v) <= log det(I + (x + v'v) S),
+                        S_v being S conditioned on one unit-noise observation along v
   variance-reduction    expected posterior covariance contraction
   trace-cauchy-schwarz  E[x.z]^2 <= d tr(E[xx^T] E[zz^T])
+
+Here S is a random PSD matrix, L a PSD matrix, x > 0 a budget and v a
+vector of norm at most 1.
 
 A check passes when the worst violation over all instances stays under
 its tolerance. Everything is seeded, so reruns reproduce exactly.

@@ -118,7 +118,7 @@ def config_student_t_d3(seed: int = 0) -> ExperimentConfig:
 
 
 def _fuzz(*names: str) -> Callable[[int], Verdict]:
-    """A criterion that runs the named :mod:`~ellipsim.verify` checks at
+    """A criterion that runs the named :data:`~ellipsim.verify.CHECKS` at
     their default instance counts and passes when every one does."""
 
     def criterion(seed: int) -> Verdict:
@@ -240,6 +240,7 @@ def monte_carlo_criterion(seed: int = 0) -> Verdict:
             horizon=200,
             replications=500,
             master_seed=seed + 6,
+            workers=env_workers(default=1),
             policy="adversarial",
         )
     )

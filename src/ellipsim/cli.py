@@ -26,7 +26,7 @@ from .config import (
 from .distributions import MeanOutOfRange
 from .harness import ExcessiveFailures, run_experiment, verify_expected_potential
 from .posterior import DegenerateWeights, counterexample_report
-from .verify import DEFAULT_SIZES, run_all_checks
+from .verify import CHECKS, run_all_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -56,7 +56,7 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
     if args.instances is not None:
         if args.instances < 1:
             raise ConfigError("--instances", f"must be >= 1, got {args.instances}")
-        sizes = {name: args.instances for name in DEFAULT_SIZES}
+        sizes = {name: args.instances for name in CHECKS}
     reports = run_all_checks(sizes=sizes, seed=seed)
     print(reporting.lemma_table(reports))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED

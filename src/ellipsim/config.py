@@ -45,7 +45,7 @@ from .harness import MONTE_CARLO_MIN_REPLICATIONS, ExperimentConfig
 from .linalg import PsdMatrix
 from .posterior import EngineConfig, IncompatibleEngine
 from .potential import exact_path_applies
-from .verify import DEFAULT_SIZES
+from .verify import CHECKS
 
 
 class ConfigError(ValueError):
@@ -321,10 +321,10 @@ def build_lemma_run(doc: Mapping) -> Tuple[Dict[str, int], int]:
     each check the document names, and the seed. All fields optional."""
     _check_keys(doc, ("lemmas",), "<root>")
     sec = _section(doc, "lemmas", required=False) or {}
-    allowed = ("seed",) + tuple(DEFAULT_SIZES)
+    allowed = ("seed",) + tuple(CHECKS)
     _check_keys(sec, allowed, "lemmas")
     sizes: Dict[str, int] = {}
-    for name in DEFAULT_SIZES:
+    for name in CHECKS:
         if name in sec:
             count = _as_int(sec[name], f"lemmas.{name}")
             if count < 1:

@@ -15,7 +15,8 @@ Two related quantities are tracked along an action sequence:
   quadratic forms are controlled by a log-det telescope; it depends only
   on the actions, so :func:`ridge_replay_excess` replays
   :class:`ClassicalPotential` over them after an episode, and over the
-  random sequences of :func:`ellipsim.verify.check_classical_potential`;
+  random sequences of the ``classical-potential`` check in
+  :data:`ellipsim.verify.CHECKS`;
 * the general posterior potential, where the quadratic form is taken in
   the posterior covariance of the parameter, which is random and need not
   shrink on any single round; :class:`PotentialTrace` records it as the
@@ -30,9 +31,10 @@ a vector of path probabilities, advanced by array operations over all its
 nodes at once. The one-step branch, a finite-support posterior reweighted
 by every outcome's likelihood, is written once, as
 :func:`enumerate_posterior_outcomes`: the lattice branches each frontier
-through it and :func:`ellipsim.verify.check_variance_reduction` one
-posterior. The verifier that chooses between this and a Monte Carlo
-estimate over episodes lives in :mod:`ellipsim.harness`.
+through it and the ``variance-reduction`` check of
+:data:`ellipsim.verify.CHECKS` one posterior. The verifier that chooses
+between this and a Monte Carlo estimate over episodes lives in
+:mod:`ellipsim.harness`.
 """
 from __future__ import annotations
 

@@ -128,5 +128,9 @@ def lemma_table(reports: List[FuzzReport]) -> str:
         f"{'tolerance':>10}  result"
     )
     rows = [header, "-" * len(header)]
-    rows.extend(report.summary_line() for report in reports)
+    for r in reports:
+        rows.append(
+            f"{r.name:<28} {r.instances:>8} {r.max_violation:>14.3e} "
+            f"{r.tolerance:>10.1e}  {'pass' if r.passed else 'FAIL'}"
+        )
     return "\n".join(rows)

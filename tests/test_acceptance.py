@@ -9,6 +9,7 @@ import ast
 import dataclasses
 import inspect
 import os
+import types
 
 import pytest
 
@@ -55,13 +56,17 @@ def test_criterion_facts_are_written_once():
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "CriterionResult"
     ]
     assert builders == ["run_criterion"]
-    # instance counts live in verify.DEFAULT_SIZES, not in check defaults
-    tree = ast.parse(inspect.getsource(verify_mod))
-    for func in ast.walk(tree):
-        if isinstance(func, ast.FunctionDef) and func.name.startswith("check_"):
-            args = func.args.args
-            defaulted = [a.arg for a in args[len(args) - len(func.args.defaults):]]
-            assert "instances" not in defaulted, func.name
+    # a check's instance count and tolerance live in its verify.CHECKS row:
+    # each instance function takes only its generator, no verify function
+    # takes a tolerance, and run_check's count defaults to the row's
+    for name, (_, instance, _, _) in verify_mod.CHECKS.items():
+        assert list(inspect.signature(instance).parameters) == ["rng"], name
+    for name, func in inspect.getmembers(verify_mod, inspect.isfunction):
+        if func.__module__ == verify_mod.__name__:
+            params = inspect.signature(func).parameters
+            assert "tol" not in params, name
+            if "instances" in params:
+                assert params["instances"].default is None, name
 
 
 @pytest.mark.parametrize("first_call_only", [False, True], ids=["bytes", "missing"])
@@ -98,6 +103,21 @@ def test_workers_env_var_sets_criterion_worker_count(monkeypatch):
     assert config_gaussian_d5().workers == 1
     monkeypatch.setenv("ELLIPSIM_WORKERS", "3")
     assert config_gaussian_d5().workers == 3
+
+
+def test_monte_carlo_criterion_reads_workers_env_var(monkeypatch):
+    # criterion 6 fans out like criteria 8 and 11; its verdict does not
+    # depend on the worker count, so only the config is checked
+    monkeypatch.setenv("ELLIPSIM_WORKERS", "2")
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg)
+        return types.SimpleNamespace(holds=True)
+
+    monkeypatch.setattr(acceptance_mod, "verify_expected_potential", record)
+    assert acceptance_mod.monte_carlo_criterion() == (True, "")
+    assert [cfg.workers for cfg in seen] == [2]
 
 
 @pytest.mark.parametrize("raw", ["many", "0"])

@@ -8,48 +8,32 @@ import pytest
 import ellipsim.verify as verify
 from ellipsim.distributions import BernoulliMeanNoise
 from ellipsim.linalg import PsdMatrix
-from ellipsim.verify import (
-    DEFAULT_SIZES,
-    check_classical_potential,
-    check_logdet_concavity,
-    check_logdet_shift,
-    check_logdet_variational,
-    check_trace_cauchy_schwarz,
-    check_variance_reduction,
-    run_all_checks,
-)
+from ellipsim.reporting import lemma_table
+from ellipsim.verify import CHECKS, run_all_checks, run_check
 
 SMALL = 60
 
 
 @pytest.mark.parametrize(
-    "check",
-    [
-        check_classical_potential,
-        check_logdet_concavity,
-        check_logdet_variational,
-        check_logdet_shift,
-        check_variance_reduction,
-        check_trace_cauchy_schwarz,
-    ],
+    "name", list(CHECKS), ids=lambda name: "check_" + name.replace("-", "_")
 )
-def test_checks_pass_at_reduced_size(check):
-    report = check(instances=SMALL, seed=3)
-    assert report.passed, report.summary_line()
+def test_checks_pass_at_reduced_size(name):
+    report = run_check(name, seed=3, instances=SMALL)
+    assert report.passed, report
     assert report.instances == SMALL
 
 
 def test_checks_are_seed_deterministic():
-    a = check_logdet_concavity(instances=40, seed=9)
-    b = check_logdet_concavity(instances=40, seed=9)
-    c = check_logdet_concavity(instances=40, seed=10)
+    a = run_check("logdet-concavity", 9, 40)
+    b = run_check("logdet-concavity", 9, 40)
+    c = run_check("logdet-concavity", 10, 40)
     assert a.max_violation == b.max_violation
     assert a.max_violation != c.max_violation
 
 
 def test_run_all_checks_covers_every_name():
-    reports = run_all_checks(sizes={name: 25 for name in DEFAULT_SIZES}, seed=1)
-    assert sorted(r.name for r in reports) == sorted(DEFAULT_SIZES)
+    reports = run_all_checks(sizes={name: 25 for name in CHECKS}, seed=1)
+    assert sorted(r.name for r in reports) == sorted(CHECKS)
     assert all(r.passed for r in reports)
 
 
@@ -60,16 +44,35 @@ def test_run_all_checks_rejects_bad_sizes():
         run_all_checks(sizes={"logdet-shift": 0})
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_run_check_refuses_counts_below_one(count):
+    # zero instances would report a worst violation of -inf, a pass
+    with pytest.raises(ValueError, match="must be >= 1"):
+        run_check("logdet-shift", 0, count)
+
+
+def test_check_ids_are_fixed():
+    # a report's generator is seeded from (seed, id), so the ids must not move
+    assert [(name, row[0]) for name, row in CHECKS.items()] == [
+        ("classical-potential", 1),
+        ("logdet-concavity", 2),
+        ("logdet-variational", 3),
+        ("logdet-shift", 4),
+        ("variance-reduction", 5),
+        ("trace-cauchy-schwarz", 6),
+    ]
+
+
 def test_summary_line_formats_state():
-    report = check_trace_cauchy_schwarz(instances=20, seed=0)
-    line = report.summary_line()
+    report = run_check("trace-cauchy-schwarz", 0, 20)
+    line = lemma_table([report]).splitlines()[2]
     assert "trace-cauchy-schwarz" in line
     assert "pass" in line
 
 
 def test_shift_check_catches_a_missing_shrink(monkeypatch):
     monkeypatch.setattr(verify, "rank_one_shrink", lambda sigma, v: sigma)
-    report = check_logdet_shift(instances=100, seed=0)
+    report = run_check("logdet-shift", 0, 100)
     assert not report.passed
     assert report.max_violation > 0.01
 
@@ -81,7 +84,7 @@ def test_a_nan_instance_is_an_infinite_violation(monkeypatch):
         "rank_one_shrink",
         lambda sigma, v: PsdMatrix.unchecked(np.full_like(sigma.mat, np.nan)),
     )
-    report = check_logdet_shift(instances=50, seed=0)
+    report = run_check("logdet-shift", 0, 50)
     assert report.max_violation == np.inf
     assert not report.passed
 
@@ -96,7 +99,7 @@ def test_variance_reduction_catches_a_corrupted_likelihood(monkeypatch):
         return out
 
     monkeypatch.setattr(BernoulliMeanNoise, "likelihood", inflated)
-    report = check_variance_reduction(instances=100, seed=0)
+    report = run_check("variance-reduction", 0, 100)
     assert not report.passed
     assert report.max_violation > 0.01
 
@@ -108,12 +111,12 @@ def test_variance_reduction_catches_a_negated_likelihood(monkeypatch):
         "likelihood",
         lambda self, y, mean: -original(self, y, mean),
     )
-    report = check_variance_reduction(instances=50, seed=0)
+    report = run_check("variance-reduction", 0, 50)
     assert not report.passed
 
 
 def test_logdet_checks_survive_hundredfold_tighter_tolerance():
     # the inequalities are analytic; observed slack is rounding only
-    for check in (check_logdet_concavity, check_logdet_variational, check_logdet_shift):
-        report = check(instances=SMALL, seed=2, tol=1e-11)
-        assert report.passed, report.summary_line()
+    for name in ("logdet-concavity", "logdet-variational", "logdet-shift"):
+        report = run_check(name, 2, SMALL)
+        assert report.max_violation <= 1e-11, report
