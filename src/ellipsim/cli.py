@@ -7,8 +7,8 @@ usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
+import os
 import sys
 import time
 from typing import List, Optional
@@ -17,46 +17,34 @@ from . import acceptance as acceptance_mod
 from . import reporting
 from .config import (
     ConfigError,
+    at_least,
     build_experiment,
     build_lemma_run,
     build_potential_run,
-    env_workers,
     load_yaml,
 )
 from .distributions import MeanOutOfRange
 from .harness import ExcessiveFailures, run_experiment, verify_expected_potential
 from .posterior import DegenerateWeights, counterexample_report
-from .verify import CHECKS, run_all_checks
+from .verify import run_all_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 
-def _resolve_seed(flag: Optional[int], config_value: int) -> int:
-    if flag is None:
-        return config_value
-    if flag < 0:
-        raise ConfigError("--seed", f"must be >= 0, got {flag}")
-    return flag
-
-
-def _resolve_workers(flag: Optional[int], config_value: int) -> int:
-    # precedence: flag, then environment, then config
-    if flag is None:
-        return env_workers(default=config_value)
-    if flag < 1:
-        raise ConfigError("--workers", f"must be >= 1, got {flag}")
-    return flag
+def _make_out(path: str) -> None:
+    """Create the ``--out`` directory before a run, so that an unusable
+    path is refused before any replication runs."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot create output directory: {exc}") from exc
 
 
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:
-    sizes, seed = build_lemma_run(load_yaml(args.config)) if args.config else ({}, 0)
-    seed = _resolve_seed(args.seed, seed)
-    if args.instances is not None:
-        if args.instances < 1:
-            raise ConfigError("--instances", f"must be >= 1, got {args.instances}")
-        sizes = {name: args.instances for name in CHECKS}
+    doc = load_yaml(args.config) if args.config else {}
+    sizes, seed = build_lemma_run(doc, args.seed, args.instances)
     reports = run_all_checks(sizes=sizes, seed=seed)
     print(reporting.lemma_table(reports))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
@@ -89,10 +77,8 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def cmd_potential_trace(args: argparse.Namespace) -> int:
-    cfg = build_potential_run(load_yaml(args.config))
-    cfg = dataclasses.replace(
-        cfg, master_seed=_resolve_seed(args.seed, cfg.master_seed)
-    )
+    cfg = build_potential_run(load_yaml(args.config), args.seed)
+    _make_out(args.out)
     report = verify_expected_potential(cfg)
     reporting.write_trace_outputs(args.out, report)
     mode = "exact" if report.exact else f"{report.replications} replications"
@@ -103,12 +89,8 @@ def cmd_potential_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_run_bandit(args: argparse.Namespace) -> int:
-    cfg = build_experiment(load_yaml(args.config))
-    cfg = dataclasses.replace(
-        cfg,
-        master_seed=_resolve_seed(args.seed, cfg.master_seed),
-        workers=_resolve_workers(args.workers, cfg.workers),
-    )
+    cfg = build_experiment(load_yaml(args.config), args.seed, args.workers)
+    _make_out(args.out)
     start = time.perf_counter()
     summary = run_experiment(cfg)
     seconds = time.perf_counter() - start
@@ -128,7 +110,7 @@ def cmd_run_bandit(args: argparse.Namespace) -> int:
 
 
 def cmd_acceptance(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed, 0)
+    seed = at_least(args.seed, 0, "--seed")
     results = [
         acceptance_mod.run_criterion(num, seed) for num, _, _ in acceptance_mod.CRITERIA
     ]

@@ -1,8 +1,10 @@
 """YAML configuration: parsing, validation and serialization.
 
-The schema is strict: unknown keys are rejected and every error carries
-the dotted field path it refers to, so a typo in a nested section fails
-fast with a usable message instead of silently running defaults.
+The schema is strict: unknown and repeated keys are rejected and every
+error carries the dotted field path it refers to, so a typo in a nested
+section fails fast with a usable message instead of silently running
+defaults. Each command's builder also takes its flags, so a flag, the
+environment and the YAML resolve in one place.
 The schema is the classes: a prior, noise or action section's ``kind``
 picks a class from one ``kind -> class`` table, and its other keys and
 their defaults are that class's dataclass fields, as the engine
@@ -41,10 +43,9 @@ from .distributions import (
     UniformBallPrior,
     UniformCenteredNoise,
 )
-from .harness import MONTE_CARLO_MIN_REPLICATIONS, ExperimentConfig
+from .harness import ExperimentConfig, takes_exact_path
 from .linalg import PsdMatrix
 from .posterior import EngineConfig, IncompatibleEngine
-from .potential import exact_path_applies
 from .verify import CHECKS
 
 
@@ -54,6 +55,14 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+def at_least(value: int, least: int, path: str) -> int:
+    """``value``, refused on ``path`` when below ``least``: the one rule for
+    every seed, worker count and instance count, from any source."""
+    if value < least:
+        raise ConfigError(path, f"must be >= {least}, got {value}")
+    return value
 
 
 WORKERS_ENV = "ELLIPSIM_WORKERS"
@@ -71,21 +80,40 @@ def env_workers(default: Optional[int] = None) -> Optional[int]:
         value = int(raw)
     except ValueError:
         raise ConfigError(WORKERS_ENV, f"expected an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(WORKERS_ENV, f"worker count must be >= 1, got {value}")
-    return value
+    return at_least(value, 1, WORKERS_ENV)
 
 
-# libyaml's parser when PyYAML was built with it; the constructors and
-# resolvers are the same Python code, so the parsed documents are too
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, on libyaml's parser when PyYAML was built with it
+    (the constructors and resolvers are the same Python code, so the parsed
+    documents are too), refusing a key repeated in one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        # the node's own pairs: merge keys are deleted from this list in
+        # place, and merged pairs go to a new one
+        pairs = node.value
+        mapping = super().construct_mapping(node, deep=deep)
+        if len(mapping) != len(pairs):
+            # a repeated key, or merged keys
+            seen = set()
+            for key_node, _ in pairs:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping",
+                        node.start_mark,
+                        f"found duplicate key {key!r}",
+                        key_node.start_mark,
+                    )
+                seen.add(key)
+        return mapping
 
 
 def load_yaml(path: str) -> Dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.load(fh, Loader=_YAML_LOADER)
-    except OSError as exc:
+            doc = yaml.load(fh, Loader=_Loader)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("<file>", f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError("<file>", f"invalid YAML: {exc}") from exc
@@ -135,12 +163,18 @@ def _as_int(value: Any, path: str) -> int:
     return value
 
 
-def _seed(section: Mapping, key: str, path: str) -> int:
-    """The seed ``section[key]`` (default 0), refused on ``path.key`` if negative."""
-    seed = _as_int(section.get(key, 0), f"{path}.{key}")
-    if seed < 0:
-        raise ConfigError(f"{path}.{key}", f"must be >= 0, got {seed}")
-    return seed
+def _bounded(section: Mapping, key: str, path: str, least: int, default=0) -> int:
+    """The integer ``section[key]`` (``default`` when absent), refused on
+    ``path.key`` below ``least``."""
+    key_path = f"{path}.{key}"
+    return at_least(_as_int(section.get(key, default), key_path), least, key_path)
+
+
+def _seed(section: Mapping, key: str, path: str, flag: Optional[int]) -> int:
+    """The ``--seed`` flag when given, else ``section[key]`` (default 0).
+    The section's value is checked either way, each on its own path."""
+    seed = _bounded(section, key, path, 0)
+    return seed if flag is None else at_least(flag, 0, "--seed")
 
 
 def _as_bool(value: Any, path: str) -> bool:
@@ -286,8 +320,12 @@ def _experiment_config(
         raise ConfigError(path, str(exc)) from exc
 
 
-def build_experiment(doc: Mapping) -> ExperimentConfig:
-    """Assemble a full experiment from a parsed config document."""
+def build_experiment(
+    doc: Mapping, seed: Optional[int] = None, workers: Optional[int] = None
+) -> ExperimentConfig:
+    """Assemble a full experiment from a parsed config document and the
+    ``--seed`` and ``--workers`` flags. The worker count resolves as the
+    flag, then ``ELLIPSIM_WORKERS``, then ``experiment.workers``."""
     exp, prior, noise, engine = _parse_sections(doc, "experiment", _EXPERIMENT_KEYS)
     actions = build_actions(_section(doc, "actions"), prior.dim)
 
@@ -296,6 +334,12 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
     policy = _as_str(exp.get("policy", ExperimentConfig.policy), "experiment.policy")
     if policy not in REGRET_POLICIES:
         raise ConfigError("experiment", f"unknown policy {policy!r}")
+    master_seed = _seed(exp, "master_seed", "experiment", seed)
+    config_workers = _bounded(exp, "workers", "experiment", 1, ExperimentConfig.workers)
+    if workers is None:
+        workers = env_workers(default=config_workers)
+    else:
+        at_least(workers, 1, "--workers")
 
     return _experiment_config(
         "experiment",
@@ -307,37 +351,34 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
         replications=_as_int(
             _require(exp, "replications", "experiment"), "experiment.replications"
         ),
-        master_seed=_seed(exp, "master_seed", "experiment"),
-        workers=_as_int(
-            exp.get("workers", ExperimentConfig.workers), "experiment.workers"
-        ),
+        master_seed=master_seed,
+        workers=workers,
         policy=policy,
         lam=_as_float(exp.get("lam", ExperimentConfig.lam), "experiment.lam"),
     )
 
 
-def build_lemma_run(doc: Mapping) -> Tuple[Dict[str, int], int]:
+def build_lemma_run(
+    doc: Mapping, seed: Optional[int] = None, instances: Optional[int] = None
+) -> Tuple[Dict[str, int], int]:
     """``(sizes, seed)`` for the inequality checks: the instance count of
-    each check the document names, and the seed. All fields optional."""
+    each check the document names, or ``instances`` (the ``--instances``
+    flag) for every check, and the seed. All fields optional."""
     _check_keys(doc, ("lemmas",), "<root>")
     sec = _section(doc, "lemmas", required=False) or {}
     allowed = ("seed",) + tuple(CHECKS)
     _check_keys(sec, allowed, "lemmas")
-    sizes: Dict[str, int] = {}
-    for name in CHECKS:
-        if name in sec:
-            count = _as_int(sec[name], f"lemmas.{name}")
-            if count < 1:
-                raise ConfigError(
-                    f"lemmas.{name}", f"instance count must be >= 1, got {count}"
-                )
-            sizes[name] = count
-    return sizes, _seed(sec, "seed", "lemmas")
+    sizes = {name: _bounded(sec, name, "lemmas", 1) for name in CHECKS if name in sec}
+    seed = _seed(sec, "seed", "lemmas", seed)
+    if instances is not None:
+        sizes = dict.fromkeys(CHECKS, at_least(instances, 1, "--instances"))
+    return sizes, seed
 
 
-def build_potential_run(doc: Mapping) -> ExperimentConfig:
-    """The expected-potential verifier's run: ``policy`` is the action rule,
-    and the adversarial rule plays over the unit sphere."""
+def build_potential_run(doc: Mapping, seed: Optional[int] = None) -> ExperimentConfig:
+    """The expected-potential verifier's run, seeded by the ``--seed`` flag
+    when given: ``policy`` is the action rule, and the adversarial rule
+    plays over the unit sphere."""
     sec, prior, noise, engine = _parse_sections(
         doc, "potential", ("horizon", "replications", "master_seed", "action_rule")
     )
@@ -363,18 +404,13 @@ def build_potential_run(doc: Mapping) -> ExperimentConfig:
         actions=actions,
         horizon=_as_int(_require(sec, "horizon", "potential"), "potential.horizon"),
         replications=_as_int(sec.get("replications", 300), "potential.replications"),
-        master_seed=_seed(sec, "master_seed", "potential"),
+        master_seed=_seed(sec, "master_seed", "potential", seed),
         policy=rule,
     )
-    # the exact path runs no replications
-    if cfg.replications < MONTE_CARLO_MIN_REPLICATIONS and not exact_path_applies(
-        prior, noise, cfg.horizon, rule
-    ):
-        raise ConfigError(
-            "potential.replications",
-            f"the Monte Carlo path needs >= {MONTE_CARLO_MIN_REPLICATIONS}, "
-            f"got {cfg.replications}",
-        )
+    try:
+        takes_exact_path(cfg)
+    except ValueError as exc:
+        raise ConfigError("potential.replications", str(exc)) from exc
     return cfg
 
 

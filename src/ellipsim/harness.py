@@ -365,17 +365,30 @@ class VerificationReport:
         return asdict(self)
 
 
+def takes_exact_path(cfg: ExperimentConfig) -> bool:
+    """Whether the verifier takes the exact lattice path, as
+    :func:`~ellipsim.potential.exact_path_applies` decides; a Monte Carlo
+    run with too few replications raises ``ValueError``."""
+    if exact_path_applies(cfg.prior, cfg.noise, cfg.horizon, cfg.policy):
+        return True
+    if cfg.replications < MONTE_CARLO_MIN_REPLICATIONS:
+        raise ValueError(
+            f"the Monte Carlo path needs >= {MONTE_CARLO_MIN_REPLICATIONS} "
+            f"replications, got {cfg.replications}"
+        )
+    return False
+
+
 def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
     """Estimate E[sum of a.T Gamma_t a] and compare it to the log-det bound.
 
     ``cfg.policy`` is the action rule: "adversarial" (top eigendirection of
     the posterior covariance, over the unit sphere) or "lints" (posterior
     sampling over the sets ``cfg.actions`` draws). Uses the exact outcome
-    lattice when :func:`~ellipsim.potential.exact_path_applies`; otherwise
-    averages the posterior quadratic forms of ``cfg.replications``
-    episodes through the same driver and failure rule as
-    :func:`run_experiment` (degraded engines count in
-    ``failed_replications``), and replays no ridge tracker. The bound
+    lattice when :func:`takes_exact_path`; otherwise averages the posterior
+    quadratic forms of ``cfg.replications`` episodes through the same
+    driver and failure rule as :func:`run_experiment` (degraded engines
+    count in ``failed_replications``), and replays no ridge tracker. The bound
     holds when :func:`~ellipsim.potential.monte_carlo_margin` is >= 0, or
     on the exact path when mean <= bound + ``INEQUALITY_SLACK``.
     """
@@ -396,7 +409,7 @@ def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
         gamma1_eigs=eigs.tolist(),
     )
 
-    if exact_path_applies(prior, noise, horizon, cfg.policy):
+    if takes_exact_path(cfg):
         per_round, total, _ = _exact_potential(prior, noise, horizon)
         return report(
             replications=0,
@@ -407,11 +420,6 @@ def verify_expected_potential(cfg: ExperimentConfig) -> VerificationReport:
             per_round_mean=per_round.tolist(),
         )
 
-    if cfg.replications < MONTE_CARLO_MIN_REPLICATIONS:
-        raise ValueError(
-            f"Monte Carlo needs >= {MONTE_CARLO_MIN_REPLICATIONS} replications, "
-            f"got {cfg.replications}"
-        )
     successes, failures = _run_replications(cfg, _potential_record)
     per_round, mean_total, stderr_total = _potential_stats(successes)
     return report(

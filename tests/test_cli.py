@@ -9,6 +9,7 @@ import json
 import pytest
 
 import ellipsim.acceptance as acceptance_mod
+import ellipsim.harness as harness_mod
 from ellipsim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 from ellipsim.config import build_experiment, build_potential_run, load_yaml
 from ellipsim.harness import ExperimentConfig
@@ -342,6 +343,26 @@ def test_potential_trace_missing_config(capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"potential:\n  horizon: 6\xff\n",
+        # the last value would win
+        POTENTIAL_YAML.replace("replications: 30", "replications: 2\n  replications: 3")
+        .encode(),
+    ],
+    ids=["not-utf8", "repeated-key"],
+)
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "pot.yaml"
+    cfg.write_bytes(text)
+    out = tmp_path / "out"
+    code = main(["potential-trace", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: <file>: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run-bandit
 # ---------------------------------------------------------------------------
@@ -621,6 +642,45 @@ def test_bernoulli_noise_needs_a_finite_support_prior(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run-bandit", "potential-trace"])
+def test_each_command_builds_its_run_once(tmp_path, capsys, monkeypatch, command):
+    # building checks the engine (a Cholesky of the prior covariance) and
+    # the episode; flags are resolved before it, so nothing rebuilds the run
+    built = []
+    post_init = ExperimentConfig.__post_init__
+
+    def counted(cfg):
+        built.append(cfg)
+        post_init(cfg)
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+    text = BANDIT_YAML if command == "run-bandit" else POTENTIAL_YAML
+    cfg = write(tmp_path, "run.yaml", text)
+    out = str(tmp_path / "out")
+    code = main([command, "--config", cfg, "--out", out, "--seed", "5"])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert len(built) == 1
+    assert built[0].master_seed == 5
+
+
+@pytest.mark.parametrize("command", ["run-bandit", "potential-trace"])
+def test_unusable_out_is_a_config_error_before_any_replication(
+    tmp_path, capsys, monkeypatch, command
+):
+    episodes = []
+    monkeypatch.setattr(
+        harness_mod, "run_episode", lambda *args, **kw: episodes.append(args)
+    )
+    text = BANDIT_YAML if command == "run-bandit" else POTENTIAL_YAML
+    cfg = write(tmp_path, "run.yaml", text)
+    blocker = write(tmp_path, "file", "")
+    code = main([command, "--config", cfg, "--out", f"{blocker}/out"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --out: ")
+    assert episodes == []
+
+
 # a run-bandit config by section; a family field's case replaces the
 # section that holds it, with {v} where its value goes
 BASE_SECTIONS = {
@@ -699,16 +759,38 @@ def test_acceptance_prints_each_verdict_and_the_suite_verdict(
 
 
 @pytest.mark.parametrize(
-    "argv,field",
+    "argv,field,env",
     [
-        (["run-bandit", "--config", "{run}", "--workers", "0"], "--workers"),
-        (["run-bandit", "--config", "{run}", "--seed", "-1"], "--seed"),
-        (["potential-trace", "--config", "{pot}", "--seed", "-1"], "--seed"),
-        (["verify-lemmas", "--seed", "-1"], "--seed"),
-        (["acceptance", "--seed", "-1"], "--seed"),
-        (["verify-lemmas", "--config", "{lemmas}"], "lemmas.seed"),
-        (["potential-trace", "--config", "{bad_pot}"], "potential.master_seed"),
-        (["run-bandit", "--config", "{bad_run}"], "experiment.master_seed"),
+        (["run-bandit", "--config", "{run}", "--workers", "0"], "--workers", {}),
+        (["run-bandit", "--config", "{run}", "--seed", "-1"], "--seed", {}),
+        (["potential-trace", "--config", "{pot}", "--seed", "-1"], "--seed", {}),
+        (["verify-lemmas", "--seed", "-1"], "--seed", {}),
+        (["acceptance", "--seed", "-1"], "--seed", {}),
+        (["verify-lemmas", "--config", "{lemmas}"], "lemmas.seed", {}),
+        (["potential-trace", "--config", "{bad_pot}"], "potential.master_seed", {}),
+        (["run-bandit", "--config", "{bad_run}"], "experiment.master_seed", {}),
+        (["verify-lemmas", "--instances", "0"], "--instances", {}),
+        (
+            ["verify-lemmas", "--config", "{zero_count}"],
+            "lemmas.logdet-shift",
+            {},
+        ),
+        (
+            ["run-bandit", "--config", "{run}"],
+            "ELLIPSIM_WORKERS",
+            {"ELLIPSIM_WORKERS": "0"},
+        ),
+        # a config value a flag overrides is still checked, on its own path
+        (
+            ["run-bandit", "--config", "{zero_workers}", "--workers", "2"],
+            "experiment.workers",
+            {},
+        ),
+        (
+            ["run-bandit", "--config", "{bad_run}", "--seed", "5"],
+            "experiment.master_seed",
+            {},
+        ),
     ],
     ids=[
         "run-bandit-workers-flag",
@@ -719,13 +801,28 @@ def test_acceptance_prints_each_verdict_and_the_suite_verdict(
         "lemmas-seed",
         "potential-master-seed",
         "experiment-master-seed",
+        "verify-lemmas-instances-flag",
+        "lemmas-instance-count",
+        "workers-env-var",
+        "experiment-workers-under-flag",
+        "experiment-master-seed-under-flag",
     ],
 )
-def test_negative_seed_or_zero_workers_is_a_config_error(tmp_path, capsys, argv, field):
+def test_negative_seed_or_zero_workers_is_a_config_error(
+    tmp_path, capsys, monkeypatch, argv, field, env
+):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     paths = {
         "run": write(tmp_path, "run.yaml", BANDIT_YAML),
         "pot": write(tmp_path, "pot.yaml", POTENTIAL_YAML),
         "lemmas": write(tmp_path, "lemmas.yaml", "lemmas:\n  seed: -3\n"),
+        "zero_count": write(tmp_path, "zero.yaml", "lemmas:\n  logdet-shift: 0\n"),
+        "zero_workers": write(
+            tmp_path,
+            "zero_workers.yaml",
+            BANDIT_YAML.replace("master_seed: 3", "master_seed: 3\n  workers: 0"),
+        ),
         "bad_pot": write(
             tmp_path,
             "bad_pot.yaml",

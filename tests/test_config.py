@@ -77,6 +77,35 @@ def test_load_yaml_broken_syntax(tmp_path):
         load_yaml(str(path))
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("experiment:\n  horizon: 10\n  horizon: 20\n", 3),
+        ("prior:\n  kind: gaussian\nnoise: {}\nprior: {}\n", 4),
+        ("a:\n  - {x: 1, y: 2, x: 3}\n", 2),
+    ],
+    ids=["nested", "section", "flow"],
+)
+def test_load_yaml_rejects_a_repeated_key(tmp_path, text, line):
+    path = tmp_path / "dup.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"(?s)duplicate key .*line {line}, "):
+        load_yaml(str(path))
+
+
+def test_load_yaml_merge_keys_are_not_repeats(tmp_path):
+    # a key of the mapping itself overrides a merged one
+    path = tmp_path / "merge.yaml"
+    path.write_text(
+        "a: &a {x: 1, y: 2}\nb:\n  <<: *a\n  x: 3\nc:\n  <<: [*a, {z: 4}]\n"
+    )
+    assert load_yaml(str(path)) == {
+        "a": {"x": 1, "y": 2},
+        "b": {"x": 3, "y": 2},
+        "c": {"x": 1, "y": 2, "z": 4},
+    }
+
+
 def test_load_yaml_rejects_non_mapping(tmp_path):
     path = tmp_path / "list.yaml"
     path.write_text("- 1\n- 2\n")
@@ -656,8 +685,9 @@ def test_build_experiment_rejects_an_incompatible_engine():
         build_experiment(doc)
 
 
-SHIPPED_CONFIGS = sorted(
-    (pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.yaml")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.yaml")) + sorted(
+    (ROOT / "tests" / "data").glob("golden*/*.yaml")
 )
 CLI_BUILDERS = {
     "experiment": build_experiment,
