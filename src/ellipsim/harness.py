@@ -136,7 +136,7 @@ class RunSummary:
     bounds: Dict[str, Optional[float]]
     checks: Dict[str, Optional[bool]]
 
-    FORMAT = "ellipsim-summary-v4"
+    FORMAT = "ellipsim-summary-v5"
 
     def to_dict(self) -> Dict:
         # shallow: the fields are JSON-ready already, and asdict's deep copy

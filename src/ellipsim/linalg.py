@@ -228,26 +228,6 @@ def psd_sqrt(mat: ArrayLike) -> Array:
 
 
 def chol_solve(chol_lower: Array, b: ArrayLike) -> Array:
-    """Solve (L L.T) x = b given the lower factor L."""
-    from scipy.linalg import cho_solve
-
-    return cho_solve((chol_lower, True), np.asarray(b, dtype=np.float64))
-
-
-def solve_lower(chol_lower: Array, b: Array, transpose: bool = False) -> Array:
-    """Solve L x = b, or L.T x = b with ``transpose``, for a lower factor L.
-
-    Makes the LAPACK ``dtrtrs`` call that
-    ``scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)``
-    makes for a C-ordered L, so results are bit-identical to it, without
-    that function's argument validation: on 5-vectors the validation
-    costs more than the solve. Callers pass float64 arrays; L must have a
-    nonzero diagonal, as the factors from :func:`jittered_cholesky` do.
-    """
-    from scipy.linalg.lapack import dtrtrs
-
-    # L.T is the Fortran-ordered view of a C-ordered L: no copy is made
-    x, info = dtrtrs(chol_lower.T, b, lower=0, trans=0 if transpose else 1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
-    return x
+    """Solve (L L.T) x = b given the lower factor L: L w = b, then L.T x = w."""
+    w = np.linalg.solve(chol_lower, np.asarray(b, dtype=np.float64))
+    return np.linalg.solve(chol_lower.T, w)

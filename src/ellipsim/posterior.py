@@ -4,7 +4,7 @@ Three interchangeable representations of the conditional law of the
 parameter given the observed (action, reward) pairs:
 
 * ``gaussian_conjugate``: closed form for Gaussian prior + Gaussian noise,
-  kept in precision form so each update is a rank-one add.
+  kept in covariance form so each update is a rank-one downdate.
 * ``finite_support``: exact Bayes reweighting over fixed support points.
 * ``particle``: sequential importance resampling for everything else: the
   finite-support engine run on prior draws, which it resamples.
@@ -13,12 +13,13 @@ All engines share the same surface: ``mean``, ``covariance``,
 ``quad_form``, ``sample`` and ``update``; updates mutate in place.
 
 A bandit round asks for ``quad_form(a)`` and then ``update(a, y)`` on the
-same action. The two weighted-atom engines project their atoms on ``a``
-once per round: ``quad_form`` keeps the action with its projection
-``atoms @ a``, and ``update`` reuses that projection when it is handed the
-same array object holding the same bytes, so an action changed in between
-is projected afresh. The reweight then works in the likelihood array, and
-a particle resample drops the kept projection with the old atoms.
+same action. Every engine projects on ``a`` once per round: ``quad_form``
+keeps the action with its projection (``atoms @ a`` for the two
+weighted-atom engines, ``cov @ a`` for the conjugate one), and ``update``
+reuses that projection when it is handed the same array object holding
+the same bytes, so an action changed in between is projected afresh. The
+reweight then works in the likelihood array, and a particle resample
+drops the kept projection with the old atoms.
 """
 from __future__ import annotations
 
@@ -37,14 +38,7 @@ from .distributions import (
     Prior,
     atom_moments,
 )
-from .linalg import (
-    Array,
-    PsdMatrix,
-    chol_solve,
-    jittered_cholesky,
-    solve_lower,
-    symmetrize,
-)
+from .linalg import Array, PsdMatrix, chol_solve, jittered_cholesky
 
 
 class DegenerateWeights(RuntimeError):
@@ -69,61 +63,79 @@ class EngineConfig:
             raise ValueError(f"particles must be >= 2, got {self.particles}")
 
 
-class GaussianConjugateState:
-    """Gaussian posterior tracked through its precision matrix.
+def _projection(kept: Optional[tuple], a: Array, rows: Array) -> Array:
+    """``rows @ a``, reused from ``kept`` (quad_form's (action, its bytes,
+    projection)) when ``a`` is the same array holding the same bytes."""
+    if kept is not None and kept[0] is a and kept[1] == a.tobytes():
+        return kept[2]
+    return rows @ a
 
-    Maintains P = cov^{-1} and the shift vector P @ mean. An update along
-    action a with observed reward y adds a a.T / sd^2 to P and a y / sd^2
-    to the shift. The first query after an update refactorizes P = L L.T
-    (one O(d^3) Cholesky); ``mean``, ``quad_form`` and ``sample`` then
-    cost O(d^2) triangular solves against the cached L.
+
+class GaussianConjugateState:
+    """Gaussian posterior tracked through its covariance matrix.
+
+    Keeps the covariance ``cov`` and the shift ``cov^{-1} @ mean``. An
+    update along action a with observed reward y adds a y / sd^2 to the
+    shift and subtracts h h.T from ``cov``, with h = cov a / sqrt(sd^2 +
+    a.T cov a): the Sherman-Morrison form of adding a a.T / sd^2 to the
+    precision. An outer product is exactly symmetric, so ``cov`` stays
+    so. ``quad_form`` and ``mean`` are matrix-vector products; only
+    ``sample`` factorizes, once per update.
+
+    The draw keeps the square root of the precision form, L_P^{-T} for
+    the lower Cholesky factor L_P of cov^{-1}. That matrix is the upper
+    triangular factor of ``cov`` with positive diagonal, which is unique.
+    With J the index reversal, J cov J = M M.T for the lower factor M,
+    so J M J is that upper factor and equals L_P^{-T}: the same z gives
+    the same draw up to rounding, and so the same chosen action.
     """
 
     def __init__(self, prior: GaussianPrior, noise: GaussianNoise):
         self.noise = noise
         mean0, cov0 = prior.moments()
+        self.cov = np.array(cov0.mat)
         # check_engine_compatible has seen this factorization succeed
-        chol0 = np.linalg.cholesky(cov0.mat)
-        self.precision = symmetrize(chol_solve(chol0, np.eye(cov0.dim)))
-        self.shift = self.precision @ mean0
+        self.shift = chol_solve(np.linalg.cholesky(cov0.mat), mean0)
         self._chol: Optional[Array] = None
+        # (action, its bytes, cov @ action) from the last quad_form
+        self._kept: Optional[tuple] = None
 
     @property
     def dim(self) -> int:
         return self.shift.shape[0]
 
     def _factor(self) -> Array:
+        """Lower Cholesky factor M of the index-reversed covariance."""
         if self._chol is None:
-            self._chol = jittered_cholesky(self.precision)
+            self._chol = jittered_cholesky(self.cov[::-1, ::-1])
         return self._chol
 
     def mean(self) -> Array:
-        chol = self._factor()
-        return solve_lower(chol, solve_lower(chol, self.shift), transpose=True)
+        return self.cov @ self.shift
 
     def covariance(self) -> PsdMatrix:
-        cov = chol_solve(self._factor(), np.eye(self.dim))
-        return PsdMatrix.unchecked(cov)
+        return PsdMatrix.unchecked(self.cov)
 
     def quad_form(self, v: ArrayLike) -> float:
-        """v.T @ covariance @ v without forming the covariance."""
-        w = solve_lower(self._factor(), np.asarray(v, dtype=np.float64))
-        return float(w @ w)
+        a = np.asarray(v, dtype=np.float64)
+        proj = self.cov @ a
+        self._kept = (a, a.tobytes(), proj)
+        return float(a.dot(proj))
 
     def sample(self, rng: np.random.Generator) -> Array:
-        # if P = L L.T then solving L.T x = z gives cov(x) = P^{-1}; this
-        # square root fixes which draw each z maps to, so changing it
-        # would change every chosen action
-        chol = self._factor()
         z = rng.standard_normal(self.dim)
-        return self.mean() + solve_lower(chol, z, transpose=True)
+        # J M J z, with M contiguous: reverse z, multiply, reverse back
+        return self.mean() + (self._factor() @ z[::-1])[::-1]
 
     def update(self, action: ArrayLike, y: float) -> None:
         a = np.asarray(action, dtype=np.float64)
-        inv_var = 1.0 / self.noise.sd**2
-        self.precision += np.outer(a, a) * inv_var
-        self.shift += a * (y * inv_var)
+        proj = _projection(self._kept, a, self.cov)
+        var = self.noise.sd**2
+        h = proj / np.sqrt(var + float(a.dot(proj)))
+        self.cov -= np.outer(h, h)
+        self.shift += a * (y * (1.0 / var))
         self._chol = None
+        self._kept = None
 
 
 class FiniteSupportState:
@@ -179,11 +191,7 @@ class FiniteSupportState:
 
     def _reweight(self, action: ArrayLike, y: float) -> None:
         a = np.asarray(action, dtype=np.float64)
-        kept = self._kept
-        if kept is not None and kept[0] is a and kept[1] == a.tobytes():
-            proj = kept[2]
-        else:
-            proj = self.atoms @ a
+        proj = _projection(self._kept, a, self.atoms)
         # the likelihood is a fresh array (Noise's contract), so the
         # product and the normalization are formed in it; multiplication
         # commutes, so the bits are those of weights * likelihood

@@ -29,7 +29,6 @@ def format_float(x: float) -> str:
 
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in lines:
             fh.write(line + "\n")
@@ -108,16 +107,18 @@ def write_verification_json(path: str, report: VerificationReport) -> None:
 
 
 def write_bandit_outputs(out: str, summary: RunSummary) -> None:
-    """``run-bandit``'s files in directory ``out``: summary.json,
-    regret_curve.csv and potential.csv."""
+    """``run-bandit``'s files in directory ``out``, created if missing:
+    summary.json, regret_curve.csv and potential.csv."""
+    os.makedirs(out, exist_ok=True)
     write_summary_json(os.path.join(out, "summary.json"), summary)
     write_regret_curve_csv(os.path.join(out, "regret_curve.csv"), summary)
     write_potential_csv_from_summary(os.path.join(out, "potential.csv"), summary)
 
 
 def write_trace_outputs(out: str, report: VerificationReport) -> None:
-    """``potential-trace``'s files in directory ``out``: potential.csv and
-    verification.json."""
+    """``potential-trace``'s files in directory ``out``, created if
+    missing: potential.csv and verification.json."""
+    os.makedirs(out, exist_ok=True)
     write_potential_csv_from_report(os.path.join(out, "potential.csv"), report)
     write_verification_json(os.path.join(out, "verification.json"), report)
 

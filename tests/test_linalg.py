@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import solve_triangular
 
 from ellipsim.linalg import (
     CholeskyFailure,
@@ -17,7 +16,6 @@ from ellipsim.linalg import (
     psd_order_holds,
     psd_sqrt,
     random_psd,
-    solve_lower,
     rank_one_shrink,
     symmetrize,
 )
@@ -232,21 +230,5 @@ def test_chol_solve_matches_dense_solve():
     b = rng.standard_normal(5)
     low = jittered_cholesky(m)
     assert np.allclose(chol_solve(low, b), np.linalg.solve(m, b), atol=1e-10)
-
-
-def test_solve_lower_is_solve_triangular_bit_for_bit():
-    rng = np.random.default_rng(RNG_SEED)
-    low = jittered_cholesky(make_spd(6, rng))
-    b = rng.standard_normal(6)
-    for transpose, trans in ((False, "N"), (True, "T")):
-        ref = solve_triangular(low, b, lower=True, trans=trans)
-        assert np.array_equal(solve_lower(low, b, transpose=transpose), ref)
-        fortran = np.asfortranarray(low)
-        assert np.allclose(solve_lower(fortran, b, transpose=transpose), ref, rtol=1e-13)
-
-
-def test_solve_lower_rejects_zero_diagonal():
-    low = np.array([[1.0, 0.0], [0.5, 0.0]])
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_lower(low, np.ones(2))
-
+    cols = rng.standard_normal((5, 3))
+    assert np.allclose(chol_solve(low, cols), np.linalg.solve(m, cols), atol=1e-10)

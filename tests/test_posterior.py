@@ -126,9 +126,74 @@ def test_conjugate_agrees_with_dense_inverse_after_many_updates():
         assert rel_err(state.quad_form(v), v @ cov_ref @ v) < 1e-12
 
 
+@pytest.mark.parametrize("dim, sd, updates", [(5, 0.001, 5000), (20, 0.01, 3000)])
+def test_conjugate_downdates_do_not_drift_under_small_noise(dim, sd, updates, monkeypatch):
+    """Long unit-action runs with small noise, where rank-one downdates of
+    the covariance cancel most of it, against dense-inverse normal
+    equations. A draw every round factorizes the covariance, and no
+    factorization may fail: a jitter retry would hide drift."""
+    calls, failures = [], []
+    cholesky = np.linalg.cholesky
+
+    def counted(mat):
+        calls.append(None)
+        try:
+            return cholesky(mat)
+        except np.linalg.LinAlgError:
+            failures.append(np.array(mat))
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    rng = np.random.default_rng(SEED)
+    prior, noise = gaussian_pair(dim=dim, sd=sd)
+    state = GaussianConjugateState(prior, noise)
+    prec = np.eye(dim)
+    shift = prec @ prior.mean
+    for t in range(1, updates + 1):
+        a = rng.standard_normal(dim)
+        a /= np.linalg.norm(a)
+        y = float(rng.standard_normal())
+        state.quad_form(a)
+        state.update(a, y)
+        state.sample(rng)
+        prec = prec + np.outer(a, a) / sd**2
+        shift = shift + a * y / sd**2
+        if t % 1000 == 0:
+            cov_ref = np.linalg.inv(prec)
+            assert rel_err(state.mean(), cov_ref @ shift) < 1e-11
+            for v in rng.standard_normal((5, dim)):
+                assert rel_err(state.quad_form(v), v @ cov_ref @ v) < 1e-11
+    # one factorization of the prior, then one per draw
+    assert len(calls) == updates + 1
+    assert failures == []
+
+
+def test_conjugate_update_reuses_only_a_current_kept_projection():
+    """``update`` takes ``cov @ a`` from the last ``quad_form`` only for the
+    same, unchanged array, and drops it once the covariance moves."""
+    prior, noise = gaussian_pair(dim=3)
+    a = np.array([0.3, -0.5, 0.8])
+    fresh = GaussianConjugateState(prior, noise)
+    fresh.update(a.copy(), 0.7)
+    changed = GaussianConjugateState(prior, noise)
+    b = np.array([0.1, 0.2, 0.3])
+    changed.quad_form(b)
+    b[:] = a
+    changed.update(b, 0.7)
+    assert np.array_equal(changed.cov, fresh.cov)
+    kept = GaussianConjugateState(prior, noise)
+    kept.quad_form(a)
+    kept.update(a, 0.7)
+    assert np.array_equal(kept.cov, fresh.cov)
+    kept.update(a, 0.7)
+    fresh.update(a.copy(), 0.7)
+    assert np.array_equal(kept.cov, fresh.cov)
+
+
 def test_conjugate_precision_stays_exactly_symmetric():
-    """The factorization reads only the lower triangle of the precision,
-    which rank-one updates keep exactly symmetric."""
+    """Rank-one downdates by an outer product keep the covariance exactly
+    symmetric, so the factorization of its reversal, which reads only the
+    lower triangle, sees the matrix itself."""
     dim = 6
     rng = np.random.default_rng(SEED)
     cov = random_psd(dim, 2.0, rng).mat + 0.1 * np.eye(dim)
@@ -137,45 +202,89 @@ def test_conjugate_precision_stays_exactly_symmetric():
     state = GaussianConjugateState(prior, GaussianNoise(sd=0.37))
     for _ in range(1000):
         state.update(rng.standard_normal(dim) * 0.4, float(rng.standard_normal()))
-        assert np.array_equal(state.precision, state.precision.T)
-    # so the factor is the one of the symmetrized copy the factorization
-    # used to make
-    want = np.linalg.cholesky(symmetrize(state.precision))
+        assert np.array_equal(state.cov, state.cov.T)
+    want = np.linalg.cholesky(np.ascontiguousarray(state.cov[::-1, ::-1]))
     assert np.array_equal(state._factor(), want)
 
 
 def test_conjugate_sample_is_mean_plus_inverse_transpose_factor_draw():
-    """Pins the covariance square root: the same z must give the same draw."""
+    """Pins the covariance square root: the same z must give the same draw.
+
+    The reversed lower factor of the covariance is the inverse transpose
+    of the precision's lower factor, the square root the engine drew with
+    in precision form, so the draw also matches that form's within
+    rounding."""
     rng = np.random.default_rng(SEED)
     prior, noise = gaussian_pair(dim=6)
     state = GaussianConjugateState(prior, noise)
+    prec = np.linalg.inv(np.asarray(prior.cov))
+    shift = prec @ prior.mean
     for a in rng.standard_normal((9, 6)) * 0.4:
-        state.update(a, float(rng.standard_normal()))
+        y = float(rng.standard_normal())
+        state.update(a, y)
+        prec = prec + np.outer(a, a) / noise.sd**2
+        shift = shift + a * y / noise.sd**2
     gen = np.random.default_rng(SEED + 1)
     twin = copy.deepcopy(gen)
     draw = state.sample(gen)
-    chol = np.linalg.cholesky(state.precision)
     z = twin.standard_normal(6)
-    expected = state.mean() + solve_triangular(chol.T, z, lower=False)
+    factor = np.linalg.cholesky(state.cov[::-1, ::-1])
+    expected = state.mean() + (factor @ z[::-1])[::-1]
     assert np.array_equal(draw, expected)
+    chol_p = np.linalg.cholesky(symmetrize(prec))
+    precision_form = np.linalg.solve(prec, shift) + solve_triangular(
+        chol_p.T, z, lower=False
+    )
+    assert rel_err(draw, precision_form) < 1e-12
 
 
-class LuSolveConjugateState(GaussianConjugateState):
-    """Reference engine: general LU solves and ``cho_solve`` on the same factor."""
+class PrecisionFormConjugateState:
+    """Reference engine: the precision-form conjugate posterior, factorized
+    once per update, with scipy's triangular and Cholesky solves.
+
+    Keeps P = cov^{-1} and the shift P @ mean; an update adds a a.T / sd^2
+    to P. Draws are mean + L.T^{-1} z for P = L L.T.
+    """
+
+    def __init__(self, prior, noise):
+        self.noise = noise
+        mean0, cov0 = prior.moments()
+        chol0 = np.linalg.cholesky(cov0.mat)
+        self.precision = symmetrize(cho_solve((chol0, True), np.eye(cov0.dim)))
+        self.shift = self.precision @ mean0
+        self._chol = None
+
+    @property
+    def dim(self):
+        return self.shift.shape[0]
+
+    def _factor(self):
+        if self._chol is None:
+            self._chol = np.linalg.cholesky(self.precision)
+        return self._chol
 
     def mean(self):
         return cho_solve((self._factor(), True), self.shift)
 
     def quad_form(self, v):
-        w = np.linalg.solve(self._factor(), np.asarray(v, dtype=np.float64))
+        w = solve_triangular(self._factor(), np.asarray(v, dtype=np.float64), lower=True)
         return float(w @ w)
 
     def sample(self, rng):
         z = rng.standard_normal(self.dim)
-        return self.mean() + np.linalg.solve(self._factor().T, z)
+        return self.mean() + solve_triangular(self._factor().T, z, lower=False)
+
+    def update(self, action, y):
+        a = np.asarray(action, dtype=np.float64)
+        inv_var = 1.0 / self.noise.sd**2
+        self.precision += np.outer(a, a) * inv_var
+        self.shift += a * (y * inv_var)
+        self._chol = None
 
 
 def test_conjugate_episode_matches_lu_solve_reference(monkeypatch):
+    """The covariance-form engine plays the precision-form engine's episode:
+    the same actions and regret, quadratic forms within rounding."""
     dim, horizon = 20, 150
     prior, noise = gaussian_pair(dim=dim, sd=1.0)
     gen = KArmedGaussianGenerator(k=10, dim=dim)
@@ -190,10 +299,10 @@ def test_conjugate_episode_matches_lu_solve_reference(monkeypatch):
     monkeypatch.setattr(
         bandit,
         "make_posterior",
-        lambda prior, noise, engine, rng=None: LuSolveConjugateState(prior, noise),
+        lambda prior, noise, engine, rng=None: PrecisionFormConjugateState(prior, noise),
     )
     ref = episode()
-    assert isinstance(ref.final_state, LuSolveConjugateState)
+    assert isinstance(ref.final_state, PrecisionFormConjugateState)
     assert np.array_equal(fast.actions, ref.actions)
     assert np.array_equal(fast.cumulative_regret, ref.cumulative_regret)
     fast_q, ref_q = np.asarray(fast.trace.gamma_quads), np.asarray(ref.trace.gamma_quads)
