@@ -15,7 +15,7 @@ import filecmp
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -303,19 +303,19 @@ def engine_cross_validation_criterion(seed: int = 0) -> Verdict:
     """
     prior = GaussianPrior(mean=np.zeros(3), cov=PsdMatrix.unchecked(0.25 * np.eye(3)))
     noise = GaussianNoise(sd=2.5)
-    gen = KArmedGaussianGenerator(k=10, dim=3)
+    cfg = ExperimentConfig(
+        prior=prior,
+        noise=noise,
+        engine=EngineConfig(kind="gaussian_conjugate"),
+        actions=KArmedGaussianGenerator(k=10, dim=3),
+        horizon=100,
+        replications=20,
+    )
     worst_mean = 0.0
     worst_cov = 0.0
-    for episode_seed in range(20):
+    for episode_seed in range(cfg.replications):
         rng = np.random.default_rng(np.random.SeedSequence([seed + 4040, episode_seed]))
-        episode = run_episode(
-            prior,
-            noise,
-            gen,
-            EngineConfig(kind="gaussian_conjugate"),
-            horizon=100,
-            rng=rng,
-        )
+        episode = run_episode(cfg, rng)
         exact = episode.final_state
         particle_rng = np.random.default_rng(
             np.random.SeedSequence([seed + 4041, episode_seed])
@@ -337,14 +337,16 @@ def engine_cross_validation_criterion(seed: int = 0) -> Verdict:
 
 
 def determinism_criterion(seed: int = 0) -> Verdict:
-    """Identical seeds must give byte-identical artifacts: two runs, each
-    written by ``run-bandit``'s own writer, must write the same files with
-    the same bytes."""
+    """Identical seeds must give byte-identical artifacts at any worker
+    count: two runs, the second at another worker count (1 when the first
+    pools, else 2), each written by ``run-bandit``'s own writer, must write
+    the same files with the same bytes."""
     cfg = config_bernoulli_d3(seed)
+    other = replace(cfg, workers=1 if cfg.workers > 1 else 2)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = os.path.join(tmp, "first"), os.path.join(tmp, "second")
-        for out in (first, second):
-            write_bandit_outputs(out, run_experiment(cfg))
+        for out, run in ((first, cfg), (second, other)):
+            write_bandit_outputs(out, run_experiment(run))
         names = sorted(set(os.listdir(first)) | set(os.listdir(second)))
         # a file missing on one side cannot be compared, and differs
         _, mismatched, missing = filecmp.cmpfiles(first, second, names, shallow=False)

@@ -9,14 +9,16 @@ posterior covariance over the unit sphere. Each policy's pick, and the
 optimal action, is one ``argmax`` call on the round's action set inside
 :func:`run_episode`. Per-round posterior quadratic forms are recorded in a
 :class:`~ellipsim.potential.PotentialTrace`. :func:`run_episode` is the
-one episode loop, run by both the regret experiments and the Monte Carlo
-potential verifier in :mod:`ellipsim.harness`; the regret job replays
-eq. 1's ridge tracker over the actions it returns.
+one episode loop: it plays one episode of an
+:class:`~ellipsim.harness.ExperimentConfig`, whose construction ran
+:func:`check_episode` once for the whole run. Both the regret experiments
+and the Monte Carlo potential verifier in :mod:`ellipsim.harness` run it;
+the regret job replays eq. 1's ridge tracker over the actions it returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -29,14 +31,13 @@ from .distributions import (
     sample_reward,
 )
 from .linalg import Array, CholeskyFailure
-from .posterior import (
-    DegenerateWeights,
-    EngineConfig,
-    PosteriorState,
-    make_posterior,
-)
+from .posterior import DegenerateWeights, PosteriorState, make_posterior
 from .potential import PotentialTrace, adversarial_action
 from .tolerances import INEQUALITY_SLACK, NORM_SLACK, REGRET_SLACK
+
+if TYPE_CHECKING:
+    # harness imports this module
+    from .harness import ExperimentConfig
 
 
 # the regret job's policies and the expected-potential verifier's action
@@ -226,19 +227,12 @@ def check_episode(
         raise MeanOutOfRange(f"{label} produces reward means outside [0, 1]")
 
 
-def run_episode(
-    prior: Prior,
-    noise: Noise,
-    generator: ActionSetGenerator,
-    engine: EngineConfig,
-    horizon: int,
-    rng: np.random.Generator,
-    policy: str = "lints",
-) -> EpisodeResult:
-    """Simulate one full episode and return its record.
+def run_episode(cfg: ExperimentConfig, rng: np.random.Generator) -> EpisodeResult:
+    """Simulate one episode of the run ``cfg`` and return its record.
 
-    ``policy`` is "lints", "greedy" or "adversarial"; :func:`check_episode`
-    says which setups each one plays.
+    ``cfg.policy`` is "lints", "greedy" or "adversarial"; ``cfg`` was
+    checked when it was built (:func:`check_episode` says which setups each
+    policy plays), so nothing is checked again here.
 
     The draw order per round is fixed (action set, then policy sample,
     then reward), so a single generator yields reproducible episodes.
@@ -246,12 +240,10 @@ def run_episode(
     offending round index; every other error, such as a reward mean out of
     range or a negative regret, propagates as itself.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    check_episode(prior, noise, generator, policy)
-
+    prior, noise, generator = cfg.prior, cfg.noise, cfg.actions
+    horizon, policy = cfg.horizon, cfg.policy
     theta_star = prior.sample(rng)
-    state = make_posterior(prior, noise, engine, rng=rng)
+    state = make_posterior(prior, noise, cfg.engine, rng=rng)
     dim = theta_star.shape[0]
     trace = PotentialTrace()
     actions = np.zeros((horizon, dim))

@@ -16,6 +16,7 @@ Carlo.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -31,13 +32,12 @@ from .bandit import (
     check_episode,
     run_episode,
 )
-from .distributions import Noise, Prior
+from .distributions import FiniteSupportPrior, Noise, Prior
 from .linalg import PsdMatrix, psd_order_holds
 from .posterior import EngineConfig, check_engine_compatible
 from .potential import (
     _exact_potential,
     check_ridge,
-    exact_path_applies,
     gamma1_eigs,
     identity_cap_excess,
     monte_carlo_margin,
@@ -59,6 +59,7 @@ CURVE_POINTS_WHEN_SUBSAMPLED = 1000
 
 # the Monte Carlo standard error needs at least two replications
 MONTE_CARLO_MIN_REPLICATIONS = 2
+EXACT_NODE_LIMIT = 2**12 - 1  # the unmerged binary tree of horizon 12
 
 
 class ExcessiveFailures(RuntimeError):
@@ -69,9 +70,11 @@ class ExcessiveFailures(RuntimeError):
 class ExperimentConfig:
     """Everything needed to reproduce one experiment.
 
-    Any episode :func:`~ellipsim.bandit.run_episode` plays, on an engine
-    that can represent its prior and noise (checked first, raising
-    :class:`~ellipsim.posterior.IncompatibleEngine`).
+    Construction is the one check of the run: an engine that can represent
+    its prior and noise (checked first, raising
+    :class:`~ellipsim.posterior.IncompatibleEngine`), then the limits below
+    and :func:`~ellipsim.bandit.check_episode`, so every episode
+    ``run_episode(cfg, rng)`` plays is checked already.
     :func:`run_experiment` and :func:`verify_expected_potential` both take
     one; for the verifier ``policy`` is the action rule. ``lam`` is eq. 1's
     ridge, which only the regret job replays.
@@ -161,15 +164,7 @@ def _replicate(cfg: ExperimentConfig, record: Callable[..., Dict], rep: int) -> 
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, rep]))
     try:
-        episode = run_episode(
-            cfg.prior,
-            cfg.noise,
-            cfg.actions,
-            cfg.engine,
-            cfg.horizon,
-            rng,
-            policy=cfg.policy,
-        )
+        episode = run_episode(cfg, rng)
     except EpisodeFailure as exc:
         return {
             "replication": rep,
@@ -366,11 +361,34 @@ class VerificationReport:
 
 
 def takes_exact_path(cfg: ExperimentConfig) -> bool:
-    """Whether the verifier takes the exact lattice path, as
-    :func:`~ellipsim.potential.exact_path_applies` decides; a Monte Carlo
-    run with too few replications raises ``ValueError``."""
-    if exact_path_applies(cfg.prior, cfg.noise, cfg.horizon, cfg.policy):
-        return True
+    """Whether the verifier takes the exact outcome lattice of
+    :mod:`ellipsim.potential`, else the Monte Carlo path; a Monte Carlo
+    run with too few replications raises ``ValueError``.
+
+    The lattice needs a finite-support prior, finitely many noise
+    outcomes, the adversarial rule (deterministic in the state) and at
+    most ``EXACT_NODE_LIMIT`` nodes in the worst case. With k outcomes,
+    H rounds and d = 1 the action is always [1], so a node is a multiset
+    of outcomes: at most C(H + k - 1, k) nodes. In d >= 2 nothing need
+    merge, so the worst case is the full tree, (k^H - 1) / (k - 1) nodes.
+    Bernoulli noise is exact up to H = 90 in d = 1 and H = 12 in d >= 2.
+    In d >= 2 its adversarial directions may drive a reward mean out of
+    [0, 1]; nothing here checks that, and the lattice then raises
+    ``MeanOutOfRange`` where it first branches on such a direction.
+    """
+    prior, outcomes, horizon = cfg.prior, cfg.noise.finite_outcomes, cfg.horizon
+    if (
+        cfg.policy == "adversarial"
+        and outcomes is not None
+        and isinstance(prior, FiniteSupportPrior)
+    ):
+        k = len(outcomes)
+        if prior.dim == 1:
+            nodes = math.comb(horizon + k - 1, k)
+        else:
+            nodes = (k**horizon - 1) // (k - 1)
+        if nodes <= EXACT_NODE_LIMIT:
+            return True
     if cfg.replications < MONTE_CARLO_MIN_REPLICATIONS:
         raise ValueError(
             f"the Monte Carlo path needs >= {MONTE_CARLO_MIN_REPLICATIONS} "

@@ -32,9 +32,10 @@ nodes at once. The one-step branch, a finite-support posterior reweighted
 by every outcome's likelihood, is written once, as
 :func:`enumerate_posterior_outcomes`: the lattice branches each frontier
 through it and the ``variance-reduction`` check of
-:data:`ellipsim.verify.CHECKS` one posterior. The verifier that chooses
-between this and a Monte Carlo estimate over episodes lives in
-:mod:`ellipsim.harness`.
+:data:`ellipsim.verify.CHECKS` one posterior. The verifier lives in
+:mod:`ellipsim.harness`, and so does the one choice between this and a
+Monte Carlo estimate over episodes,
+:func:`~ellipsim.harness.takes_exact_path`, with its node limit.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .distributions import FiniteSupportPrior, Noise, Prior, atom_moments
+from .distributions import FiniteSupportPrior, Noise, atom_moments
 from .linalg import Array, PsdMatrix
 from .posterior import DegenerateWeights, EngineConfig, make_posterior
 from .tolerances import (
@@ -250,41 +251,6 @@ def adversarial_action(gamma: PsdMatrix) -> Array:
     v = v / norm
     first = next((x for x in v.tolist() if abs(x) > 1e-12), 0.0)
     return -v if first < 0 else v
-
-
-EXACT_NODE_LIMIT = 2**12 - 1  # the unmerged binary tree of horizon 12
-
-
-def exact_path_applies(
-    prior: Prior, noise: Noise, horizon: int, action_rule: str
-) -> bool:
-    """Whether the exact outcome lattice applies: finite-support prior,
-    finitely many noise outcomes, the adversarial rule (deterministic in
-    the state) and at most ``EXACT_NODE_LIMIT`` nodes in the worst case.
-    Otherwise :func:`ellipsim.harness.verify_expected_potential` takes
-    the Monte Carlo path.
-
-    With k outcomes, H rounds and d = 1 the action is always [1], so a
-    node is a multiset of outcomes: at most C(H + k - 1, k) nodes. In
-    d >= 2 nothing need merge, so the worst case is the full tree,
-    (k^H - 1) / (k - 1) nodes. Bernoulli noise is exact up to H = 90 in
-    d = 1 and H = 12 in d >= 2. In d >= 2 its adversarial directions may
-    drive a reward mean out of [0, 1]; nothing here checks that, and the
-    lattice then raises ``MeanOutOfRange`` where it first branches on such
-    a direction.
-    """
-    if not (
-        action_rule == "adversarial"
-        and noise.finite_outcomes is not None
-        and isinstance(prior, FiniteSupportPrior)
-    ):
-        return False
-    k = len(noise.finite_outcomes)
-    if prior.dim == 1:
-        nodes = math.comb(horizon + k - 1, k)
-    else:
-        nodes = (k**horizon - 1) // (k - 1)
-    return nodes <= EXACT_NODE_LIMIT
 
 
 def outcome_likelihoods(noise: Noise, proj: Array) -> Array:

@@ -19,10 +19,24 @@ from ellipsim.distributions import (
     GaussianNoise,
     GaussianPrior,
 )
+from ellipsim.harness import ExperimentConfig
 from ellipsim.linalg import PsdMatrix
 from ellipsim.posterior import EngineConfig, GaussianConjugateState
 
 SEED = 333
+
+
+def one_episode_run(prior, noise, generator, engine, horizon, policy="lints"):
+    """The checked one-replication run that ``run_episode`` plays."""
+    return ExperimentConfig(
+        prior=prior,
+        noise=noise,
+        engine=engine,
+        actions=generator,
+        horizon=horizon,
+        replications=1,
+        policy=policy,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +106,11 @@ ARMS = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
 def fixed_arm_episode(policy):
     prior = GaussianPrior(mean=np.array([1.0, 0.0]), cov=PsdMatrix.identity(2))
     noise = GaussianNoise(sd=1.0)
-    result = run_episode(
+    run = one_episode_run(
         prior, noise, FixedActionsGenerator(ARMS),
-        EngineConfig(kind="gaussian_conjugate"),
-        horizon=20, rng=np.random.default_rng(SEED), policy=policy,
+        EngineConfig(kind="gaussian_conjugate"), horizon=20, policy=policy,
     )
+    result = run_episode(run, np.random.default_rng(SEED))
     return prior, noise, result
 
 
@@ -139,11 +153,11 @@ def gaussian_episode(policy="lints", horizon=40, seed=SEED):
     prior = GaussianPrior(mean=np.zeros(3), cov=PsdMatrix.identity(3))
     noise = GaussianNoise(sd=1.0)
     gen = KArmedGaussianGenerator(k=6, dim=3)
-    rng = np.random.default_rng(seed)
-    return run_episode(
+    run = one_episode_run(
         prior, noise, gen, EngineConfig(kind="gaussian_conjugate"),
-        horizon=horizon, rng=rng, policy=policy,
+        horizon=horizon, policy=policy,
     )
+    return run_episode(run, np.random.default_rng(seed))
 
 
 def test_episode_shapes_and_regret_accounting():
@@ -197,11 +211,10 @@ def test_bernoulli_episode_respects_mean_range():
     )
     noise = BernoulliMeanNoise()
     gen = KArmedGaussianGenerator(k=5, dim=2, nonnegative=True)
-    rng = np.random.default_rng(SEED)
-    result = run_episode(
-        prior, noise, gen, EngineConfig(kind="finite_support"),
-        horizon=50, rng=rng,
+    run = one_episode_run(
+        prior, noise, gen, EngineConfig(kind="finite_support"), horizon=50
     )
+    result = run_episode(run, np.random.default_rng(SEED))
     assert np.all(result.rewards >= 0)
     assert np.all(result.rewards <= 1)
 
@@ -211,12 +224,10 @@ def test_mean_range_validation_rejects_unbounded_priors():
 
     prior = GaussianPrior(mean=np.zeros(2), cov=PsdMatrix.identity(2))
     gen = KArmedGaussianGenerator(k=3, dim=2, nonnegative=True)
-    rng = np.random.default_rng(SEED)
     with pytest.raises(MeanOutOfRange):
-        run_episode(
+        one_episode_run(
             prior, BernoulliMeanNoise(), gen,
-            EngineConfig(kind="particle", particles=100),
-            horizon=5, rng=rng,
+            EngineConfig(kind="particle", particles=100), horizon=5,
         )
 
 
@@ -227,11 +238,10 @@ def test_mean_range_validation_rejects_signed_action_sets():
         atoms=np.array([[0.5], [0.9]]), weights=np.array([0.5, 0.5])
     )
     gen = FixedActionsGenerator(np.array([[-1.0]]))
-    rng = np.random.default_rng(SEED)
     with pytest.raises(MeanOutOfRange):
-        run_episode(
+        one_episode_run(
             prior, BernoulliMeanNoise(), gen,
-            EngineConfig(kind="finite_support"), horizon=5, rng=rng,
+            EngineConfig(kind="finite_support"), horizon=5,
         )
 
 
@@ -249,25 +259,24 @@ def test_adversarial_mean_out_of_range_is_raised_as_itself():
         weights=np.full(4, 0.25),
     )
     with pytest.raises(MeanOutOfRange) as info:
-        run_episode(
+        run = one_episode_run(
             prior, BernoulliMeanNoise(), UnitSphereGenerator(3),
-            EngineConfig(kind="finite_support"), horizon=4,
-            rng=np.random.default_rng(SEED), policy="adversarial",
+            EngineConfig(kind="finite_support"), horizon=4, policy="adversarial",
         )
+        run_episode(run, np.random.default_rng(SEED))
     assert type(info.value) is MeanOutOfRange
 
 
 def test_episode_rejects_bad_arguments():
     prior = GaussianPrior(mean=np.zeros(2), cov=PsdMatrix.identity(2))
     gen = KArmedGaussianGenerator(k=3, dim=2)
-    rng = np.random.default_rng(SEED)
     with pytest.raises(ValueError):
-        run_episode(prior, GaussianNoise(sd=1.0), gen,
-                    EngineConfig(kind="gaussian_conjugate"), horizon=0, rng=rng)
+        one_episode_run(prior, GaussianNoise(sd=1.0), gen,
+                        EngineConfig(kind="gaussian_conjugate"), horizon=0)
     with pytest.raises(ValueError):
-        run_episode(prior, GaussianNoise(sd=1.0), gen,
-                    EngineConfig(kind="gaussian_conjugate"), horizon=5, rng=rng,
-                    policy="ucb")
+        one_episode_run(prior, GaussianNoise(sd=1.0), gen,
+                        EngineConfig(kind="gaussian_conjugate"), horizon=5,
+                        policy="ucb")
 
 
 def test_adversarial_policy_plays_the_top_eigendirection_over_the_sphere():
@@ -277,18 +286,18 @@ def test_adversarial_policy_plays_the_top_eigendirection_over_the_sphere():
         atoms=np.array([[0.2], [0.5], [0.9]]), weights=np.array([0.3, 0.4, 0.3])
     )
     engine = EngineConfig(kind="finite_support")
-    rng = np.random.default_rng(SEED)
-    result = run_episode(
+    run = one_episode_run(
         prior, BernoulliMeanNoise(), UnitSphereGenerator(1), engine,
-        horizon=8, rng=rng, policy="adversarial",
+        horizon=8, policy="adversarial",
     )
+    result = run_episode(run, np.random.default_rng(SEED))
     assert np.array_equal(result.actions, np.ones((8, 1)))
     assert np.all(result.instant_regret == 0.0)
     assert len(result.trace.gamma_quads) == 8
     with pytest.raises(ValueError, match="unit sphere"):
-        run_episode(
+        one_episode_run(
             prior, BernoulliMeanNoise(), FixedActionsGenerator(np.array([[1.0]])),
-            engine, horizon=8, rng=rng, policy="adversarial",
+            engine, horizon=8, policy="adversarial",
         )
 
 

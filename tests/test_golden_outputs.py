@@ -10,18 +10,20 @@ One in ``tests/data/golden_lemmas/`` runs ``verify-lemmas``, whose table
 on standard output is its only output. The sha256 of each output file, and
 of the printed table, is compared with ``tests/data/golden_digests.json``,
 so a speed-up or refactor that moves a single output bit fails here.
-Floating-point results can differ across numpy and scipy releases, so the
-test skips when either version differs from the one the digests were
-recorded with. The record also holds the ``summary.json`` schema tag,
-``RunSummary.FORMAT``, it was made under.
+Floating-point results can differ across numpy releases and BLAS builds,
+so the test skips when the numpy version or the BLAS library's name and
+version differ from those the digests were recorded with; the package
+computes nothing with scipy, so its version is not part of the key. The
+record also holds the ``summary.json`` schema tag, ``RunSummary.FORMAT``,
+it was made under.
 
 To record the digests again, at a commit whose outputs are known good:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
 The recorder refuses to replace a ``summary.json`` digest under the same
-schema tag and the same numpy and scipy versions: a change to the summary's
-bytes bumps the tag first.
+schema tag, numpy version and BLAS build: a change to the summary's bytes
+bumps the tag first.
 """
 import contextlib
 import hashlib
@@ -33,7 +35,6 @@ import tempfile
 
 import numpy as np
 import pytest
-import scipy
 
 from ellipsim.cli import EXIT_OK, main
 from ellipsim.harness import RunSummary
@@ -66,7 +67,8 @@ def configs(key):
 
 
 def versions():
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
 def output_digests(key: str, config: pathlib.Path, out: pathlib.Path):

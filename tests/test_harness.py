@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import ellipsim.bandit as bandit_mod
 import ellipsim.harness as harness_mod
 from ellipsim.bandit import KArmedGaussianGenerator, UnitSphereGenerator
 from ellipsim.cli import main
@@ -250,6 +251,16 @@ def test_episode_error_other_than_engine_degradation_is_raised_as_itself(
     with pytest.raises(MeanOutOfRange) as info:
         run_experiment(small_config())
     assert type(info.value) is MeanOutOfRange
+
+
+def test_episodes_do_not_check_their_run_again(monkeypatch):
+    # the config checked the run when it was built; its episodes play it
+    # without calling check_episode again
+    cfg = small_config()
+    calls = []
+    monkeypatch.setattr(bandit_mod, "check_episode", lambda *args: calls.append(args))
+    run_experiment(cfg)
+    assert len(calls) == 0
 
 
 def test_harness_has_one_replication_loop():

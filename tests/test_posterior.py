@@ -21,6 +21,7 @@ from ellipsim.distributions import (
     StudentTNoise,
     UniformCenteredNoise,
 )
+from ellipsim.harness import ExperimentConfig
 from ellipsim.linalg import PsdMatrix, random_psd, symmetrize
 from ellipsim.posterior import (
     DegenerateWeights,
@@ -287,13 +288,17 @@ def test_conjugate_episode_matches_lu_solve_reference(monkeypatch):
     the same actions and regret, quadratic forms within rounding."""
     dim, horizon = 20, 150
     prior, noise = gaussian_pair(dim=dim, sd=1.0)
-    gen = KArmedGaussianGenerator(k=10, dim=dim)
-    engine = EngineConfig(kind="gaussian_conjugate")
+    run = ExperimentConfig(
+        prior=prior,
+        noise=noise,
+        engine=EngineConfig(kind="gaussian_conjugate"),
+        actions=KArmedGaussianGenerator(k=10, dim=dim),
+        horizon=horizon,
+        replications=1,
+    )
 
     def episode():
-        return run_episode(
-            prior, noise, gen, engine, horizon, np.random.default_rng(SEED)
-        )
+        return run_episode(run, np.random.default_rng(SEED))
 
     fast = episode()
     monkeypatch.setattr(
@@ -754,10 +759,17 @@ class ReferenceParticleState:
 
 
 def _replay_against(monkeypatch, prior, noise, gen, engine, horizon, make_ref):
+    run = ExperimentConfig(
+        prior=prior,
+        noise=noise,
+        engine=engine,
+        actions=gen,
+        horizon=horizon,
+        replications=1,
+    )
+
     def episode():
-        return run_episode(
-            prior, noise, gen, engine, horizon, np.random.default_rng(SEED)
-        )
+        return run_episode(run, np.random.default_rng(SEED))
 
     merged = episode()
     monkeypatch.setattr(

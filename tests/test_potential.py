@@ -332,12 +332,7 @@ def test_eq1_replays_the_ridge_tracker_over_the_played_actions(engine, workers):
     excesses = []
     for rep in range(cfg.replications):
         episode = run_episode(
-            prior,
-            cfg.noise,
-            cfg.actions,
-            cfg.engine,
-            cfg.horizon,
-            np.random.default_rng(np.random.SeedSequence([cfg.master_seed, rep])),
+            cfg, np.random.default_rng(np.random.SeedSequence([cfg.master_seed, rep]))
         )
         ridge = ClassicalPotential(dim=3, lam=2.0)
         quads = [ridge.step(a) for a in episode.actions]
@@ -630,21 +625,19 @@ def test_monte_carlo_matches_a_standalone_loop(case):
 
 
 def test_monte_carlo_reads_the_quads_of_run_episode():
-    prior, noise = _five_atom_prior(), GaussianNoise(sd=0.5)
-    engine = EngineConfig(kind="finite_support")
-    report = verify(
-        prior, noise, horizon=10, replications=2, master_seed=3, engine=engine
+    run = ExperimentConfig(
+        prior=_five_atom_prior(),
+        noise=GaussianNoise(sd=0.5),
+        engine=EngineConfig(kind="finite_support"),
+        actions=UnitSphereGenerator(3),
+        horizon=10,
+        replications=2,
+        master_seed=3,
+        policy="adversarial",
     )
+    report = verify_expected_potential(run)
     episodes = [
-        run_episode(
-            prior,
-            noise,
-            UnitSphereGenerator(3),
-            engine,
-            10,
-            np.random.default_rng(np.random.SeedSequence([3, rep])),
-            policy="adversarial",
-        )
+        run_episode(run, np.random.default_rng(np.random.SeedSequence([3, rep])))
         for rep in range(2)
     ]
     quads = [np.asarray(ep.trace.gamma_quads) for ep in episodes]
