@@ -232,7 +232,8 @@ def run_episode(cfg: ExperimentConfig, rng: np.random.Generator) -> EpisodeResul
 
     ``cfg.policy`` is "lints", "greedy" or "adversarial"; ``cfg`` was
     checked when it was built (:func:`check_episode` says which setups each
-    policy plays), so nothing is checked again here.
+    policy plays, ``check_engine_compatible`` which engines fit the prior
+    and noise), so nothing is checked again here.
 
     The draw order per round is fixed (action set, then policy sample,
     then reward), so a single generator yields reproducible episodes.
@@ -243,7 +244,7 @@ def run_episode(cfg: ExperimentConfig, rng: np.random.Generator) -> EpisodeResul
     prior, noise, generator = cfg.prior, cfg.noise, cfg.actions
     horizon, policy = cfg.horizon, cfg.policy
     theta_star = prior.sample(rng)
-    state = make_posterior(prior, noise, cfg.engine, rng=rng)
+    state = make_posterior(prior, noise, cfg.engine, rng=rng, checked=False)
     dim = theta_star.shape[0]
     trace = PotentialTrace()
     actions = np.zeros((horizon, dim))

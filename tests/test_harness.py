@@ -8,6 +8,7 @@ import pytest
 
 import ellipsim.bandit as bandit_mod
 import ellipsim.harness as harness_mod
+import ellipsim.posterior as posterior_mod
 from ellipsim.bandit import KArmedGaussianGenerator, UnitSphereGenerator
 from ellipsim.cli import main
 from ellipsim.distributions import (
@@ -261,6 +262,22 @@ def test_episodes_do_not_check_their_run_again(monkeypatch):
     monkeypatch.setattr(bandit_mod, "check_episode", lambda *args: calls.append(args))
     run_experiment(cfg)
     assert len(calls) == 0
+
+
+def test_a_run_checks_its_engine_once(monkeypatch):
+    # the config checks the prior/noise/engine fit when it is built; its
+    # eight episodes build their engines without checking it again
+    check = posterior_mod.check_engine_compatible
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        check(*args)
+
+    monkeypatch.setattr(harness_mod, "check_engine_compatible", counted)
+    monkeypatch.setattr(posterior_mod, "check_engine_compatible", counted)
+    run_experiment(small_config())
+    assert len(calls) == 1
 
 
 def test_harness_has_one_replication_loop():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipsim import bandit
+from ellipsim import posterior as posterior_mod
 from ellipsim.bandit import (
     FixedActionsGenerator,
     KArmedGaussianGenerator,
@@ -24,6 +25,8 @@ from ellipsim.distributions import (
 from ellipsim.harness import ExperimentConfig
 from ellipsim.linalg import PsdMatrix, random_psd, symmetrize
 from ellipsim.posterior import (
+    DRAW_BLOCK,
+    DRAW_SERIAL_MAX,
     DegenerateWeights,
     EngineConfig,
     FiniteSupportState,
@@ -304,7 +307,9 @@ def test_conjugate_episode_matches_lu_solve_reference(monkeypatch):
     monkeypatch.setattr(
         bandit,
         "make_posterior",
-        lambda prior, noise, engine, rng=None: PrecisionFormConjugateState(prior, noise),
+        lambda prior, noise, engine, rng=None, checked=True: PrecisionFormConjugateState(
+            prior, noise
+        ),
     )
     ref = episode()
     assert isinstance(ref.final_state, PrecisionFormConjugateState)
@@ -438,7 +443,20 @@ def test_enumerate_outcomes_gives_no_child_at_zero_mass():
     assert per_round.tolist() == [0.25, 0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("n", [1, 8, 20_000])
+@pytest.mark.parametrize(
+    "n",
+    [
+        1,
+        8,
+        2 * DRAW_BLOCK,
+        2 * DRAW_BLOCK + 1,
+        5 * DRAW_BLOCK + 3,
+        DRAW_SERIAL_MAX,
+        DRAW_SERIAL_MAX + 1,
+        DRAW_SERIAL_MAX + 3 * DRAW_BLOCK + 3,
+        20_000,
+    ],
+)
 def test_finite_support_sample_reproduces_generator_choice(n):
     """The inline draw picks the index rng.choice(n, p=weights) picks and
     leaves the generator where choice leaves it, zero weights included."""
@@ -459,6 +477,119 @@ def test_finite_support_sample_reproduces_generator_choice(n):
         assert ours.random() == ref.random()
         if step % 10 == 9:
             state.update(np.array([1.0, 0.0]), float(rng.random()))
+
+
+class FixedUniform:
+    """Stands in for a generator whose next ``random()`` is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def indexed_state(weights):
+    """A finite-support state holding ``weights`` (any positive total);
+    atom i is (i, 0), so a drawn row names its index."""
+    n = weights.shape[0]
+    atoms = np.column_stack([np.arange(n) / n, np.zeros(n)])
+    state = FiniteSupportState(
+        FiniteSupportPrior(atoms=atoms, weights=np.full(n, 1.0 / n)),
+        GaussianNoise(sd=0.5),
+    )
+    state.weights = weights
+    return state
+
+
+def drawn_index(state, u):
+    return int(round(state.sample(FixedUniform(u))[0] * state.weights.shape[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from(
+        [
+            1,
+            DRAW_BLOCK,
+            DRAW_SERIAL_MAX,
+            DRAW_SERIAL_MAX + 1,
+            DRAW_SERIAL_MAX + 3 * DRAW_BLOCK + 3,
+            3 * DRAW_SERIAL_MAX,
+        ]
+    )
+    | st.integers(1, 3 * DRAW_SERIAL_MAX),
+    seed=st.integers(0, 2**32 - 1),
+    tail=st.sampled_from([0.3, 1.0, 5.0]),
+    zero_share=st.floats(0.0, 1.0),
+    zero_run=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    dominant=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(1.0, 1e15)),
+    scale=st.sampled_from([1e-300, 1e-9, 1.0, 1e12, 1e290]),
+    u=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_draw_picks_the_serial_index_for_any_weights(
+    n, seed, tail, zero_share, zero_run, dominant, scale, u
+):
+    """Below, at and above the threshold, with a ragged last block, long
+    zero runs, heavy tails, a dominant atom and totals far from 1, the
+    draw picks the index of the serial cumulative sum for any u."""
+    rng = np.random.default_rng(seed)
+    weights = rng.pareto(tail, n) * (rng.random(n) >= zero_share)
+    start = int(zero_run[0] * n)
+    weights[start : start + int(zero_run[1] * n)] = 0.0
+    if dominant is not None:
+        weights[int(dominant[0] * (n - 1))] = dominant[1] * max(weights.sum(), 1.0)
+    if weights.sum() == 0.0:
+        weights[rng.integers(n)] = 1.0
+    weights = weights / weights.sum() * scale
+    want = posterior_mod._serial_index(weights, u)
+    assert weights[want] > 0.0
+    assert posterior_mod._blocked_index(weights, u) == want
+    assert drawn_index(indexed_state(weights), u) == want
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+@pytest.mark.parametrize(
+    "position",
+    [5 * DRAW_BLOCK + 17, 5 * DRAW_BLOCK - 1, None],
+    ids=["inside-a-block", "at-a-block-edge", "zero"],
+)
+def test_blocked_draw_refuses_a_u_on_a_cumulative_value(position, ulps, monkeypatch):
+    """A u on a serial cumulative value, or a step of one ulp either side,
+    is too close to call: the certificate refuses and the serial
+    statements give the index."""
+    n = DRAW_SERIAL_MAX + 3 * DRAW_BLOCK + 3
+    weights = np.random.default_rng(SEED).random(n)
+    weights /= weights.sum()
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    u = 0.0 if position is None else float(cdf[position])
+    for _ in range(abs(ulps)):
+        u = float(np.nextafter(u, 1.0 if ulps > 0 else 0.0))
+    serial = posterior_mod._serial_index
+    calls = []
+    monkeypatch.setattr(
+        posterior_mod, "_serial_index", lambda w, v: calls.append(v) or serial(w, v)
+    )
+    assert drawn_index(indexed_state(weights), u) == serial(weights, u)
+    assert calls == [u]
+
+
+def test_blocked_draw_certifies_ordinary_draws(monkeypatch):
+    """Generator draws on a 20,000-atom posterior pass the certificate:
+    the serial statements never run, and the draws are choice's."""
+    n = 20_000
+    rng = np.random.default_rng(SEED)
+    weights = rng.pareto(1.0, n) * (rng.random(n) > 0.3)
+    weights[n // 3 : n // 2] = 0.0
+    state = indexed_state(weights / weights.sum())
+    calls = []
+    monkeypatch.setattr(posterior_mod, "_serial_index", lambda *args: calls.append(args))
+    ours, ref = np.random.default_rng(SEED), np.random.default_rng(SEED)
+    for _ in range(500):
+        got = state.sample(ours)
+        assert np.array_equal(got, state.atoms[ref.choice(n, p=state.weights)])
+    assert calls == []
 
 
 @settings(max_examples=50, deadline=None)
@@ -775,7 +906,7 @@ def _replay_against(monkeypatch, prior, noise, gen, engine, horizon, make_ref):
     monkeypatch.setattr(
         bandit,
         "make_posterior",
-        lambda prior, noise, engine, rng=None: make_ref(prior, noise, rng),
+        lambda prior, noise, engine, rng=None, checked=True: make_ref(prior, noise, rng),
     )
     ref = episode()
     assert np.array_equal(merged.actions, ref.actions)
