@@ -173,17 +173,25 @@ class UniformBallPrior(Prior):
 
 class Noise:
     """A noise family; subclasses supply ``sigma_sq_bound``, ``sample_reward``
-    and ``likelihood``.
-
-    For an array of means, ``likelihood(y, mean)`` returns a fresh array
-    of the same shape, which the caller may overwrite, and never changes
-    ``mean``: the posterior engines reweight in place in that array.
-    """
+    and ``likelihood``."""
 
     # the conditional mean must lie in [0, 1]
     requires_unit_interval_mean: bool = False
     # the possible rewards, when there are finitely many
     finite_outcomes: Optional[Tuple[float, ...]] = None
+
+    def likelihood(self, y: float, mean: ArrayLike) -> Array:
+        """The density (or mass) of reward y at each conditional mean.
+
+        Elementwise: entry i is a function of y and ``mean[i]`` alone, so
+        ``likelihood(y, mean)[idx]`` equals ``likelihood(y, mean[idx])``
+        bit for bit, and a family that refuses a mean names the first one
+        in array order. The result is a fresh array of the same shape,
+        sharing no memory with ``mean``, which it never changes. The
+        posterior engines reweight in place in that array, and the
+        particle engine evaluates a run of copied particles once.
+        """
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)

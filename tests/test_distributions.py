@@ -299,6 +299,40 @@ def test_likelihood_returns_a_fresh_array_and_leaves_the_means(noise, y):
     assert np.array_equal(again, expected)
 
 
+# one instance per noise family, with the means and rewards it accepts
+LIKELIHOOD_CASES = {
+    GaussianNoise: (GaussianNoise(sd=0.3), (-3.0, 3.0), (0.4, -2.5)),
+    StudentTNoise: (StudentTNoise(dof=4.0, scale=0.2), (-3.0, 3.0), (0.4, 7.0)),
+    UniformCenteredNoise: (UniformCenteredNoise(half_width=0.5), (-1.0, 1.0), (0.2, 0.9)),
+    BernoulliMeanNoise: (BernoulliMeanNoise(), (0.0, 1.0), (0.0, 1.0)),
+}
+
+
+def test_every_noise_family_has_a_likelihood_case():
+    assert set(LIKELIHOOD_CASES) == set(Noise.__subclasses__())
+
+
+@pytest.mark.parametrize("family", list(LIKELIHOOD_CASES), ids=lambda cls: cls.__name__)
+def test_likelihood_is_elementwise_bit_for_bit(family):
+    """``likelihood(y, x)[idx]`` is ``likelihood(y, x[idx])`` bit for bit,
+    in a fresh array: the particle engine's once-per-run reweight rests on
+    it. Repeated entries stand for copied particles."""
+    noise, (lo, hi), rewards = LIKELIHOOD_CASES[family]
+    rng = np.random.default_rng(SEED)
+    for _ in range(40):
+        n = int(rng.integers(1, 25_000))
+        x = rng.uniform(lo, hi, n)
+        x[rng.integers(n, size=n // 4)] = x[rng.integers(n, size=n // 4)]
+        idx = rng.integers(n, size=int(rng.integers(1, 2 * n + 1)))
+        if rng.random() < 0.5:
+            idx.sort()
+        for y in rewards:
+            whole = noise.likelihood(y, x)
+            part = noise.likelihood(y, x[idx])
+            assert whole[idx].tobytes() == part.tobytes()
+            assert not np.shares_memory(whole, x)
+
+
 @pytest.mark.parametrize("dof,scale", [(3.0, 1.0), (4.0, 0.5), (7.5, 2.3)])
 def test_student_t_likelihood_is_the_one_line_expression_bit_for_bit(dof, scale):
     noise = StudentTNoise(dof=dof, scale=scale)

@@ -19,6 +19,7 @@ from ellipsim.distributions import (
     FiniteSupportPrior,
     GaussianNoise,
     GaussianPrior,
+    MeanOutOfRange,
     StudentTNoise,
     UniformCenteredNoise,
 )
@@ -986,6 +987,163 @@ def test_finite_support_episode_matches_standalone_reference(monkeypatch):
         lambda prior, noise, rng: ReferenceFiniteSupportState(prior, noise),
     )
     assert type(merged) is FiniteSupportState
+
+
+# ---------------------------------------------------------------------------
+# particle likelihood once per run of copies
+# ---------------------------------------------------------------------------
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def run_cases():
+    """(prior, noise, true parameter, nonnegative actions, rounds) per noise
+    family, each giving several nested resamples and, from the first few
+    on, runs of eight or more copies on average. A true parameter of None
+    is the first particle, so the boxcar likelihood never vanishes."""
+    gauss = GaussianPrior(mean=np.zeros(3), cov=PsdMatrix(0.5 * np.eye(3)))
+    rng = np.random.default_rng(7)
+    # 4096 points spread over the nonnegative orthant of the unit ball,
+    # where every nonnegative unit action's mean lies in [0, 1]
+    atoms = np.abs(rng.standard_normal((4096, 3)))
+    atoms *= rng.random((4096, 1)) ** (1 / 3) / np.linalg.norm(atoms, axis=1, keepdims=True)
+    orthant = FiniteSupportPrior(atoms=atoms, weights=np.full(4096, 1.0 / 4096))
+    return {
+        "gaussian": (gauss, GaussianNoise(sd=0.2), None, False, 40),
+        "student_t": (gauss, StudentTNoise(dof=4.0, scale=0.2), None, False, 40),
+        "uniform": (gauss, UniformCenteredNoise(half_width=0.5), None, False, 40),
+        "bernoulli": (orthant, BernoulliMeanNoise(), np.full(3, 3**-0.5), True, 100),
+    }
+
+
+@pytest.fixture
+def likelihood_lengths(monkeypatch):
+    """Wraps each noise family's ``likelihood``, as the benchmark's tracer
+    does, and records the length of every call's means."""
+    lengths = []
+    for cls in (GaussianNoise, StudentTNoise, UniformCenteredNoise, BernoulliMeanNoise):
+        original = vars(cls)["likelihood"]
+
+        def counted(self, y, mean, original=original):
+            lengths.append(np.shape(mean)[0])
+            return original(self, y, mean)
+
+        monkeypatch.setattr(cls, "likelihood", counted)
+    return lengths
+
+
+@pytest.mark.parametrize("n", [500, 20_000])
+@pytest.mark.parametrize("family", list(run_cases()))
+def test_run_likelihood_keeps_every_bit_of_the_full_call(family, n, likelihood_lengths):
+    """One episode twice: as built, and with the runs cleared before every
+    update, which makes each reweight call the likelihood on every
+    particle. Weights and particles agree bit for bit after every round."""
+    prior, noise, theta, nonnegative, rounds = run_cases()[family]
+    built = ParticleState(prior, noise, np.random.default_rng(SEED), n_particles=n)
+    full = ParticleState(prior, noise, np.random.default_rng(SEED), n_particles=n)
+    if theta is None:
+        theta = built.atoms[0].copy()
+    rng = np.random.default_rng(SEED + 1)
+    compressed = 0
+    for _ in range(rounds):
+        a = rng.standard_normal(3)
+        if nonnegative:
+            a = np.abs(a)
+        a /= np.linalg.norm(a)
+        y = noise.sample_reward(float(a @ theta), rng)
+        if built._runs is not None:
+            starts, counts = built._runs
+            assert np.array_equal(built.atoms[starts].repeat(counts, axis=0), built.atoms)
+        full._runs = None
+        for state in (built, full):
+            state.quad_form(a)
+            calls = len(likelihood_lengths)
+            state.update(a, y)
+            assert len(likelihood_lengths) == calls + 1
+        compressed += likelihood_lengths[-2] < n
+        assert same_bits(built.weights, full.weights)
+        assert same_bits(built.atoms, full.atoms)
+    assert built.resample_count == full.resample_count >= 3
+    assert compressed >= 5
+    if family == "bernoulli":
+        assert built._runs is not None
+        errors = []
+        full._runs = None
+        for state in (built, full):
+            with pytest.raises(MeanOutOfRange) as info:
+                state.update(-a, 1.0)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+
+def state_with_runs(noise):
+    """A 2000-particle state whose runs are recorded, reweighting by noise."""
+    prior = GaussianPrior(mean=np.zeros(3), cov=PsdMatrix(0.5 * np.eye(3)))
+    sharp = StudentTNoise(dof=4.0, scale=0.2)
+    state = ParticleState(prior, sharp, np.random.default_rng(SEED), n_particles=2000)
+    rng = np.random.default_rng(SEED + 2)
+    for _ in range(20):
+        a = rng.standard_normal(3)
+        state.update(a / np.linalg.norm(a), 0.3)
+    assert state._runs is not None
+    state.noise = noise
+    return state
+
+
+def first_copy(state):
+    """Index of the second particle of the first run with two or more."""
+    starts, counts = state._runs
+    return int(starts[np.flatnonzero(counts >= 2)[0]]) + 1
+
+
+def nudge_up(proj, k):
+    proj[k] = np.nextafter(proj[k], np.inf)
+
+
+def negative_zero(proj, k):
+    proj[proj == proj[k]] = 0.0
+    proj[k] = -0.0
+
+
+def make_nan(proj, k):
+    proj[k] = np.nan
+
+
+@pytest.mark.parametrize(
+    "noise,change",
+    [
+        (StudentTNoise(dof=4.0, scale=0.2), None),
+        (StudentTNoise(dof=4.0, scale=0.2), nudge_up),
+        (StudentTNoise(dof=4.0, scale=0.2), negative_zero),
+        (UniformCenteredNoise(half_width=2.0), make_nan),
+    ],
+    ids=["unchanged", "one-ulp", "negative-zero", "nan"],
+)
+def test_run_likelihood_falls_back_when_a_copy_projects_apart(
+    noise, change, likelihood_lengths
+):
+    """A copy whose projection differs from its run head's by any bit makes
+    the reweight call the likelihood on every particle, once, and give
+    that call's bits; ``refused_compressions`` counts it."""
+    state = state_with_runs(noise)
+    full = copy.deepcopy(state)
+    full._runs = None
+    a = np.array([0.6, 0.0, 0.8])
+    state.quad_form(a)
+    proj = state._kept[2]
+    if change is not None:
+        change(proj, first_copy(state))
+    full._kept = (a, a.tobytes(), proj.copy())
+    del likelihood_lengths[:]
+    state.update(a, 0.3)
+    assert len(likelihood_lengths) == 1
+    assert (likelihood_lengths[0] == state.n_particles) == (change is not None)
+    full.update(a, 0.3)
+    assert state.refused_compressions == (change is not None)
+    assert full.refused_compressions == 0
+    assert same_bits(state.weights, full.weights)
 
 
 # ---------------------------------------------------------------------------
