@@ -189,7 +189,8 @@ class Noise:
         in array order. The result is a fresh array of the same shape,
         sharing no memory with ``mean``, which it never changes. The
         posterior engines reweight in place in that array, and the
-        particle engine evaluates a run of copied particles once.
+        particle engine evaluates each distinct particle once for all its
+        copies.
         """
         raise NotImplementedError
 

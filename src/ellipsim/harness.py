@@ -139,7 +139,7 @@ class RunSummary:
     bounds: Dict[str, Optional[float]]
     checks: Dict[str, Optional[bool]]
 
-    FORMAT = "ellipsim-summary-v5"
+    FORMAT = "ellipsim-summary-v6"
 
     def to_dict(self) -> Dict:
         # shallow: the fields are JSON-ready already, and asdict's deep copy

@@ -21,12 +21,9 @@ the same bytes, so an action changed in between is projected afresh. The
 reweight then works in the likelihood array, and a particle resample
 drops the kept projection with the old atoms.
 
-A resample leaves the copies of each particle next to each other, in
-runs. Once the runs average ``RUN_MEAN_MIN`` or more particles, the
-particle engine calls the likelihood on one projection per run and
-repeats each value over its run, after checking that every copy's
-projection has its run head's bits; the products, sums and draws stay
-full-length, so every output bit is the full call's.
+The particle engine stores its particles as the finite support they
+make: one row per distinct surviving prior draw, with its mass and its
+number of copies, so a round costs O(distinct particles), not O(n).
 """
 from __future__ import annotations
 
@@ -86,14 +83,6 @@ DRAW_BLOCK = 128
 DRAW_SERIAL_MAX = 8 * DRAW_BLOCK
 _UNIT_ROUNDOFF = 2.0**-53
 _NORMAL_MIN = float(np.finfo(np.float64).tiny)
-
-# a particle reweight evaluates the likelihood once per run of copies when
-# the runs average at least RUN_MEAN_MIN particles. On 20,000 particles on
-# a 2-core x86_64 the check, the gather and the repeat cost about what
-# they save near a mean run of 4 to 8, and twice the full call near 2.
-# It cannot change a result: either path gives the full call's bits.
-RUN_MEAN_MIN = 8
-
 
 def _serial_index(weights: Array, u: float) -> int:
     """The index ``Generator.choice(n, p=weights)`` draws for the uniform u."""
@@ -213,8 +202,6 @@ class FiniteSupportState:
 
     # names the engine in the DegenerateWeights message
     _label = "posterior"
-    # (starts, lengths) of runs of copied atoms; only a particle resample sets it
-    _runs: Optional[tuple] = None
 
     def __init__(self, prior: FiniteSupportPrior, noise: Noise):
         self.noise = noise
@@ -296,10 +283,7 @@ class FiniteSupportState:
         # the likelihood is a fresh array (Noise.likelihood), so the
         # product and the normalization are formed in it; multiplication
         # commutes, so the bits are those of weights * likelihood
-        if self._runs is None:
-            raw = self.noise.likelihood(y, proj)
-        else:
-            raw = self._run_likelihood(y, proj)
+        raw = self.noise.likelihood(y, proj)
         raw *= self.weights
         total = float(raw.sum())
         if total <= 0.0 or not np.isfinite(total):
@@ -314,44 +298,34 @@ class FiniteSupportState:
 
 
 class ParticleState(FiniteSupportState):
-    """Sequential importance resampling: finite support with resampled points.
+    """Sequential importance resampling over the distinct surviving draws.
 
-    The particles are prior draws kept in ``atoms``, reweighted as the
-    finite-support engine does and only ever resampled; the parameter is
-    static, so there is no rejuvenation move and long runs can deplete
-    distinct support. Systematic resampling triggers when the effective
-    sample size drops below half the particle count. The generator passed
-    at construction drives initialization and all resampling, keeping
-    replays deterministic.
+    The n particles are prior draws, reweighted as the finite-support
+    engine does and only ever resampled; the parameter is static, so there
+    is no rejuvenation move and long runs can deplete distinct support.
+    Systematic resampling triggers when the effective sample size drops
+    below half the particle count. The generator passed at construction
+    drives initialization and all resampling, keeping replays
+    deterministic.
 
-    Like the finite-support engine, a round projects the particles on its
-    action once: ``update`` reuses the projection ``quad_form`` kept, and
-    a resample drops it along with the old particles. The resample finds
-    each systematic position's particle by one stable merge of the
-    cumulative weights with the sorted positions, cumulative weights
-    first, which picks the indices ``np.searchsorted(cumulative,
-    positions, side="right")`` picks, and gathers the rows with ``take``.
-    A position that ties with a cumulative weight goes to the next
-    particle, and the last particle of positive weight takes every
-    position past the sum before it, so no zero-weight particle gets an
-    offspring.
+    A resample copies particles, and the copies of one draw keep equal
+    weights from then on, so the engine stores the finite support they
+    make: ``atoms`` holds the R <= n distinct surviving draws in draw
+    order, ``weights`` their masses (the weight of all their copies) and
+    ``counts`` their copies, which sum to n. The reads, the draw and the
+    reweight are the finite-support engine's and cost O(R); ``particles``
+    lays the rows out as the n particles, ``atoms.repeat(counts, axis=0)``,
+    and the effective sample size is the n particles' own,
+    ``1 / sum(mass**2 / counts)``.
 
-    Runs of copies. The resample's indices are nondecreasing, so the
-    copies it makes of one particle sit together, and a later resample,
-    gathering contiguous runs by nondecreasing indices, keeps them
-    together. The resample records each particle's ancestor, its index
-    among the prior draws, and a run starts wherever the ancestor
-    changes: an O(n) pass with no sort. Every particle of a run is then
-    a copy of its first. When the runs average at least ``RUN_MEAN_MIN``
-    particles, the reweight evaluates the likelihood on the run heads'
-    projections and repeats each value over its run
-    (:meth:`_run_likelihood`); otherwise, and before the first resample,
-    it calls the likelihood on every projection. Projections of equal
-    rows could still differ in the last bits, so the repeat is used only
-    when every projection in a run has its head's bits, a check made on
-    each reweight; a refusal is counted in ``refused_compressions``.
-    ``atoms`` stays the full array, and the weights, their sums and the
-    draw stay full-length, so every output bit is the full call's.
+    The resample places n systematic positions (i + u) / n from one
+    ``rng.random()`` u and gives each row the positions at or above the
+    cumulative mass before it and below its own: a position that ties with
+    a cumulative mass goes to the next row, as a right-sided
+    ``searchsorted`` of the positions would send it. The last row of
+    positive mass owns every position past the sum before it, so no
+    zero-mass row gets an offspring. Rows left without one are dropped,
+    and each kept row's mass becomes counts / n.
     """
 
     _label = "particle"
@@ -367,23 +341,21 @@ class ParticleState(FiniteSupportState):
         self.rng = rng
         self.atoms = prior.sample_many(rng, n_particles)
         self.weights = np.full(n_particles, 1.0 / n_particles)
+        self.counts = np.ones(n_particles, dtype=np.intp)
+        self.n_particles = n_particles
         self.resample_count = 0
-        self.refused_compressions = 0
         self._kept = None
-        # each particle's index among the prior draws, from the first resample on
-        self._ancestors: Optional[Array] = None
-        self._runs = None
 
     @property
     def particles(self) -> Array:
-        return self.atoms
-
-    @property
-    def n_particles(self) -> int:
-        return self.atoms.shape[0]
+        """The n particles: each row of ``atoms`` repeated over its copies."""
+        if self.atoms.shape[0] == self.n_particles:
+            return self.atoms
+        return self.atoms.repeat(self.counts, axis=0)
 
     def effective_sample_size(self) -> float:
-        return 1.0 / float(self.weights @ self.weights)
+        # each of a row's copies holds its mass / count
+        return 1.0 / float((self.weights / self.counts) @ self.weights)
 
     # reweights through the shared helper rather than super().update(), so
     # one call opens one span when the class methods are wrapped for tracing
@@ -396,55 +368,23 @@ class ParticleState(FiniteSupportState):
         n = self.n_particles
         positions = (np.arange(n) + self.rng.random()) / n
         cumulative = np.cumsum(self.weights)
-        # the last particle of positive weight (reweighting leaves one) owns
-        # every position past the sum before it, so neither a sum that
-        # rounds below 1 nor a last position that rounds up to 1.0 lands on
-        # a zero-weight tail or past the end
-        last = n - 1
+        # the last row of positive mass (reweighting leaves one) owns every
+        # position past the sum before it, so neither a sum that rounds
+        # below 1 nor a last position that rounds up to 1.0 lands on a
+        # zero-mass tail or past the end
+        last = cumulative.shape[0] - 1
         while self.weights[last] == 0.0:
             last -= 1
         cumulative[last:] = np.inf
-        # a position's rank in the merged order, less the positions before
-        # it, counts the cumulative weights at or below it: searchsorted's
-        # side="right" index, since a tie puts the cumulative weight first
-        order = np.concatenate([cumulative, positions]).argsort(kind="stable")
-        idx = np.flatnonzero(order >= n) - np.arange(n)
-        self.atoms = self.atoms.take(idx, axis=0)
-        self.weights = np.full(n, 1.0 / n)
+        # the positions below each cumulative mass, less those below the
+        # one before it
+        offspring = np.diff(positions.searchsorted(cumulative, side="left"), prepend=0)
+        kept = offspring > 0
+        self.atoms = self.atoms[kept]
+        self.counts = offspring[kept]
+        self.weights = self.counts / n
         self.resample_count += 1
         self._kept = None
-        # idx is nondecreasing, and so are the ancestors it gathers: the
-        # copies of one prior draw sit together, a run that starts wherever
-        # the ancestor changes
-        ancestors = idx if self._ancestors is None else self._ancestors.take(idx)
-        is_start = np.empty(n, dtype=bool)
-        is_start[0] = True
-        np.not_equal(ancestors[1:], ancestors[:-1], out=is_start[1:])
-        starts = np.flatnonzero(is_start)
-        self._ancestors = ancestors
-        self._runs = None
-        if starts.shape[0] * RUN_MEAN_MIN <= n:
-            self._runs = (starts, np.diff(starts, append=n))
-
-    def _run_likelihood(self, y: float, proj: Array) -> Array:
-        """``noise.likelihood(y, proj)``, evaluated once per run of copies.
-
-        Takes the run heads' likelihood and repeats each value over its
-        run only when every projection in a run has its head's bits, that
-        is when each one past a run's start equals its predecessor as
-        int64 (so 0.0 never stands for -0.0, nor one NaN for another).
-        The likelihood is elementwise, so the repeated values are then the
-        full call's bits. Otherwise it makes the full call, and counts it
-        in ``refused_compressions``.
-        """
-        starts, counts = self._runs
-        bits = proj.view(np.int64)
-        same = bits[1:] == bits[:-1]
-        same[starts[1:] - 1] = True
-        if same.all():
-            return self.noise.likelihood(y, proj[starts]).repeat(counts)
-        self.refused_compressions += 1
-        return self.noise.likelihood(y, proj)
 
 
 PosteriorState = GaussianConjugateState | FiniteSupportState | ParticleState

@@ -65,6 +65,13 @@ def test_particle_state_exposes_its_particles():
     )
     assert state.particles is state.atoms
     assert state.particles.shape == (10, 1)
+    # a resample keeps one row per surviving draw; particles still lays out
+    # all 10 particles, copies included
+    state.weights = np.array([0.9] + [0.1 / 9] * 9)
+    state._systematic_resample()
+    assert state.atoms.shape[0] < 10
+    assert state.particles.shape == (10, 1)
+    assert np.array_equal(state.particles, state.atoms.repeat(state.counts, axis=0))
 
 
 def test_exact_lattice_branches_through_the_module_level_helper(monkeypatch):

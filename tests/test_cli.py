@@ -378,7 +378,7 @@ def test_run_bandit_writes_all_outputs(tmp_path, capsys):
     assert "pass_eq1: true" in printed
 
     summary = json.loads((out_dir / "summary.json").read_text())
-    assert summary["format"] == "ellipsim-summary-v5"
+    assert summary["format"] == "ellipsim-summary-v6"
     assert summary["checks"]["pass_eq4"] is True
     assert "wall_time_seconds" not in summary
 

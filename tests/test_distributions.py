@@ -315,8 +315,9 @@ def test_every_noise_family_has_a_likelihood_case():
 @pytest.mark.parametrize("family", list(LIKELIHOOD_CASES), ids=lambda cls: cls.__name__)
 def test_likelihood_is_elementwise_bit_for_bit(family):
     """``likelihood(y, x)[idx]`` is ``likelihood(y, x[idx])`` bit for bit,
-    in a fresh array: the particle engine's once-per-run reweight rests on
-    it. Repeated entries stand for copied particles."""
+    in a fresh array: the particle engine's reweight, once per distinct
+    particle for all its copies, rests on it. Repeated entries stand for
+    copied particles."""
     noise, (lo, hi), rewards = LIKELIHOOD_CASES[family]
     rng = np.random.default_rng(SEED)
     for _ in range(40):

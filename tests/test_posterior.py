@@ -19,7 +19,6 @@ from ellipsim.distributions import (
     FiniteSupportPrior,
     GaussianNoise,
     GaussianPrior,
-    MeanOutOfRange,
     StudentTNoise,
     UniformCenteredNoise,
 )
@@ -630,8 +629,8 @@ def test_particle_update_reweights_and_resamples():
     state = ParticleState(prior, noise, rng, n_particles=500)
     state.update(np.array([1.0, 0.0]), 0.3)
     assert state.resample_count == 1
-    assert np.allclose(state.weights, 1.0 / 500)
-    assert state.n_particles == 500
+    assert np.allclose(state.weights / state.counts, 1.0 / 500)
+    assert state.n_particles == state.particles.shape[0] == 500
 
 
 def test_particle_tracks_conjugate_posterior():
@@ -678,8 +677,9 @@ def resampled_indices(weights, u):
     state.weights = weights.copy()
     state.rng = FixedDraw(u)
     state._systematic_resample()
-    assert np.array_equal(state.weights, uniform(n))
-    return state.atoms[:, 0].astype(int)
+    assert np.array_equal(state.weights, state.counts / n)
+    assert state.counts.sum() == n
+    return state.particles[:, 0].astype(int)
 
 
 @pytest.mark.parametrize(
@@ -715,8 +715,8 @@ def resampled_indices(weights, u):
     ],
 )
 def test_systematic_resample_picks_the_searchsorted_indices(weights, u):
-    """The merge-based resample picks ``np.searchsorted(cumulative,
-    positions, side="right")``: a position that ties with a cumulative
+    """The resample picks ``np.searchsorted(cumulative, positions,
+    side="right")``: a position that ties with a cumulative
     weight goes to the next particle, so no zero-weight particle is drawn."""
     n = weights.shape[0]
     positions = (np.arange(n) + u) / n
@@ -766,7 +766,8 @@ def test_systematic_resample_matches_searchsorted_on_random_weights(seed):
     cumulative = np.cumsum(weights)
     cumulative[-1] = 1.0
     want = np.searchsorted(cumulative, (np.arange(n) + u) / n, side="right")
-    assert np.array_equal(state.atoms, atoms[want])
+    assert np.array_equal(state.particles, atoms[want])
+    assert np.array_equal(state.weights, state.counts / n)
     assert np.all(weights[want] > 0.0)
 
 
@@ -912,30 +913,48 @@ def _replay_against(monkeypatch, prior, noise, gen, engine, horizon, make_ref):
     ref = episode()
     assert np.array_equal(merged.actions, ref.actions)
     assert np.array_equal(merged.cumulative_regret, ref.cumulative_regret)
-    assert merged.trace.gamma_quads == ref.trace.gamma_quads
-    assert np.array_equal(merged.final_state.weights, ref.final_state.weights)
-    return merged.final_state, ref.final_state
+    return merged, ref
+
+
+def _replay_particles_against_reference(monkeypatch, prior, noise, gen, engine, horizon):
+    """A particle episode and its replay on :class:`ReferenceParticleState`.
+
+    Actions, regret, resamples and the particles agree exactly. The
+    quadratic forms and each particle's weight agree to rtol 1e-12: the
+    engine sums over its distinct rows, the reference over every particle,
+    and the two sums round apart in the last bits.
+    """
+    merged, ref = _replay_against(
+        monkeypatch,
+        prior,
+        noise,
+        gen,
+        engine,
+        horizon,
+        lambda prior, noise, rng: ReferenceParticleState(
+            prior, noise, rng, engine.particles
+        ),
+    )
+    state, want = merged.final_state, ref.final_state
+    assert isinstance(state, ParticleState)
+    assert want.resample_count > 0
+    assert state.resample_count == want.resample_count
+    assert np.array_equal(state.particles, want.particles)
+    np.testing.assert_allclose(
+        merged.trace.gamma_quads, ref.trace.gamma_quads, rtol=1e-12, atol=0
+    )
+    per_particle = (state.weights / state.counts).repeat(state.counts)
+    np.testing.assert_allclose(per_particle, want.weights, rtol=1e-12, atol=0)
+    return state
 
 
 def test_particle_episode_matches_standalone_reference(monkeypatch):
     prior = GaussianPrior(mean=np.zeros(3), cov=PsdMatrix(0.5 * np.eye(3)))
     noise = StudentTNoise(dof=4.0, scale=0.5)
     engine = EngineConfig(kind="particle", particles=3000)
-    merged, ref = _replay_against(
-        monkeypatch,
-        prior,
-        noise,
-        KArmedGaussianGenerator(k=8, dim=3),
-        engine,
-        100,
-        lambda prior, noise, rng: ReferenceParticleState(
-            prior, noise, rng, engine.particles
-        ),
+    _replay_particles_against_reference(
+        monkeypatch, prior, noise, KArmedGaussianGenerator(k=8, dim=3), engine, 100
     )
-    assert isinstance(merged, ParticleState)
-    assert ref.resample_count > 0
-    assert merged.resample_count == ref.resample_count
-    assert np.array_equal(merged.particles, ref.particles)
 
 
 def test_particle_fixed_actions_episode_matches_standalone_reference(monkeypatch):
@@ -953,21 +972,9 @@ def test_particle_fixed_actions_episode_matches_standalone_reference(monkeypatch
             [0.0, -0.6, 0.8],
         ]
     )
-    merged, ref = _replay_against(
-        monkeypatch,
-        prior,
-        noise,
-        FixedActionsGenerator(vectors),
-        engine,
-        100,
-        lambda prior, noise, rng: ReferenceParticleState(
-            prior, noise, rng, engine.particles
-        ),
+    _replay_particles_against_reference(
+        monkeypatch, prior, noise, FixedActionsGenerator(vectors), engine, 100
     )
-    assert isinstance(merged, ParticleState)
-    assert ref.resample_count > 0
-    assert merged.resample_count == ref.resample_count
-    assert np.array_equal(merged.particles, ref.particles)
 
 
 def test_finite_support_episode_matches_standalone_reference(monkeypatch):
@@ -986,164 +993,92 @@ def test_finite_support_episode_matches_standalone_reference(monkeypatch):
         200,
         lambda prior, noise, rng: ReferenceFiniteSupportState(prior, noise),
     )
-    assert type(merged) is FiniteSupportState
+    assert type(merged.final_state) is FiniteSupportState
+    assert merged.trace.gamma_quads == ref.trace.gamma_quads
+    assert np.array_equal(merged.final_state.weights, ref.final_state.weights)
 
 
 # ---------------------------------------------------------------------------
-# particle likelihood once per run of copies
+# particles kept as distinct rows with copy counts
 # ---------------------------------------------------------------------------
 
 
-def same_bits(got, want):
-    return got.shape == want.shape and got.tobytes() == want.tobytes()
+class DistinctDrawsPrior(FiniteSupportPrior):
+    """A finite-support prior whose draws never coincide: the i-th draw of
+    a call is scaled by 1 - i * 2**-40, so two equal rows are one draw."""
+
+    def sample_many(self, rng, size):
+        draws = super().sample_many(rng, size)
+        return draws * (1.0 - np.arange(size) * 2.0**-40)[:, None]
 
 
-def run_cases():
-    """(prior, noise, true parameter, nonnegative actions, rounds) per noise
-    family, each giving several nested resamples and, from the first few
-    on, runs of eight or more copies on average. A true parameter of None
-    is the first particle, so the boxcar likelihood never vanishes."""
+def replay_cases():
+    """(prior, noise, action generator, rounds) per noise family, each
+    giving several resamples and keeping two or more distinct particles;
+    the uniform boxcar empties a 500-particle filter after 36 rounds, so
+    it plays 24. The Bernoulli prior spreads 4096 points over
+    the nonnegative orthant of the unit ball, where every nonnegative unit
+    action's mean lies in [0, 1]."""
     gauss = GaussianPrior(mean=np.zeros(3), cov=PsdMatrix(0.5 * np.eye(3)))
     rng = np.random.default_rng(7)
-    # 4096 points spread over the nonnegative orthant of the unit ball,
-    # where every nonnegative unit action's mean lies in [0, 1]
     atoms = np.abs(rng.standard_normal((4096, 3)))
     atoms *= rng.random((4096, 1)) ** (1 / 3) / np.linalg.norm(atoms, axis=1, keepdims=True)
-    orthant = FiniteSupportPrior(atoms=atoms, weights=np.full(4096, 1.0 / 4096))
+    orthant = DistinctDrawsPrior(atoms=atoms, weights=np.full(4096, 1.0 / 4096))
+    arms = KArmedGaussianGenerator(k=8, dim=3)
     return {
-        "gaussian": (gauss, GaussianNoise(sd=0.2), None, False, 40),
-        "student_t": (gauss, StudentTNoise(dof=4.0, scale=0.2), None, False, 40),
-        "uniform": (gauss, UniformCenteredNoise(half_width=0.5), None, False, 40),
-        "bernoulli": (orthant, BernoulliMeanNoise(), np.full(3, 3**-0.5), True, 100),
+        "gaussian": (gauss, GaussianNoise(sd=0.5), arms, 40),
+        "student_t": (gauss, StudentTNoise(dof=4.0, scale=0.5), arms, 40),
+        "uniform": (gauss, UniformCenteredNoise(half_width=3.0), arms, 24),
+        "bernoulli": (
+            orthant,
+            BernoulliMeanNoise(),
+            KArmedGaussianGenerator(k=8, dim=3, nonnegative=True),
+            100,
+        ),
     }
 
 
-@pytest.fixture
-def likelihood_lengths(monkeypatch):
-    """Wraps each noise family's ``likelihood``, as the benchmark's tracer
-    does, and records the length of every call's means."""
-    lengths = []
-    for cls in (GaussianNoise, StudentTNoise, UniformCenteredNoise, BernoulliMeanNoise):
-        original = vars(cls)["likelihood"]
-
-        def counted(self, y, mean, original=original):
-            lengths.append(np.shape(mean)[0])
-            return original(self, y, mean)
-
-        monkeypatch.setattr(cls, "likelihood", counted)
-    return lengths
-
-
 @pytest.mark.parametrize("n", [500, 20_000])
-@pytest.mark.parametrize("family", list(run_cases()))
-def test_run_likelihood_keeps_every_bit_of_the_full_call(family, n, likelihood_lengths):
-    """One episode twice: as built, and with the runs cleared before every
-    update, which makes each reweight call the likelihood on every
-    particle. Weights and particles agree bit for bit after every round."""
-    prior, noise, theta, nonnegative, rounds = run_cases()[family]
-    built = ParticleState(prior, noise, np.random.default_rng(SEED), n_particles=n)
-    full = ParticleState(prior, noise, np.random.default_rng(SEED), n_particles=n)
-    if theta is None:
-        theta = built.atoms[0].copy()
-    rng = np.random.default_rng(SEED + 1)
-    compressed = 0
-    for _ in range(rounds):
-        a = rng.standard_normal(3)
-        if nonnegative:
-            a = np.abs(a)
-        a /= np.linalg.norm(a)
-        y = noise.sample_reward(float(a @ theta), rng)
-        if built._runs is not None:
-            starts, counts = built._runs
-            assert np.array_equal(built.atoms[starts].repeat(counts, axis=0), built.atoms)
-        full._runs = None
-        for state in (built, full):
-            state.quad_form(a)
-            calls = len(likelihood_lengths)
-            state.update(a, y)
-            assert len(likelihood_lengths) == calls + 1
-        compressed += likelihood_lengths[-2] < n
-        assert same_bits(built.weights, full.weights)
-        assert same_bits(built.atoms, full.atoms)
-    assert built.resample_count == full.resample_count >= 3
-    assert compressed >= 5
-    if family == "bernoulli":
-        assert built._runs is not None
-        errors = []
-        full._runs = None
-        for state in (built, full):
-            with pytest.raises(MeanOutOfRange) as info:
-                state.update(-a, 1.0)
-            errors.append(str(info.value))
-        assert errors[0] == errors[1]
+@pytest.mark.parametrize("family", list(replay_cases()))
+def test_distinct_particles_replay_the_reference(family, n, monkeypatch):
+    """An episode on the engine against :class:`ReferenceParticleState`,
+    which keeps every particle. After each resample the copy counts sum
+    to n, every kept row has a copy and a mass of counts / n, and no two
+    rows are one draw; each reweight calls the likelihood once, on the
+    distinct rows alone."""
+    prior, noise, arms, rounds = replay_cases()[family]
+    lengths = []
+    likelihood = vars(type(noise))["likelihood"]
 
+    def counted(self, y, mean):
+        lengths.append(np.shape(mean)[0])
+        return likelihood(self, y, mean)
 
-def state_with_runs(noise):
-    """A 2000-particle state whose runs are recorded, reweighting by noise."""
-    prior = GaussianPrior(mean=np.zeros(3), cov=PsdMatrix(0.5 * np.eye(3)))
-    sharp = StudentTNoise(dof=4.0, scale=0.2)
-    state = ParticleState(prior, sharp, np.random.default_rng(SEED), n_particles=2000)
-    rng = np.random.default_rng(SEED + 2)
-    for _ in range(20):
-        a = rng.standard_normal(3)
-        state.update(a / np.linalg.norm(a), 0.3)
-    assert state._runs is not None
-    state.noise = noise
-    return state
+    monkeypatch.setattr(type(noise), "likelihood", counted)
+    update = ParticleState.update
+    resample = ParticleState._systematic_resample
 
+    def checked_update(self, action, y):
+        rows, calls = self.atoms.shape[0], len(lengths)
+        update(self, action, y)
+        assert lengths[calls:] == [rows]
 
-def first_copy(state):
-    """Index of the second particle of the first run with two or more."""
-    starts, counts = state._runs
-    return int(starts[np.flatnonzero(counts >= 2)[0]]) + 1
+    def checked_resample(self):
+        resample(self)
+        n_kept = self.atoms.shape[0]
+        assert self.counts.shape == (n_kept,) and self.counts.sum() == n
+        assert np.all(self.counts >= 1)
+        assert np.array_equal(self.weights, self.counts / n)
+        assert np.unique(self.atoms, axis=0).shape[0] == n_kept
 
-
-def nudge_up(proj, k):
-    proj[k] = np.nextafter(proj[k], np.inf)
-
-
-def negative_zero(proj, k):
-    proj[proj == proj[k]] = 0.0
-    proj[k] = -0.0
-
-
-def make_nan(proj, k):
-    proj[k] = np.nan
-
-
-@pytest.mark.parametrize(
-    "noise,change",
-    [
-        (StudentTNoise(dof=4.0, scale=0.2), None),
-        (StudentTNoise(dof=4.0, scale=0.2), nudge_up),
-        (StudentTNoise(dof=4.0, scale=0.2), negative_zero),
-        (UniformCenteredNoise(half_width=2.0), make_nan),
-    ],
-    ids=["unchanged", "one-ulp", "negative-zero", "nan"],
-)
-def test_run_likelihood_falls_back_when_a_copy_projects_apart(
-    noise, change, likelihood_lengths
-):
-    """A copy whose projection differs from its run head's by any bit makes
-    the reweight call the likelihood on every particle, once, and give
-    that call's bits; ``refused_compressions`` counts it."""
-    state = state_with_runs(noise)
-    full = copy.deepcopy(state)
-    full._runs = None
-    a = np.array([0.6, 0.0, 0.8])
-    state.quad_form(a)
-    proj = state._kept[2]
-    if change is not None:
-        change(proj, first_copy(state))
-    full._kept = (a, a.tobytes(), proj.copy())
-    del likelihood_lengths[:]
-    state.update(a, 0.3)
-    assert len(likelihood_lengths) == 1
-    assert (likelihood_lengths[0] == state.n_particles) == (change is not None)
-    full.update(a, 0.3)
-    assert state.refused_compressions == (change is not None)
-    assert full.refused_compressions == 0
-    assert same_bits(state.weights, full.weights)
+    monkeypatch.setattr(ParticleState, "update", checked_update)
+    monkeypatch.setattr(ParticleState, "_systematic_resample", checked_resample)
+    engine = EngineConfig(kind="particle", particles=n)
+    state = _replay_particles_against_reference(
+        monkeypatch, prior, noise, arms, engine, rounds
+    )
+    assert state.resample_count >= 3
+    assert state.atoms.shape[0] < n
 
 
 # ---------------------------------------------------------------------------
