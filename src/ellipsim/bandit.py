@@ -13,7 +13,8 @@ one episode loop: it plays one episode of an
 :class:`~ellipsim.harness.ExperimentConfig`, whose construction ran
 :func:`check_episode` once for the whole run. Both the regret experiments
 and the Monte Carlo potential verifier in :mod:`ellipsim.harness` run it;
-the regret job replays eq. 1's ridge tracker over the actions it returns.
+the regret job replays eq. 1's ridge tracker over the actions it returns,
+by :func:`~ellipsim.potential.ridge_replay_excess`.
 """
 from __future__ import annotations
 

@@ -17,6 +17,7 @@ of ``potential-trace`` share one section parser, and both build a
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import MISSING, fields
 from typing import Any, Callable, Collection, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -83,10 +84,28 @@ def env_workers(default: Optional[int] = None) -> Optional[int]:
     return at_least(value, 1, WORKERS_ENV)
 
 
+# the implicit float spellings that float() reads as the YAML constructor
+# does: one sign at most, no "_", ":", ".inf" or ".nan"
+_PLAIN_DECIMAL = re.compile(r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?")
+
+
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """The safe loader, on libyaml's parser when PyYAML was built with it
     (the constructors and resolvers are the same Python code, so the parsed
     documents are too), refusing a key repeated in one mapping."""
+
+    def construct_sequence(self, node, deep=False):
+        # a list of plain decimals, the bulk of a matrix, skips the per-node
+        # constructor, whose float() of each is the same value
+        children = node.value
+        if isinstance(node, yaml.SequenceNode) and all(
+            isinstance(child, yaml.ScalarNode)
+            and child.tag == "tag:yaml.org,2002:float"
+            and _PLAIN_DECIMAL.fullmatch(child.value)
+            for child in children
+        ):
+            return [float(child.value) for child in children]
+        return super().construct_sequence(node, deep=deep)
 
     def construct_mapping(self, node, deep=False):
         # the node's own pairs: merge keys are deleted from this list in

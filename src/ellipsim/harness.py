@@ -139,7 +139,7 @@ class RunSummary:
     bounds: Dict[str, Optional[float]]
     checks: Dict[str, Optional[bool]]
 
-    FORMAT = "ellipsim-summary-v6"
+    FORMAT = "ellipsim-summary-v7"
 
     def to_dict(self) -> Dict:
         # shallow: the fields are JSON-ready already, and asdict's deep copy
@@ -181,8 +181,8 @@ def _potential_record(cfg: ExperimentConfig, episode: EpisodeResult) -> Dict:
 
 
 def _regret_record(cfg: ExperimentConfig, episode: EpisodeResult) -> Dict:
-    """The regret job's record, with eq. 1's excess from a ridge tracker
-    replayed over the episode's actions."""
+    """The regret job's record, with eq. 1's excess from the ridge tracker
+    replayed over the episode's actions in Gram-Cholesky blocks."""
     return {
         **_potential_record(cfg, episode),
         "cumulative_regret": episode.cumulative_regret,

@@ -1,10 +1,14 @@
 """Config parsing: strict schemas, dotted error paths, round trips."""
 import ast
 import dataclasses
+import math
 import pathlib
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellipsim import config as config_mod
 from ellipsim.bandit import (
@@ -104,6 +108,94 @@ def test_load_yaml_merge_keys_are_not_repeats(tmp_path):
         "b": {"x": 3, "y": 2},
         "c": {"x": 1, "y": 2, "z": 4},
     }
+
+
+def same_document(got, want) -> bool:
+    """Equal documents, floats by their bits: NaN matches NaN and a signed
+    zero only its own sign."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(got, float):
+        if math.isnan(want):
+            return math.isnan(got)
+        return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    if isinstance(got, list):
+        return len(got) == len(want) and all(map(same_document, got, want))
+    if isinstance(got, dict):
+        return got.keys() == want.keys() and all(
+            same_document(got[k], want[k]) for k in got
+        )
+    return got == want
+
+
+def assert_loads_as_safe_loader(tmp_path, text):
+    path = tmp_path / "doc.yaml"
+    path.write_text(text)
+    got = load_yaml(str(path))
+    want = yaml.load(text, Loader=yaml.SafeLoader)
+    assert same_document(got, want), (got, want)
+    return got
+
+
+FLOAT_SPELLINGS = [
+    # every YAML 1.1 float spelling, and some the implicit resolver leaves
+    # as strings (+.5, -.5e+3, 1.0e5)
+    "1_000.5", "1_0.0", "1.5_0", "1:30.5", "-1:30.5", ".inf", "-.Inf", "+.INF",
+    ".NaN", ".nan", "+.5", ".5", "-.5e+3", "1.", "1.0e+5", "1.0E-5", "1.0e5",
+    "-0.0", "+0.0", "0.0", "12.5", "-7.25", "2.5e-300", "1.7976931348623157e+308",
+    # explicit tags
+    "!!float 1", "!!float --1.", "!!float -+2.5", "!!float '1.5'", "!!float ' 2.5'",
+    "!!float '1.5 '", "!!float 1e5", "!!float +.5", "!!float -.inf", "!!float 1__0.5",
+    "!!float 1.0_", "!!float '1.5:30'", "!!float 0.5",
+]
+
+
+@pytest.mark.parametrize("spelling", FLOAT_SPELLINGS)
+def test_load_yaml_reads_floats_as_the_safe_loader_does(tmp_path, spelling):
+    # alone, among plain decimals, in a block list and in a nested list
+    assert_loads_as_safe_loader(
+        tmp_path,
+        f"f: [0.5, {spelling}, -2.5]\ng: [{spelling}]\nh: {spelling}\n"
+        f"b:\n  - - 1.5\n    - {spelling}\n  - [{spelling}, 0.25]\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # anchors and aliases, of a list and of its items
+        "a: &x [1.5, 2.5]\nb: *x\nc: [&y 3.5, *y, 4.5]\nd: [*y, *y]\ne: [*x, *x]\n",
+        # mixed and nested sequences
+        "m: [1, 2.5, '3.5', three, 4.0, null, true, 0x1f, 1_000, 1:30, ~]\n"
+        "n: [[1.0, 2.0], [3, 4.5], [], [[5.5]], [{x: 1.5}], [[0.5, '0.5']]]\n",
+        "e: []\ns: !!seq [1.5, 2.5]\nt: !!set {1.5, 2.5}\np: !!omap [{a: 1.5}]\n",
+    ],
+    ids=["aliases", "mixed", "empty-and-tags"],
+)
+def test_load_yaml_reads_what_the_safe_loader_reads(tmp_path, text):
+    assert_loads_as_safe_loader(tmp_path, text)
+
+
+def test_load_yaml_refuses_a_sequence_tag_on_a_scalar(tmp_path):
+    path = tmp_path / "seq.yaml"
+    path.write_text("s: !!seq ''\n")
+    with pytest.raises(ConfigError, match="expected a sequence node"):
+        load_yaml(str(path))
+
+
+def test_load_yaml_refuses_a_repeated_key_beside_float_lists(tmp_path):
+    path = tmp_path / "dup.yaml"
+    path.write_text("a: [1.5, 2.5]\nb: [[0.5], {x: 1.0, x: 2.0}]\n")
+    with pytest.raises(ConfigError, match="(?s)duplicate key .*line 2, "):
+        load_yaml(str(path))
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.lists(st.lists(st.floats(), max_size=6), max_size=6))
+def test_load_yaml_round_trips_float_lists(tmp_path_factory, values):
+    text = yaml.safe_dump({"v": values, "flat": sum(values, [])})
+    doc = assert_loads_as_safe_loader(tmp_path_factory.mktemp("rt"), text)
+    assert same_document(doc["v"], values)
 
 
 def test_load_yaml_rejects_non_mapping(tmp_path):

@@ -10,6 +10,7 @@ with it.
 import ast
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,7 +47,6 @@ from ellipsim.posterior import (
     make_posterior,
 )
 from ellipsim.potential import (
-    ClassicalPotential,
     PotentialTrace,
     adversarial_action,
     gamma1_eigs,
@@ -56,6 +56,7 @@ from ellipsim.potential import (
     regret_bound_identity_cap,
     ridge_excess,
     ridge_potential_bound,
+    ridge_replay_excess,
     sigma_factor,
 )
 from ellipsim.tolerances import EIGEN_TIE_REL, NORM_SLACK
@@ -90,55 +91,76 @@ def verify(
 
 
 # ---------------------------------------------------------------------------
-# classical tracker
+# classical ridge replay
 # ---------------------------------------------------------------------------
+
+
+def _sequential_ridge(actions, lam):
+    """Reference ridge tracker, one action at a time: Sigma_t shrinks by the
+    rank-one identity and the log det drops by log(1 + quad) a step.
+    Returns the per-step quadratic forms and the telescoped log-det bound."""
+    cov = np.eye(actions.shape[1]) / lam
+    quads, logdet_drop = [], 0.0
+    for a in actions:
+        sv = cov @ a
+        quad = float(a @ sv)
+        cov -= np.outer(sv, sv) / (1.0 + quad)
+        quads.append(quad)
+        logdet_drop += np.log1p(quad)
+    return np.array(quads), 2.0 * logdet_drop
+
+
+def replayed_sums(actions, lam):
+    """The quad sum and log-det bound that ``ridge_replay_excess`` hands to
+    ``ridge_excess``, and the excess it returns."""
+    with mock.patch.object(potential, "ridge_excess", wraps=ridge_excess) as spy:
+        excess = ridge_replay_excess(actions, lam)
+    quad_sum, logdet_rhs = spy.call_args.args[:2]
+    return quad_sum, logdet_rhs, excess
 
 
 def test_classical_updates_match_dense_inverse():
     rng = np.random.default_rng(SEED)
-    dim, lam, horizon = 4, 2.0, 30
-    tracker = ClassicalPotential(dim=dim, lam=lam)
+    dim, lam, horizon = 4, 2.0, 150
+    actions = rng.standard_normal((horizon, dim))
+    actions /= np.linalg.norm(actions, axis=1, keepdims=True)
     gram = lam * np.eye(dim)
-    for _ in range(horizon):
-        a = rng.standard_normal(dim)
-        a /= np.linalg.norm(a)
-        sigma = np.linalg.inv(gram)
-        expected_quad = a @ sigma @ a
-        got = tracker.step(a)
-        assert got == pytest.approx(expected_quad, abs=1e-10)
+    expected = []
+    for a in actions:
+        expected.append(a @ np.linalg.inv(gram) @ a)
         gram += np.outer(a, a)
+    reference, _ = _sequential_ridge(actions, lam)
+    assert reference == pytest.approx(expected, abs=1e-10)
 
+    quad_sum, logdet_rhs, _ = replayed_sums(actions, lam)
+    assert quad_sum == pytest.approx(sum(expected), abs=1e-10)
     sign, logdet_final = np.linalg.slogdet(np.linalg.inv(gram))
     assert sign == 1.0
     _, logdet_first = np.linalg.slogdet(np.eye(dim) / lam)
-    assert tracker.logdet_bound() == pytest.approx(
-        2.0 * (logdet_first - logdet_final), abs=1e-9
-    )
-    # the rank-one shrink keeps the covariance exactly symmetric unaided
-    assert np.array_equal(tracker.cov, tracker.cov.T)
+    assert logdet_rhs == pytest.approx(2.0 * (logdet_first - logdet_final), abs=1e-9)
 
 
 def test_classical_rejects_long_actions_and_small_lambda():
-    tracker = ClassicalPotential(dim=2, lam=1.0)
     with pytest.raises(ValueError):
-        tracker.step(np.array([1.1, 0.0]))
+        ridge_replay_excess(np.array([[1.1, 0.0]]), 1.0)
+    unit = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError):
-        ClassicalPotential(dim=2, lam=0.5)
+        ridge_replay_excess(unit, 0.5)
     # a NaN ridge would give NaN quadratic forms
     with pytest.raises(ValueError, match="got nan"):
-        ClassicalPotential(dim=2, lam=float("nan"))
+        ridge_replay_excess(unit, float("nan"))
     # nor has an infinite ridge a log det
     with pytest.raises(ValueError, match="lam must be finite, got inf"):
-        ClassicalPotential(dim=2, lam=float("inf"))
+        ridge_replay_excess(unit, float("inf"))
 
 
 def test_classical_rejects_over_norm_actions_where_linalg_norm_does():
     """The threshold is NORM_SLACK past 1 on np.linalg.norm's own bits, for
-    contiguous and strided actions alike."""
+    contiguous and strided rows alike, wherever the row sits."""
     rng = np.random.default_rng(SEED)
     limit = 1.0 + NORM_SLACK
     actions = [np.array([limit, 0.0]), np.array([np.nextafter(limit, 2.0), 0.0])]
-    for dim in (1, 2, 3, 7, 40):
+    for dim in (1, 2, 3, 7, 40, 100):
         for k in range(-6, 7):
             a = rng.standard_normal(dim)
             actions.append(a / np.linalg.norm(a) * limit * (1.0 + k * 2.0**-52))
@@ -147,15 +169,57 @@ def test_classical_rejects_over_norm_actions_where_linalg_norm_does():
     actions += [matrix[:, j] for j in range(4)]
     rejected = 0
     for a in actions:
-        tracker = ClassicalPotential(dim=a.shape[0])
         norm = float(np.linalg.norm(a))
-        if norm > limit:
-            with pytest.raises(ValueError, match=re.escape(f"got {norm}") + "$"):
-                tracker.step(a)
-            rejected += 1
-        else:
-            tracker.step(a)
+        # alone, and as row 70 of 100 unit rows in C and in Fortran order
+        rows = rng.standard_normal((100, a.shape[0]))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows[70] = a
+        for stack in (a[None, :], rows, np.asfortranarray(rows)):
+            if norm > limit:
+                with pytest.raises(ValueError, match=re.escape(f"got {norm}") + "$"):
+                    ridge_replay_excess(stack, 1.0)
+            else:
+                ridge_replay_excess(stack, 1.0)
+        rejected += norm > limit
     assert 0 < rejected < len(actions)
+    # rows a few ulps either side of the limit, where a squared norm summed
+    # in another order than the dot's can fall on the other side of it
+    for dim in (7, 40, 100):
+        for a in rng.standard_normal((400, dim)):
+            for k in (0, 1):
+                row = a / np.linalg.norm(a) * limit * (1.0 + k * 2.0**-52)
+                norm = float(np.linalg.norm(row))
+                if norm > limit:
+                    with pytest.raises(ValueError, match=re.escape(f"got {norm}") + "$"):
+                        ridge_replay_excess(row[None, :], 1.0)
+                else:
+                    ridge_replay_excess(row[None, :], 1.0)
+    # the first over-norm row is the one named
+    pair = np.array([[0.0, 1.25], [1.5, 0.0]])
+    with pytest.raises(ValueError, match=r"got 1\.25$"):
+        ridge_replay_excess(pair, 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 100])
+@pytest.mark.parametrize("horizon", [1, 63, 64, 65, 197])
+def test_blocked_replay_matches_the_sequential_tracker(horizon, dim):
+    """Across block edges, with zero rows, short rows and unit rows, and
+    with every row scaled down to 1e-6."""
+    rng = np.random.default_rng([SEED, horizon, dim])
+    actions = rng.standard_normal((horizon, dim))
+    actions /= np.linalg.norm(actions, axis=1, keepdims=True)
+    actions *= np.where(rng.random(horizon) < 0.5, 1.0, rng.random(horizon))[:, None]
+    actions[rng.random(horizon) < 0.15] = 0.0
+    actions[horizon // 2] = 0.0
+    # tiny rows have tiny quadratic forms, which L_jj^2 - 1 would cancel away
+    for scale, lam in ((1.0, 1.0), (1.0, 3.5), (1e-6, 1.0)):
+        actions = actions * scale
+        quads, logdet_ref = _sequential_ridge(actions, lam)
+        quad_sum, logdet_rhs, excess = replayed_sums(actions, lam)
+        assert quad_sum == pytest.approx(np.sum(quads), rel=1e-12, abs=1e-300)
+        assert logdet_rhs == pytest.approx(logdet_ref, rel=1e-12, abs=1e-300)
+        want = ridge_excess(np.sum(quads), logdet_ref, horizon, dim, lam)
+        assert excess == pytest.approx(want, rel=0, abs=1e-12 * max(logdet_ref, 1.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,11 +233,9 @@ def test_classical_bound_chain_on_arbitrary_sequences(actions, lam):
     """Quad sum <= log-det bound <= dimension bound, for any action stream."""
     norms = np.linalg.norm(actions, axis=1, keepdims=True)
     actions = actions / np.maximum(norms, 1.0)
-    tracker = ClassicalPotential(dim=3, lam=lam)
-    total = sum(tracker.step(a) for a in actions)
-    assert total <= tracker.logdet_bound() + 1e-9
-    assert tracker.logdet_bound() <= ridge_potential_bound(len(actions), 3, lam) + 1e-9
-    assert np.array_equal(tracker.cov, tracker.cov.T)
+    quad_sum, logdet_rhs, _ = replayed_sums(actions, lam)
+    assert quad_sum <= logdet_rhs + 1e-9
+    assert logdet_rhs <= ridge_potential_bound(len(actions), 3, lam) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +396,7 @@ def test_eq1_replays_the_ridge_tracker_over_the_played_actions(engine, workers):
         episode = run_episode(
             cfg, np.random.default_rng(np.random.SeedSequence([cfg.master_seed, rep]))
         )
-        ridge = ClassicalPotential(dim=3, lam=2.0)
-        quads = [ridge.step(a) for a in episode.actions]
-        excesses.append(
-            ridge_excess(np.sum(quads), ridge.logdet_bound(), cfg.horizon, 3, 2.0)
-        )
+        excesses.append(ridge_replay_excess(episode.actions, 2.0))
     assert harness.run_experiment(cfg).eq1_max_violation == max(excesses)
 
 
