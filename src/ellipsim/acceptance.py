@@ -30,7 +30,7 @@ from .distributions import (
     StudentTNoise,
 )
 from .harness import ExperimentConfig, run_experiment, verify_expected_potential
-from .linalg import PsdMatrix, psd_order_holds, random_psd
+from .linalg import PsdMatrix, psd_order_holds, random_psd, unit_rows
 from .posterior import (
     EngineConfig,
     InflationReport,
@@ -69,8 +69,7 @@ def _eight_atom_prior(seed_key: int, nonnegative: bool) -> FiniteSupportPrior:
     atoms = rng.standard_normal((8, 3))
     if nonnegative:
         atoms = np.abs(atoms)
-    norms = np.linalg.norm(atoms, axis=1, keepdims=True)
-    atoms = atoms / norms * rng.uniform(0.3, 1.0, size=(8, 1))
+    atoms = unit_rows(atoms) * rng.uniform(0.3, 1.0, size=(8, 1))
     weights = rng.dirichlet(np.ones(8))
     return FiniteSupportPrior(atoms=atoms, weights=weights)
 

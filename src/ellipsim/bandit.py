@@ -31,7 +31,7 @@ from .distributions import (
     Prior,
     sample_reward,
 )
-from .linalg import Array, CholeskyFailure
+from .linalg import Array, CholeskyFailure, check_unit_rows, unit_rows
 from .posterior import DegenerateWeights, PosteriorState, make_posterior
 from .potential import PotentialTrace, adversarial_action
 from .tolerances import INEQUALITY_SLACK, NORM_SLACK, REGRET_SLACK
@@ -64,11 +64,7 @@ class FixedActionsGenerator:
             raise ValueError(f"actions must be (k, d), got shape {arr.shape}")
         if arr.shape[0] == 0:
             raise EmptyActionSet("action set has no actions")
-        norms = np.linalg.norm(arr, axis=1)
-        worst = float(norms.max())
-        # written so that a NaN fails it
-        if not worst <= 1.0 + NORM_SLACK:
-            raise ValueError(f"action norms must be <= 1, max is {worst}")
+        check_unit_rows(arr, "action")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "vectors", arr)
@@ -126,10 +122,7 @@ class KArmedGaussianGenerator:
         z = rng.standard_normal((self.k, self.dim))
         if self.nonnegative:
             z = np.abs(z)
-        # np.linalg.norm's own arithmetic for axis=1, so the same bits
-        norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
-        norms[norms == 0] = 1.0
-        return FixedActionsGenerator.unchecked(z / norms)
+        return FixedActionsGenerator.unchecked(unit_rows(z))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .linalg import Array, PsdMatrix, psd_sqrt
+from .linalg import Array, PsdMatrix, check_unit_rows, psd_sqrt, unit_rows
 from .tolerances import NORM_SLACK, PRIOR_WEIGHT_SUM_ABS
 
 
@@ -112,10 +112,7 @@ class FiniteSupportPrior(Prior):
         total = float(weights.sum())
         if not abs(total - 1.0) <= PRIOR_WEIGHT_SUM_ABS:
             raise ValueError(f"weights must sum to 1, got {total!r}")
-        norms = np.linalg.norm(atoms, axis=1)
-        worst = float(norms.max())
-        if not worst <= 1.0 + NORM_SLACK:
-            raise ValueError(f"support points must lie in the unit ball, max norm {worst}")
+        check_unit_rows(atoms, "support point")
         atoms = atoms.copy()
         weights = weights.copy()
         atoms.flags.writeable = False
@@ -159,16 +156,20 @@ class UniformBallPrior(Prior):
 
     def sample_many(self, rng: np.random.Generator, size: int) -> Array:
         # direction from a normalized Gaussian, radius from U^(1/d) scaling
-        z = rng.standard_normal((size, self.dim))
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
+        directions = unit_rows(rng.standard_normal((size, self.dim)))
         radii = self.radius * rng.random(size) ** (1.0 / self.dim)
-        return z / norms * radii[:, None]
+        return directions * radii[:, None]
 
 
 # ---------------------------------------------------------------------------
 # noises
 # ---------------------------------------------------------------------------
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Refuse a noise parameter that is not positive and finite (NaN too)."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 class Noise:
@@ -202,8 +203,7 @@ class GaussianNoise(Noise):
     sd: float
 
     def __post_init__(self):
-        if not 0 < self.sd < np.inf:
-            raise ValueError(f"sd must be positive and finite, got {self.sd}")
+        _check_positive("sd", self.sd)
 
     @property
     def sigma_sq_bound(self) -> float:
@@ -269,10 +269,7 @@ class UniformCenteredNoise(Noise):
     half_width: float
 
     def __post_init__(self):
-        if not 0 < self.half_width < np.inf:
-            raise ValueError(
-                f"half_width must be positive and finite, got {self.half_width}"
-            )
+        _check_positive("half_width", self.half_width)
 
     @property
     def sigma_sq_bound(self) -> float:
@@ -303,8 +300,7 @@ class StudentTNoise(Noise):
             raise ValueError(
                 f"dof must exceed 2 for finite variance and be finite, got {self.dof}"
             )
-        if not 0 < self.scale < np.inf:
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        _check_positive("scale", self.scale)
         object.__setattr__(self, "_log_const", self._log_norm_const())
 
     @property

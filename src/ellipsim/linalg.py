@@ -1,10 +1,13 @@
-"""Dense symmetric-matrix kernel.
+"""Dense symmetric-matrix kernel and the unit-ball rule for rows.
 
 Small, validated operations on positive semidefinite matrices: log-det
 potentials, rank-one covariance shrinkage, Loewner-order checks and random
 test-matrix generation. Everything is plain numpy on float64 arrays; the
 :class:`PsdMatrix` wrapper exists to make validation explicit at module
-boundaries rather than scattered through callers.
+boundaries rather than scattered through callers. Row norms, the paper's
+unit-ball check and row normalization live here too (:func:`row_norms`,
+:func:`check_unit_rows`, :func:`unit_rows`), so action sets,
+finite-support atoms and eq. 1's replay refuse the same rows.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .tolerances import PSD_SLACK, SYMMETRY_REL
+from .tolerances import NORM_SLACK, PSD_SLACK, SYMMETRY_REL
 
 Array = NDArray[np.float64]
 
@@ -40,6 +43,31 @@ def is_symmetric(mat: Array) -> bool:
         return False
     scale = np.maximum(1.0, np.maximum(np.abs(arr), np.abs(arr.T)))
     return bool(np.all(np.abs(arr - arr.T) <= SYMMETRY_REL * scale))
+
+
+def row_norms(rows: ArrayLike) -> Array:
+    """Euclidean row norms, ``np.linalg.norm(rows, axis=1)``'s bits on a
+    C-ordered copy, so a row has one norm in any array that holds it."""
+    a = np.ascontiguousarray(rows, dtype=np.float64)
+    return np.sqrt((a * a).sum(axis=1))
+
+
+def check_unit_rows(rows: ArrayLike, what: str) -> None:
+    """Refuse the first row whose :func:`row_norms` norm is not within
+    NORM_SLACK of the unit ball; ``what`` names the rows in the message."""
+    norms = row_norms(rows)
+    # written so that a NaN fails it
+    outside = ~(norms <= 1.0 + NORM_SLACK)
+    if outside.any():
+        norm = float(norms[outside.argmax()])
+        raise ValueError(f"{what} norms must be <= 1 (the unit ball), got {norm}")
+
+
+def unit_rows(rows: ArrayLike) -> Array:
+    """Each row divided by its :func:`row_norms` norm; a zero row stays zero."""
+    norms = row_norms(rows)
+    norms[norms == 0.0] = 1.0
+    return rows / norms[:, None]
 
 
 def min_eigenvalue(mat: ArrayLike) -> float:

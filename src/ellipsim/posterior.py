@@ -236,8 +236,8 @@ class FiniteSupportState:
         right-sided search for u, without choice's per-call checks of
         ``p``, which engine weights always pass: the prior's weights sum
         to 1, :meth:`update` refuses a zero or non-finite total and every
-        likelihood is nonnegative. Up to ``DRAW_SERIAL_MAX`` atoms it runs
-        those statements.
+        likelihood is nonnegative. Up to ``DRAW_SERIAL_MAX`` atoms
+        :func:`_serial_index` runs those statements.
 
         Above, the serial cumulative sum would cost most of the draw, so
         :func:`_blocked_index` works from blocks of B = ``DRAW_BLOCK``
@@ -271,11 +271,10 @@ class FiniteSupportState:
         value, u = 0 included, never passes.
         """
         w = self.weights
+        u = rng.random()
         if w.shape[0] > DRAW_SERIAL_MAX:
-            return self.atoms[_blocked_index(w, rng.random())]
-        cdf = w.cumsum()
-        cdf /= cdf[-1]
-        return self.atoms[cdf.searchsorted(rng.random(), side="right")]
+            return self.atoms[_blocked_index(w, u)]
+        return self.atoms[_serial_index(w, u)]
 
     def _reweight(self, action: ArrayLike, y: float) -> None:
         a = np.asarray(action, dtype=np.float64)

@@ -46,14 +46,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .distributions import FiniteSupportPrior, Noise, atom_moments
-from .linalg import Array, PsdMatrix
+from .linalg import Array, PsdMatrix, check_unit_rows, row_norms
 from .posterior import DegenerateWeights, EngineConfig, make_posterior
-from .tolerances import (
-    EIGEN_TIE_REL,
-    MONTE_CARLO_SLACK_SE,
-    NORM_SLACK,
-    PSD_SLACK,
-)
+from .tolerances import EIGEN_TIE_REL, MONTE_CARLO_SLACK_SE, PSD_SLACK
 
 # ---------------------------------------------------------------------------
 # bound formulas: the one home of every right-hand side the checks compare to
@@ -156,22 +151,14 @@ def ridge_replay_excess(actions: Array, lam: float) -> float:
     B Sigma B.T and L = chol(I + G), Woodbury makes L_jj^2 = 1 + a_j.T
     Sigma_j a_j, so each quadratic form is G_jj less the squares left of
     L_jj (L_jj^2 - 1 would cancel); Sigma then drops X.T X, X = L^-1 B
-    Sigma. The log-det drop is the sum of the forms' ``log1p``. A row
-    whose norm (``math.sqrt`` of its contiguous dot) exceeds 1 by more
-    than NORM_SLACK is a ``ValueError``.
+    Sigma. The log-det drop is the sum of the forms' ``log1p``. Rows out
+    of the unit ball are a ``ValueError``, by the rule action sets and
+    atoms obey, :func:`~ellipsim.linalg.check_unit_rows`.
     """
     check_ridge(lam)
     actions = np.asarray(actions, dtype=np.float64)
+    check_unit_rows(actions, "action")
     horizon, dim = actions.shape
-    limit = 1.0 + NORM_SLACK
-    # squares summed in any order stay within about 2 * dim * 2**-53 relative
-    # of the dot's sum, so this margin screens in every row it could refuse
-    sq_norms = np.einsum("ij,ij->i", actions, actions)
-    for i in np.flatnonzero(sq_norms > limit**2 * (1.0 - 4.0 * (dim + 2) * 2.0**-52)):
-        a = np.ascontiguousarray(actions[i])
-        norm = math.sqrt(a.dot(a))
-        if norm > limit:
-            raise ValueError(f"action norm must be <= 1, got {norm}")
     cov = np.eye(dim) / lam
     quads = np.empty(horizon)
     for lo in range(0, horizon, RIDGE_BLOCK):
@@ -228,8 +215,7 @@ def adversarial_action(gamma: PsdMatrix) -> Array:
     else:
         basis = eigvecs[:, eigvals >= lead - tol]
         # rows of `basis` are the basis-vector projections onto the eigenspace
-        row_norms = np.linalg.norm(basis, axis=1)
-        idx = int(np.argmax(row_norms > tol))
+        idx = int(np.argmax(row_norms(basis) > tol))
         v = basis @ basis[idx]
     norm = math.sqrt(v.dot(v))
     if norm == 0.0:

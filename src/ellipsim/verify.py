@@ -29,6 +29,7 @@ from .linalg import (
     random_psd,
     rank_one_shrink,
     symmetrize,
+    unit_rows,
 )
 from .potential import (
     enumerate_posterior_outcomes,
@@ -79,11 +80,9 @@ def _classical_potential(rng: np.random.Generator) -> float:
     dim = int(rng.choice(CLASSICAL_DIMS))
     lam = float(rng.choice(CLASSICAL_LAMBDAS))
     horizon = int(rng.choice(CLASSICAL_HORIZONS))
-    dirs = rng.standard_normal((horizon, dim))
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
+    dirs = unit_rows(rng.standard_normal((horizon, dim)))
     scales = np.where(rng.random(horizon) < 0.5, 1.0, rng.random(horizon))
-    return ridge_replay_excess(dirs / norms * scales[:, None], lam)
+    return ridge_replay_excess(dirs * scales[:, None], lam)
 
 
 def _logdet_concavity(rng: np.random.Generator) -> float:
@@ -157,10 +156,7 @@ def _random_mean_bounded_prior(rng: np.random.Generator) -> FiniteSupportPrior:
     """Finite prior in the nonnegative orthant of the unit ball."""
     dim = int(rng.integers(1, PRIOR_DIM_MAX + 1))
     n = int(rng.integers(2, PRIOR_ATOMS_MAX + 1))
-    atoms = np.abs(rng.standard_normal((n, dim)))
-    norms = np.linalg.norm(atoms, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    atoms = atoms / norms * rng.random((n, 1))
+    atoms = unit_rows(np.abs(rng.standard_normal((n, dim)))) * rng.random((n, 1))
     weights = rng.dirichlet(np.ones(n))
     return FiniteSupportPrior(atoms=atoms, weights=weights)
 

@@ -6,6 +6,7 @@ module stays fast.
 """
 import json
 
+import numpy as np
 import pytest
 
 import ellipsim.acceptance as acceptance_mod
@@ -13,6 +14,8 @@ import ellipsim.harness as harness_mod
 from ellipsim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 from ellipsim.config import build_experiment, build_potential_run, load_yaml
 from ellipsim.harness import ExperimentConfig
+from ellipsim.linalg import row_norms
+from ellipsim.tolerances import NORM_SLACK
 
 BANDIT_YAML = """\
 experiment:
@@ -854,3 +857,46 @@ def test_counterexample_rejects_bad_outcome(capsys):
     with pytest.raises(SystemExit):
         main(["counterexample", "--y1", "2"])
     capsys.readouterr()
+
+
+# one fixed action whose np.linalg.norm is exactly 1 + 1e-12 (NORM_SLACK's
+# limit); eq. 1's replay once refused it after the action set accepted it
+UNIT_BALL_EDGE_ROW = [0.1006726181919071, 0.9648298881422095, 0.2428339162799928]
+UNIT_BALL_EDGE_YAML = """\
+experiment: {{horizon: 5, replications: 2}}
+prior: {{kind: gaussian, mean: [0.0, 0.0, 0.0], cov: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}}
+noise: {{kind: gaussian, sd: 1.0}}
+engine: {{kind: gaussian_conjugate}}
+actions: {{kind: fixed, vectors: [[{}, {}, {}]]}}
+"""
+
+
+def test_an_accepted_action_at_the_unit_ball_edge_runs(tmp_path, capsys):
+    cfg = write(tmp_path, "run.yaml", UNIT_BALL_EDGE_YAML.format(*UNIT_BALL_EDGE_ROW))
+    out = tmp_path / "out"
+    assert main(["run-bandit", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["completed"] == 2
+    assert summary["checks"]["pass_eq1"] is True
+    assert "pass_eq1: true" in capsys.readouterr().out
+
+
+def test_an_action_one_ulp_past_the_unit_ball_is_a_config_error(
+    tmp_path, capsys, monkeypatch
+):
+    episodes = []
+    monkeypatch.setattr(
+        harness_mod, "run_episode", lambda *args, **kw: episodes.append(args)
+    )
+    limit = 1.0 + NORM_SLACK
+    row = np.array(UNIT_BALL_EDGE_ROW)
+    assert row_norms(row[None, :])[0] <= limit
+    while row_norms(row[None, :])[0] <= limit:
+        row = row * (1.0 + 2.0**-52)
+    cfg = write(tmp_path, "run.yaml", UNIT_BALL_EDGE_YAML.format(*map(repr, row.tolist())))
+    code = main(["run-bandit", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: actions: ")
+    assert "unit ball" in err
+    assert episodes == []

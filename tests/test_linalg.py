@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ellipsim.bandit import FixedActionsGenerator
+from ellipsim.distributions import FiniteSupportPrior
 from ellipsim.linalg import (
     CholeskyFailure,
     PsdMatrix,
+    check_unit_rows,
     chol_solve,
     is_symmetric,
     jittered_cholesky,
@@ -17,8 +20,12 @@ from ellipsim.linalg import (
     psd_sqrt,
     random_psd,
     rank_one_shrink,
+    row_norms,
     symmetrize,
+    unit_rows,
 )
+from ellipsim.potential import ridge_replay_excess
+from ellipsim.tolerances import NORM_SLACK
 
 RNG_SEED = 20240517
 
@@ -232,3 +239,114 @@ def test_chol_solve_matches_dense_solve():
     assert np.allclose(chol_solve(low, b), np.linalg.solve(m, b), atol=1e-10)
     cols = rng.standard_normal((5, 3))
     assert np.allclose(chol_solve(low, cols), np.linalg.solve(m, cols), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the unit-ball rule for rows
+# ---------------------------------------------------------------------------
+UNIT_BALL_DIMS = (1, 3, 8, 40, 100)
+
+
+@pytest.mark.parametrize("dim", UNIT_BALL_DIMS)
+def test_row_norms_gives_linalg_norm_bits_wherever_the_row_sits(dim):
+    rng = np.random.default_rng([RNG_SEED, dim])
+    rows = rng.standard_normal((50, dim))
+    ref = np.linalg.norm(rows, axis=1)
+    wide = np.zeros((50, 2 * dim))
+    wide[:, ::2] = rows
+    for stack in (rows, np.asfortranarray(rows), wide[:, ::2]):
+        assert np.array_equal(row_norms(stack), ref)
+    for i in (0, 17, 49):
+        assert row_norms(rows[i : i + 1])[0] == ref[i]
+
+
+def _near_limit_rows(rng, dim, directions=60):
+    """Rows scaled to within 3 ulps either side of the unit-ball limit."""
+    limit = 1.0 + NORM_SLACK
+    rows = []
+    for a in rng.standard_normal((directions, dim)):
+        for k in range(-3, 4):
+            rows.append(a / np.linalg.norm(a) * limit * (1.0 + k * 2.0**-52))
+    return rows
+
+
+def _accepts(check, stack):
+    try:
+        check(stack)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("dim", UNIT_BALL_DIMS)
+def test_action_sets_atoms_and_the_ridge_replay_refuse_the_same_rows(dim):
+    """Action sets, finite-support atoms and eq. 1's replay accept a row
+    near the limit alike, alone and as row 3 of 5 in a C-ordered, a
+    Fortran-ordered and a strided stack."""
+    rng = np.random.default_rng([RNG_SEED, dim, 1])
+    checks = (
+        FixedActionsGenerator,
+        lambda rows: FiniteSupportPrior(rows, np.full(len(rows), 1.0 / len(rows))),
+        lambda rows: ridge_replay_excess(rows, 1.0),
+    )
+    verdicts = []
+    for row in _near_limit_rows(rng, dim):
+        inside = bool(row_norms(row[None, :])[0] <= 1.0 + NORM_SLACK)
+        others = rng.standard_normal((5, dim))
+        others *= 0.5 / np.linalg.norm(others, axis=1, keepdims=True)
+        others[3] = row
+        wide = np.zeros((5, 2 * dim))
+        wide[:, ::2] = others
+        stacks = (row[None, :], others, np.asfortranarray(others), wide[:, ::2])
+        for stack in stacks:
+            assert [_accepts(check, stack) for check in checks] == [inside] * 3
+        verdicts.append(inside)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_check_unit_rows_names_the_first_row_outside():
+    rows = np.array([[0.6, 0.8], [0.0, 1.25], [1.5, 0.0], [np.nan, 0.0]])
+    check_unit_rows(rows[:1], "action")
+    with pytest.raises(
+        ValueError, match=r"^action norms must be <= 1 \(the unit ball\), got 1\.25$"
+    ):
+        check_unit_rows(rows, "action")
+    with pytest.raises(ValueError, match=r"^atom norms .* got nan$"):
+        check_unit_rows(rows[3:], "atom")
+
+
+def _old_unit_rows_forms(z):
+    """The hand-written normalizations unit_rows replaced, each with the
+    column it scales by (ones where it scaled by none)."""
+    scale = np.linspace(0.25, 1.0, len(z))[:, None]
+    sq = np.sqrt((z * z).sum(axis=1, keepdims=True))
+    sq[sq == 0] = 1.0
+    guarded = np.linalg.norm(z, axis=1, keepdims=True)
+    guarded[guarded == 0] = 1.0
+    return [
+        # bandit.KArmedGaussianGenerator.sample_round
+        (z / sq, 1.0),
+        # distributions.UniformBallPrior.sample_many,
+        # verify._classical_potential and verify._random_mean_bounded_prior
+        (z / guarded * scale, scale),
+        # acceptance._eight_atom_prior, which had no zero-row guard
+        (z / np.linalg.norm(z, axis=1, keepdims=True) * scale, scale),
+    ]
+
+
+@pytest.mark.parametrize("dim", UNIT_BALL_DIMS)
+@pytest.mark.parametrize("nonnegative", [False, True])
+def test_unit_rows_gives_the_bits_of_the_forms_it_replaced(dim, nonnegative):
+    rng = np.random.default_rng([RNG_SEED, dim, 2])
+    for k in (1, 8, 20, 300):
+        z = rng.standard_normal((k, dim))
+        if nonnegative:
+            z = np.abs(z)
+        for old, scale in _old_unit_rows_forms(z):
+            assert np.array_equal(unit_rows(z) * scale, old)
+
+
+def test_unit_rows_leaves_a_zero_row_zero():
+    rows = np.array([[3.0, 4.0], [0.0, 0.0], [0.0, -2.0]])
+    assert unit_rows(rows).tolist() == [[0.6, 0.8], [0.0, 0.0], [0.0, -1.0]]
+

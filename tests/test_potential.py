@@ -40,7 +40,7 @@ from ellipsim.harness import (
     ExperimentConfig,
     verify_expected_potential,
 )
-from ellipsim.linalg import CholeskyFailure, PsdMatrix, random_psd
+from ellipsim.linalg import CholeskyFailure, PsdMatrix, random_psd, row_norms
 from ellipsim.posterior import (
     EngineConfig,
     counterexample_prior,
@@ -154,8 +154,15 @@ def test_classical_rejects_long_actions_and_small_lambda():
         ridge_replay_excess(unit, float("inf"))
 
 
+def test_classical_rejects_a_nan_action():
+    # a NaN row would give a NaN excess, which no eq. 1 verdict can read
+    actions = np.array([[0.5, 0.0], [np.nan, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="action norms .* got nan$"):
+        ridge_replay_excess(actions, 1.0)
+
+
 def test_classical_rejects_over_norm_actions_where_linalg_norm_does():
-    """The threshold is NORM_SLACK past 1 on np.linalg.norm's own bits, for
+    """The threshold is NORM_SLACK past 1 on linalg.row_norms' bits, for
     contiguous and strided rows alike, wherever the row sits."""
     rng = np.random.default_rng(SEED)
     limit = 1.0 + NORM_SLACK
@@ -169,7 +176,7 @@ def test_classical_rejects_over_norm_actions_where_linalg_norm_does():
     actions += [matrix[:, j] for j in range(4)]
     rejected = 0
     for a in actions:
-        norm = float(np.linalg.norm(a))
+        norm = float(row_norms(a[None, :])[0])
         # alone, and as row 70 of 100 unit rows in C and in Fortran order
         rows = rng.standard_normal((100, a.shape[0]))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -188,7 +195,7 @@ def test_classical_rejects_over_norm_actions_where_linalg_norm_does():
         for a in rng.standard_normal((400, dim)):
             for k in (0, 1):
                 row = a / np.linalg.norm(a) * limit * (1.0 + k * 2.0**-52)
-                norm = float(np.linalg.norm(row))
+                norm = float(row_norms(row[None, :])[0])
                 if norm > limit:
                     with pytest.raises(ValueError, match=re.escape(f"got {norm}") + "$"):
                         ridge_replay_excess(row[None, :], 1.0)
